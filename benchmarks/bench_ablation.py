@@ -3,8 +3,9 @@
 Not paper claims — sanity checks that our implementation decisions carry
 their weight:
 
-* **A1 vectorised operator fast paths**: the dense numpy routes inside
-  aggregate/regrid vs the generic per-cell fold they shadow;
+* **A1 plane kernel vs cell fold**: aggregate/regrid's one numpy body
+  (built-in aggregates) vs the per-cell fold a sum-identical *user*
+  aggregate — opaque Python — still has to take;
 * **A2 chunked vs single-chunk arrays**: the chunk grid must not tax
   region reads;
 * **A3 auto codec choice**: 'auto' must track the best fixed codec per
@@ -21,7 +22,7 @@ from benchmarks.conftest import dense_2d
 
 SIDE = 96
 
-# A sum-identical user aggregate: forces the generic (non-vectorised) path.
+# A sum-identical user aggregate: opaque to the engine, so folded per cell.
 define_aggregate(
     "ablation_sum", lambda: 0.0, lambda s, v: s + v, replace=True
 )

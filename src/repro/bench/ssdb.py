@@ -28,6 +28,7 @@ from ..core.ops import content as cops
 from ..core.ops import structural as sops
 from ..core.ops.content import aggregate_all
 from ..core.schema import define_array
+from ..query.ast import AttrPredicate, PredicateConjunction
 from ..baseline.arraysim import ArrayOnTable
 from ..baseline.tabledb import TableDB
 
@@ -90,6 +91,23 @@ class SSDB:
     def cook_value(v: float) -> float:
         return GAIN * (v - OFFSET)
 
+    def _cooked(self, raw: SciArray) -> SciArray:
+        """Counts -> radiance, as one masked numpy pass."""
+        return cops.apply(
+            raw,
+            output=[("radiance", "float")],
+            block_fn=lambda b: GAIN * (b["v"] - OFFSET),
+        )
+
+    def _detections(self) -> SciArray:
+        """Cooked cells above the detection threshold (the rest NULL)."""
+        return cops.filter(
+            self._cooked(self.native()),
+            PredicateConjunction(
+                (AttrPredicate("radiance", ">", DETECT_THRESHOLD),)
+            ),
+        )
+
     def slab(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         q = self.side // 4
         return (q + 1, q + 1, 1), (2 * q, 2 * q, 1)
@@ -136,31 +154,14 @@ class SSDB:
         """Q4: cook epoch 1 (counts -> radiance) and checksum it."""
         if backend == "native":
             epoch = sops.subsample(self.native(), {"t": 1})
-            cooked = cops.apply(
-                epoch,
-                lambda c: self.cook_value(c.v),
-                [("radiance", "float")],
-                block_fn=lambda b: GAIN * (b["v"] - OFFSET),
-            )
-            return aggregate_all(cooked, "sum", attr="radiance")
+            return aggregate_all(self._cooked(epoch), "sum", attr="radiance")
         rows = self.table().slice("t", 1)
         return sum(self.cook_value(r[3]) for r in rows)
 
     def q5(self, backend: str) -> int:
         """Q5: detect observations (cooked value above threshold)."""
         if backend == "native":
-            cooked = cops.apply(
-                self.native(),
-                lambda c: self.cook_value(c.v),
-                [("radiance", "float")],
-                block_fn=lambda b: GAIN * (b["v"] - OFFSET),
-            )
-            hot = cops.filter(
-                cooked,
-                lambda c: c.radiance > DETECT_THRESHOLD,
-                block_predicate=lambda b: b["radiance"] > DETECT_THRESHOLD,
-            )
-            return hot.count_present()
+            return self._detections().count_present()
         return sum(
             1
             for row in self.table().table.scan()
@@ -170,34 +171,13 @@ class SSDB:
     def q6(self, backend: str) -> dict[tuple, float]:
         """Q6: detection density per 8x8 spatial block (all epochs)."""
         if backend == "native":
-            cooked = cops.apply(
-                self.native(),
-                lambda c: self.cook_value(c.v),
-                [("radiance", "float")],
-                block_fn=lambda b: GAIN * (b["v"] - OFFSET),
+            # Filter leaves NULLs where nothing was detected; regrid counts
+            # the surviving PRESENT cells of each block (ragged edge and
+            # all) and leaves blocks without one EMPTY.
+            density = cops.regrid(
+                self._detections(), [8, 8, self.epochs], "count"
             )
-            hot = cops.filter(
-                cooked,
-                lambda c: c.radiance > DETECT_THRESHOLD,
-                block_predicate=lambda b: b["radiance"] > DETECT_THRESHOLD,
-            )
-            # Count detections per block from the NULL-filled plane: a
-            # non-NaN cell is a surviving (PRESENT) detection.
-            plane = hot.region(
-                (1, 1, 1), hot.bounds, attr="radiance", fill=np.nan
-            )
-            present = ~np.isnan(plane)
-            out: dict[tuple, float] = {}
-            for bx in range((self.side + 7) // 8):
-                for by in range((self.side + 7) // 8):
-                    n = int(
-                        present[
-                            bx * 8 : (bx + 1) * 8, by * 8 : (by + 1) * 8, :
-                        ].sum()
-                    )
-                    if n:
-                        out[(bx + 1, by + 1)] = n
-            return out
+            return {c[:2]: cell.count for c, cell in density.cells()}
         groups: dict[tuple, float] = {}
         for row in self.table().table.scan():
             if self.cook_value(row[3]) > DETECT_THRESHOLD:

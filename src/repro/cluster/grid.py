@@ -72,7 +72,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..core.array import SciArray
 from ..core.cells import Cell
-from ..core.datatypes import ScalarType
 from ..core.errors import (
     DeadlineExceededError,
     GridError,
@@ -83,8 +82,9 @@ from ..core.errors import (
     StorageError,
     TransientIOError,
 )
+from ..core.ops import content as content_ops
 from ..core.ops import structural as structural_ops
-from ..core.schema import ArraySchema
+from ..core.schema import ArraySchema, Dimension
 from ..core.udf import UserAggregate, get_aggregate
 from ..core.uncertainty import PositionUncertainty
 from ..obs import tracing
@@ -215,7 +215,7 @@ def _cell_nbytes(schema: ArraySchema) -> int:
     """Wire-size estimate of one cell: coords + attribute payload."""
     size = 8 * schema.ndim
     for a in schema.attributes:
-        if isinstance(a.type, ScalarType) and a.type.numpy_dtype != object:
+        if a.is_native:
             size += a.type.numpy_dtype.itemsize
         else:
             size += 32
@@ -233,6 +233,7 @@ class DistributedArray:
         partitioner: Partitioner,
         replication: int = 1,
         placement: Optional[ReplicaPlacement] = None,
+        stride: Optional[Sequence[int]] = None,
     ) -> None:
         if partitioner.n_sites != len(grid.nodes):
             raise PartitioningError(
@@ -245,6 +246,10 @@ class DistributedArray:
         self.partitioner = partitioner
         self.replication = replication
         self.placement = placement or ChainedDeclusteringPlacement()
+        #: bucket stride of every node's partition — kept so a partition
+        #: re-created later (rebuild, added node, repartition) buckets,
+        #: and therefore prunes, exactly like the founding ones.
+        self.stride = stride
         # Validate the chain for every partition up front.
         for p in partitioner.sites():
             self.chain_under(partitioner, p)
@@ -431,8 +436,8 @@ class DistributedArray:
             tolerant=tolerant,
             quarantine=quarantine,
             max_retries=max_retries,
-            backoff_base_ms=self.grid.backoff_base_ms,
-            backoff_max_ms=self.grid.backoff_max_ms,
+            backoff_base_ms=self.grid.resilience.retry.backoff_base_ms,
+            backoff_max_ms=self.grid.resilience.retry.backoff_max_ms,
             on_record=faults.on_load_record if faults is not None else None,
         )
         with loader:
@@ -1090,17 +1095,13 @@ class DistributedArray:
                 partial_mode, tolerate_deadline, merged, missing,
             )
 
-        from ..core.schema import Attribute
-        from ..core.ops.content import _result_type
-
-        out_schema = ArraySchema(
-            name=f"{self.name}_agg",
-            attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
-            dimensions=tuple(self.schema.dimensions[p] for p in positions),
+        out = content_ops.write_states(
+            content_ops.group_output(
+                f"{self.name}_agg", f"{self.name}_agg", aggregate_fn,
+                (self.schema.dimensions[p] for p in positions),
+            ),
+            aggregate_fn, merged,
         )
-        out = SciArray(out_schema, name=f"{self.name}_agg")
-        for key, state in merged.items():
-            out.set(key, aggregate_fn.final(state))
         if partial_mode:
             report = CoverageReport(len(self.partitions()), tuple(missing))
             return DegradedResult(out, report)
@@ -1118,6 +1119,9 @@ class DistributedArray:
         missing: list[tuple[str, int]],
     ) -> None:
         """Run :meth:`aggregate`'s read/transition phase into *merged*."""
+        def key_of(coords: Coords) -> Coords:
+            return tuple(coords[q] for q in positions)
+
         if merge is not None:
             # Algebraic: the local phase (scan + per-group transitions)
             # runs in scheduler workers; the coordinator merges partial
@@ -1132,18 +1136,9 @@ class DistributedArray:
                     return None
                 if cells is None:
                     return None
-                local: dict[Coords, Any] = {}
-                for coords, cell in cells:
-                    if cell is None:
-                        continue
-                    key = tuple(coords[q] for q in positions)
-                    state = local.get(key)
-                    if key not in local:
-                        state = aggregate_fn.initial()
-                    local[key] = aggregate_fn.transition(
-                        state, getattr(cell, attr_name)
-                    )
-                return site, local
+                return site, content_ops.fold_cells(
+                    cells, key_of, aggregate_fn, attr_name
+                )
 
             partials = self.grid.scheduler.map(
                 [
@@ -1151,25 +1146,25 @@ class DistributedArray:
                     for p in self.partitions()
                 ]
             )
-            state_nbytes = 24  # partial-state wire estimate
             for p, partial in zip(self.partitions(), partials):
                 if partial is None:
                     missing.append((self.name, p))
                     continue
-                site, local = partial
-                for key, state in local.items():
-                    self.grid.ledger.record(
-                        site, COORDINATOR, state_nbytes, "aggregate"
-                    )
-                    if key in merged:
-                        merged[key] = merge(merged[key], state)
-                    else:
-                        merged[key] = state
+                self._merge_partial(*partial, merge, merged, "aggregate")
         else:
             # Holistic user aggregate: ship raw values to the coordinator.
             # Reads fan out; the transitions themselves stay coordinator-
             # side and in partition order (holistic state is not mergeable,
             # and order-dependent aggregates must see the serial order).
+            def shipped(site: int, cells: Iterable) -> Iterator:
+                # Ledger each PRESENT cell as the fold consumes it.
+                for item in cells:
+                    if item[1] is not None:
+                        self.grid.ledger.record(
+                            site, COORDINATOR, self.cell_nbytes, "aggregate"
+                        )
+                    yield item
+
             for p, (site, cells) in zip(
                 self.partitions(),
                 self._read_partitions(
@@ -1179,19 +1174,23 @@ class DistributedArray:
                 if cells is None:
                     missing.append((self.name, p))
                     continue
-                for coords, cell in cells:
-                    if cell is None:
-                        continue
-                    self.grid.ledger.record(
-                        site, COORDINATOR, self.cell_nbytes, "aggregate"
-                    )
-                    key = tuple(coords[q] for q in positions)
-                    state = merged.get(key)
-                    if key not in merged:
-                        state = aggregate_fn.initial()
-                    merged[key] = aggregate_fn.transition(
-                        state, getattr(cell, attr_name)
-                    )
+                content_ops.fold_cells(
+                    shipped(site, cells), key_of, aggregate_fn, attr_name, merged
+                )
+
+    def _merge_partial(
+        self,
+        site: int,
+        local: dict[Coords, Any],
+        merge: Callable[[Any, Any], Any],
+        merged: dict[Coords, Any],
+        reason: str,
+    ) -> None:
+        """Ship one partition's partial states to the coordinator (24 B
+        each, the partial-state wire estimate) and merge them in."""
+        for key, state in local.items():
+            self.grid.ledger.record(site, COORDINATOR, 24, reason)
+            merged[key] = merge(merged[key], state) if key in merged else state
 
     def sjoin(
         self,
@@ -1452,18 +1451,13 @@ class DistributedArray:
                 raise QuorumError(
                     f"partition {p} of {self.name!r}: no surviving replica"
                 )
-            local: dict[Coords, Any] = {}
-            for coords, cell in cells:
-                if cell is None:
-                    continue
-                key = tuple((c - 1) // f + 1 for c, f in zip(coords, factors))
-                state = local.get(key)
-                if key not in local:
-                    state = aggregate_fn.initial()
-                local[key] = aggregate_fn.transition(
-                    state, getattr(cell, attr_name)
-                )
-            return site, local
+            return site, content_ops.fold_cells(
+                cells,
+                lambda coords: tuple(
+                    (c - 1) // f + 1 for c, f in zip(coords, factors)
+                ),
+                aggregate_fn, attr_name,
+            )
 
         partials = self.grid.scheduler.map(
             [
@@ -1473,32 +1467,19 @@ class DistributedArray:
         )
         merged: dict[Coords, Any] = {}
         for site, local in partials:
-            for key, state in local.items():
-                self.grid.ledger.record(site, COORDINATOR, 24, "regrid")
-                if key in merged:
-                    merged[key] = merge(merged[key], state)
-                else:
-                    merged[key] = state
-
-        from ..core.schema import Attribute, Dimension
-        from ..core.ops.content import _result_type
-
-        out_sizes = [
-            (self._extent(d) + f - 1) // f
-            for d, f in zip(range(self.schema.ndim), factors)
-        ]
-        out_schema = ArraySchema(
-            name=f"{self.name}_regrid",
-            attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
-            dimensions=tuple(
-                Dimension(d.name, s)
-                for d, s in zip(self.schema.dimensions, out_sizes)
+            self._merge_partial(site, local, merge, merged, "regrid")
+        return content_ops.write_states(
+            content_ops.group_output(
+                f"{self.name}_regrid", f"{self.name}_regrid", aggregate_fn,
+                (
+                    Dimension(d.name, (self._extent(i) + f - 1) // f)
+                    for i, (d, f) in enumerate(
+                        zip(self.schema.dimensions, factors)
+                    )
+                ),
             ),
+            aggregate_fn, merged,
         )
-        out = SciArray(out_schema, name=f"{self.name}_regrid")
-        for key, state in merged.items():
-            out.set(key, aggregate_fn.final(state))
-        return out
 
     def _extent(self, dim_index: int) -> int:
         declared = self.schema.dimensions[dim_index].size
@@ -1541,7 +1522,7 @@ class DistributedArray:
         # Rebuild partitions on every live node, then replay.
         for node in self.grid.alive_nodes():
             node.storage.drop_array(self.name)
-            node.create_partition(self.name, self.schema)
+            node.create_partition(self.name, self.schema, stride=self.stride)
         moved = 0
         for src_site, coords, values in collected:
             new_primary = new_partitioner.site_of(coords)
@@ -1647,9 +1628,6 @@ class Grid:
         memory_budget: int = 1 << 20,
         fault_injector: Optional[FaultInjector] = None,
         default_replication: int = 1,
-        max_read_retries: int = 2,
-        backoff_base_ms: float = 1.0,
-        backoff_max_ms: float = 64.0,
         parallelism: Optional[int] = None,
         chunk_cache_bytes: int = 8 << 20,
         fetch_latency_ms: float = 0.0,
@@ -1675,15 +1653,12 @@ class Grid:
         ]
         self.ledger = DataMovementLedger()
         self.default_replication = default_replication
-        # The resilience bundle: an explicit policy wins; otherwise one is
-        # assembled from the legacy knobs (max_read_retries, backoff_*),
-        # seeded from the fault injector so jitter is drill-reproducible.
+        # The resilience bundle: an explicit policy wins; otherwise the
+        # default one, seeded from the fault injector so jitter is
+        # drill-reproducible.
         if resilience is None:
             resilience = ResiliencePolicy(
                 retry=RetryPolicy(
-                    max_attempts=max_read_retries,
-                    backoff_base_ms=backoff_base_ms,
-                    backoff_max_ms=backoff_max_ms,
                     seed=fault_injector.seed if fault_injector is not None
                     else 0,
                 ),
@@ -1696,9 +1671,6 @@ class Grid:
                 hedge=HedgePolicy(delay_ms=hedge_delay_ms),
             )
         self.resilience = resilience
-        self.max_read_retries = resilience.retry.max_attempts
-        self.backoff_base_ms = resilience.retry.backoff_base_ms
-        self.backoff_max_ms = resilience.retry.backoff_max_ms
         self.breakers = [
             CircuitBreaker(f"node_{i}", resilience.breaker)
             for i in range(n_nodes)
@@ -1809,8 +1781,8 @@ class Grid:
         self.breakers.append(
             CircuitBreaker(f"node_{nid}", self.resilience.breaker)
         )
-        for name in self.names():
-            node.create_partition(name, self._arrays[name].schema)
+        for name, arr in self._arrays.items():
+            node.create_partition(name, arr.schema, stride=arr.stride)
         _flight_emit("node_add", node=nid, members=len(self.nodes))
         members = self.members()
         reports: list[RebalanceReport] = []
@@ -2100,6 +2072,7 @@ class Grid:
             replication=replication if replication is not None
             else self.default_replication,
             placement=placement,
+            stride=stride,
         )
         self._arrays[name] = arr
         return arr
@@ -2132,7 +2105,7 @@ class Grid:
         node.restart()
         try:
             for name, arr in self._arrays.items():
-                node.create_partition(name, arr.schema)
+                node.create_partition(name, arr.schema, stride=arr.stride)
             from_wal = node.replay_wal(set(self._arrays))
         except StorageError:
             # A damaged WAL aborts the rebuild; the node must not come

@@ -22,7 +22,8 @@ same chunks are what the storage manager spills to disk as "buckets"
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +40,14 @@ DEFAULT_CHUNK_SIDE = 32
 
 Coords = tuple[int, ...]
 CellValue = Union[Cell, tuple, dict, Any]
+
+
+def _blank_plane(shape: tuple[int, ...], attr: Attribute) -> np.ndarray:
+    """An unwritten value plane: zeros in the attribute's native dtype, or
+    ``None`` objects where numpy cannot represent the type."""
+    if attr.is_native:
+        return np.zeros(shape, dtype=attr.type.numpy_dtype)
+    return np.empty(shape, dtype=object)
 
 
 class Chunk:
@@ -61,13 +70,9 @@ class Chunk:
         self.origin = origin
         self.shape = shape
         self.state = np.zeros(shape, dtype=np.uint8)
-        self.data: dict[str, np.ndarray] = {}
-        for attr in attributes:
-            if isinstance(attr.type, ScalarType) and attr.type.numpy_dtype != object:
-                arr = np.zeros(shape, dtype=attr.type.numpy_dtype)
-            else:
-                arr = np.empty(shape, dtype=object)
-            self.data[attr.name] = arr
+        self.data: dict[str, np.ndarray] = {
+            attr.name: _blank_plane(shape, attr) for attr in attributes
+        }
 
     @property
     def present_count(self) -> int:
@@ -222,8 +227,8 @@ class SciArray:
             coords.append(int(c))
         return tuple(coords)
 
-    def _check_bounds(self, coords: Coords, *, writing: bool) -> None:
-        for i, (dim, c) in enumerate(zip(self.schema.dimensions, coords)):
+    def _check_dims(self, coords: Coords) -> None:
+        for dim, c in zip(self.schema.dimensions, coords):
             if c < 1:
                 raise BoundsError(
                     f"coordinate {c} on dimension {dim.name!r} (dimensions are 1-based)"
@@ -232,6 +237,9 @@ class SciArray:
                 raise BoundsError(
                     f"coordinate {c} exceeds bound {dim.size} on dimension {dim.name!r}"
                 )
+
+    def _check_bounds(self, coords: Coords, *, writing: bool) -> None:
+        self._check_dims(coords)
         if self.shape_function is not None and not self.shape_function.contains(coords):
             raise BoundsError(
                 f"coordinate {coords} lies outside the array's shape function"
@@ -251,10 +259,41 @@ class SciArray:
         key, _ = self._chunk_key(coords)
         chunk = self._chunks.get(key)
         if chunk is None and create:
-            origin = tuple(k * s + 1 for k, s in zip(key, self.chunk_shape))
-            chunk = Chunk(origin, self.chunk_shape, self.schema.attributes)
-            self._chunks[key] = chunk
+            chunk = self._new_chunk(key)
         return chunk
+
+    def _new_chunk(self, key: Coords) -> Chunk:
+        origin = tuple(k * s + 1 for k, s in zip(key, self.chunk_shape))
+        chunk = Chunk(origin, self.chunk_shape, self.schema.attributes)
+        self._chunks[key] = chunk
+        return chunk
+
+    def chunk_box(self, key: Coords) -> tuple[Coords, tuple[int, ...]]:
+        """Origin and shape of chunk position *key*, the shape trimmed to
+        the declared bounds."""
+        origin = tuple(k * s + 1 for k, s in zip(key, self.chunk_shape))
+        return origin, tuple(
+            s if d.size is None else min(s, d.size - o + 1)
+            for o, s, d in zip(origin, self.chunk_shape, self.schema.dimensions)
+        )
+
+    def chunk_overlaps(
+        self, lo: Coords, hi: Coords
+    ) -> Iterator[tuple[Coords, tuple[slice, ...], tuple[slice, ...]]]:
+        """Every chunk position the box ``lo..hi`` touches, as ``(key,
+        selection within the chunk, selection within the box)``."""
+        # Cut each axis once — (chunk index, selection within the chunk,
+        # selection within the box) — then combine the cuts.
+        per_axis = []
+        for l, h, s in zip(lo, hi, self.chunk_shape):
+            cuts = []
+            for k in range((l - 1) // s, (h - 1) // s + 1):
+                o = k * s + 1
+                a, b = max(l, o), min(h, o + s - 1)
+                cuts.append((k, slice(a - o, b - o + 1), slice(a - l, b - l + 1)))
+            per_axis.append(cuts)
+        for combo in itertools.product(*per_axis):
+            yield tuple(zip(*combo))
 
     def _bump_high_water(self, coords: Coords) -> None:
         for i, c in enumerate(coords):
@@ -354,13 +393,7 @@ class SciArray:
             off.append(r)
         key = tuple(key)
         off = tuple(off)
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            origin = tuple(
-                k * s + 1 for k, s in zip(key, self.chunk_shape)
-            )
-            chunk = Chunk(origin, self.chunk_shape, self.schema.attributes)
-            self._chunks[key] = chunk
+        chunk = self._chunks.get(key) or self._new_chunk(key)
         if values is None:
             chunk.state[off] = CellState.NULL
         else:
@@ -456,67 +489,137 @@ class SciArray:
         self,
         origin: Coords,
         values: Mapping[str, np.ndarray],
-        null_mask: Optional[np.ndarray] = None,
+        state: Optional[np.ndarray] = None,
     ) -> None:
-        """Write a dense block of cells in one call.
+        """Write a block of cells in one call.
 
         ``origin`` is the 1-based coordinate of the block's first cell.
         Every array in *values* must share one shape; all schema attributes
-        must be supplied.  Cells where *null_mask* is true are stored as
-        NULL instead of their value (the vectorised Filter's output path).
-        This is the bulk-load fast path used by the streaming loader and
-        the workload generators.
+        must be supplied.  *state* is the block's
+        :class:`~repro.core.cells.CellState` plane — the form every plane
+        kernel emits: PRESENT cells take their value, NULL cells are stored
+        as NULL, and EMPTY entries write nothing (a cell already stored
+        there keeps its state and value).  Like :meth:`set_unchecked`, this
+        form trusts the caller about the shape function: a kernel's
+        occupied cells are the image of cells already inside it.  Without
+        *state* every cell of the block is PRESENT (the bulk-load path of
+        the streaming loader and the workload generators).
         """
-        arrays = {name: np.asarray(arr) for name, arr in values.items()}
-        missing = set(self.attr_names) - set(arrays)
+        names = self.attr_names
+        missing = [name for name in names if name not in values]
         if missing:
             raise TypeMismatchError(f"set_region missing attributes {sorted(missing)}")
-        shapes = {a.shape for a in arrays.values()}
+        arrays = [np.asarray(values[name]) for name in names]
+        shapes = {a.shape for a in arrays}
+        if state is not None:
+            state = np.asarray(state, dtype=np.uint8)
+            shapes.add(state.shape)
         if len(shapes) != 1:
-            raise TypeMismatchError(f"set_region attribute shapes differ: {shapes}")
+            raise TypeMismatchError(f"set_region plane shapes differ: {shapes}")
         block_shape = shapes.pop()
-        if len(block_shape) != self.ndim:
+        if len(block_shape) != len(self.chunk_shape):
             raise TypeMismatchError(
                 f"set_region block is {len(block_shape)}-D for a {self.ndim}-D array"
             )
+        if 0 in block_shape:
+            return
         origin = self._normalize_coords(origin)
         far = tuple(o + s - 1 for o, s in zip(origin, block_shape))
-        self._check_bounds(origin, writing=True)
-        self._check_bounds(far, writing=True)
+        if state is None:
+            self._check_bounds(origin, writing=True)
+            self._check_bounds(far, writing=True)
+        else:
+            # A kernel's block is its input's box: the corners of a ragged
+            # array lie outside the shape function and are EMPTY here.
+            self._check_dims(origin)
+            self._check_dims(far)
 
-        # Walk every chunk the block overlaps and copy the intersection.
-        lo_key, _ = self._chunk_key(origin)
-        hi_key, _ = self._chunk_key(far)
-        for key in itertools.product(
-            *(range(lo, hi + 1) for lo, hi in zip(lo_key, hi_key))
-        ):
-            chunk_origin = tuple(k * s + 1 for k, s in zip(key, self.chunk_shape))
+        for key, chunk_sel, block_sel in self.chunk_overlaps(origin, far):
+            chunk = self._chunks.get(key)
+            if state is None:
+                chunk = chunk or self._new_chunk(key)
+                for name, arr in zip(names, arrays):
+                    chunk.data[name][chunk_sel] = arr[block_sel]
+                chunk.state[chunk_sel] = CellState.PRESENT
+                continue
+            block_state = state[block_sel]
+            occupied = block_state != CellState.EMPTY
+            if not occupied.any():
+                continue  # nothing to write here: keep the array sparse
+            chunk = chunk or self._new_chunk(key)
+            for name, arr in zip(names, arrays):
+                np.copyto(chunk.data[name][chunk_sel], arr[block_sel], where=occupied)
+            np.copyto(chunk.state[chunk_sel], block_state, where=occupied)
+        if state is None:
+            self._bump_high_water(far)
+            return
+        # Only unbounded dimensions track a high-water mark, and it is the
+        # farthest *occupied* coordinate, not the block's corner.
+        for d, dim in enumerate(self.schema.dimensions):
+            if dim.size is None:
+                others = tuple(a for a in range(self.ndim) if a != d)
+                hit = np.flatnonzero(state.any(axis=others))
+                if hit.size:
+                    self._high_water[d] = max(
+                        self._high_water[d], origin[d] + int(hit[-1])
+                    )
+
+    def blocks(
+        self, attrs: Optional[Sequence[str]] = None
+    ) -> Iterator[tuple[Coords, dict[str, np.ndarray], np.ndarray]]:
+        """Every allocated chunk, in chunk order, as ``(origin, value
+        planes, state plane)``.
+
+        This is what the plane kernels of :mod:`repro.core.ops` iterate:
+        their cost follows the chunks that exist, whatever the declared
+        extents or the high-water marks.  The planes are *views* of the
+        chunk's own arrays for *attrs* (default: all), trimmed to the
+        array's :attr:`bounds`; values under a non-PRESENT state are
+        unspecified.
+        """
+        names = self.attr_names if attrs is None else tuple(attrs)
+        bounds = self.bounds
+        for key in sorted(self._chunks):
+            chunk = self._chunks[key]
+            inside = tuple(
+                slice(0, min(n, b - o + 1))
+                for o, n, b in zip(chunk.origin, chunk.shape, bounds)
+            )
+            yield (
+                chunk.origin,
+                {name: chunk.data[name][inside] for name in names},
+                chunk.state[inside],
+            )
+
+    def planes(
+        self, lo: Coords, hi: Coords, attrs: Optional[Sequence[str]] = None
+    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """The value planes and state mask of the box ``lo..hi``.
+
+        One freshly assembled ndarray per attribute in *attrs* (default:
+        all) in the chunks' own dtype, plus the
+        :class:`~repro.core.cells.CellState` plane saying which cells are
+        PRESENT, NULL or EMPTY.  Values under a non-PRESENT state are
+        unspecified — consult the mask.  The box may extend past the
+        array's bounds; cells no chunk covers are EMPTY.  Memory is the
+        box's volume, which is why there is no whole-array default: a
+        kernel asks for a chunk-sized box (see :meth:`blocks`).
+        """
+        lo, hi = self._normalize_coords(lo), self._normalize_coords(hi)
+        shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))
+        state = np.zeros(shape, dtype=np.uint8)
+        out = {
+            name: _blank_plane(shape, self.schema.attribute(name))
+            for name in (self.attr_names if attrs is None else attrs)
+        }
+        for key, chunk_sel, out_sel in self.chunk_overlaps(lo, hi):
             chunk = self._chunks.get(key)
             if chunk is None:
-                chunk = Chunk(chunk_origin, self.chunk_shape, self.schema.attributes)
-                self._chunks[key] = chunk
-            # Intersection of block and chunk, in absolute 1-based coords.
-            lo = tuple(max(o, co) for o, co in zip(origin, chunk_origin))
-            hi = tuple(
-                min(f, co + s - 1)
-                for f, co, s in zip(far, chunk_origin, self.chunk_shape)
-            )
-            chunk_sel = tuple(
-                slice(l - co, h - co + 1) for l, h, co in zip(lo, hi, chunk_origin)
-            )
-            block_sel = tuple(
-                slice(l - o, h - o + 1) for l, h, o in zip(lo, hi, origin)
-            )
-            for attr in self.schema.attributes:
-                chunk.data[attr.name][chunk_sel] = arrays[attr.name][block_sel]
-            if null_mask is None:
-                chunk.state[chunk_sel] = CellState.PRESENT
-            else:
-                mask = null_mask[block_sel]
-                chunk.state[chunk_sel] = np.where(
-                    mask, CellState.NULL, CellState.PRESENT
-                ).astype(np.uint8)
-        self._bump_high_water(far)
+                continue
+            state[out_sel] = chunk.state[chunk_sel]
+            for name, plane in out.items():
+                plane[out_sel] = chunk.data[name][chunk_sel]
+        return out, state
 
     def region(
         self,
@@ -527,51 +630,20 @@ class SciArray:
     ) -> "np.ndarray | dict[str, np.ndarray]":
         """Read the dense block ``lo..hi`` (inclusive, 1-based) as numpy.
 
-        EMPTY and NULL cells are filled with *fill*.  With *attr* given,
-        returns that attribute's block; otherwise a dict of all attributes.
+        EMPTY and NULL cells are filled with *fill* (integer planes widen
+        to float64 to hold the default NaN).  With *attr* given, returns
+        that attribute's block; otherwise a dict of all attributes.
         """
         lo = self._normalize_coords(lo)
         hi = self._normalize_coords(hi)
         if any(h < l for l, h in zip(lo, hi)):
             raise BoundsError(f"empty region {lo}..{hi}")
-        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        names = [attr] if attr is not None else list(self.attr_names)
-        out: dict[str, np.ndarray] = {}
-        for name in names:
-            a = self.schema.attribute(name)
-            if isinstance(a.type, ScalarType) and a.type.numpy_dtype != object:
-                dtype = (
-                    a.type.numpy_dtype
-                    if fill is not np.nan or not np.issubdtype(a.type.numpy_dtype, np.integer)
-                    else np.float64
-                )
-                out[name] = np.full(shape, fill, dtype=dtype)
-            else:
-                block = np.empty(shape, dtype=object)
-                block[...] = fill
-                out[name] = block
-
-        lo_key, _ = self._chunk_key(lo)
-        hi_key, _ = self._chunk_key(hi)
-        for key in itertools.product(
-            *(range(l, h + 1) for l, h in zip(lo_key, hi_key))
-        ):
-            chunk = self._chunks.get(key)
-            if chunk is None:
-                continue
-            co = chunk.origin
-            ilo = tuple(max(l, c) for l, c in zip(lo, co))
-            ihi = tuple(min(h, c + s - 1) for h, c, s in zip(hi, co, self.chunk_shape))
-            chunk_sel = tuple(slice(l - c, h - c + 1) for l, h, c in zip(ilo, ihi, co))
-            out_sel = tuple(slice(l - o, h - o + 1) for l, h, o in zip(ilo, ihi, lo))
-            mask = chunk.state[chunk_sel] == CellState.PRESENT
-            for name in names:
-                dest = out[name][out_sel]
-                src = chunk.data[name][chunk_sel]
-                dest[mask] = src[mask].astype(dest.dtype, copy=False) if (
-                    dest.dtype != object and src.dtype != dest.dtype
-                ) else src[mask]
-                out[name][out_sel] = dest
+        out, state = self.planes(lo, hi, None if attr is None else [attr])
+        absent = state != CellState.PRESENT
+        for name, plane in out.items():
+            if fill is np.nan and np.issubdtype(plane.dtype, np.integer):
+                out[name] = plane = plane.astype(np.float64)
+            plane[absent] = fill
         if attr is not None:
             return out[attr]
         return out

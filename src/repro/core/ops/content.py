@@ -21,25 +21,27 @@ array":
 
 from __future__ import annotations
 
-import builtins
-import itertools
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..array import SciArray
-from ..cells import Cell
+from ..cells import Cell, CellState
 from ..datatypes import FLOAT64, INT64, ScalarType, get_type
-from ..errors import SchemaError, TypeMismatchError
+from ..errors import SchemaError
 from ..schema import ArraySchema, Attribute, Dimension
-from ..udf import UserAggregate, get_aggregate
+from ..udf import BUILTIN_AGGREGATES, UserAggregate, get_aggregate
 from . import register_operator
 
-__all__ = ["filter", "aggregate", "cjoin", "apply", "project", "regrid"]
+__all__ = [
+    "filter", "aggregate", "cjoin", "apply", "project", "regrid", "fold_cells",
+]
 
 Coords = tuple[int, ...]
 Predicate = Callable[[Cell], bool]
 AggSpec = Union[str, UserAggregate]
+
+_BUILTIN = {a.name: a for a in BUILTIN_AGGREGATES}
 
 
 def _resolve_aggregate(agg: AggSpec) -> UserAggregate:
@@ -48,57 +50,237 @@ def _resolve_aggregate(agg: AggSpec) -> UserAggregate:
     return get_aggregate(agg)
 
 
-def _dense_numeric_blocks(array: SciArray) -> Optional[dict[str, np.ndarray]]:
-    """All attribute planes as numpy blocks, when the array is fully dense
-    with native-dtype attributes; ``None`` otherwise."""
-    hw = array.bounds
-    if any(h <= 0 for h in hw):
-        return None
-    if array.count_present() != int(np.prod(hw)):
-        return None
-    for a in array.schema.attributes:
-        if not isinstance(a.type, ScalarType) or a.type.numpy_dtype == object:
-            return None
-    return array.region(tuple([1] * array.ndim), hw, fill=0)
+def _has_kernel(array: SciArray, aggregate_fn: UserAggregate, attr: str) -> bool:
+    """The one precondition of the aggregate kernels: the engine's own
+    aggregate (not a user's, even under the same name) over a component
+    held in a native numpy dtype.  Density is not a condition — the state
+    mask handles NULL and EMPTY."""
+    return (
+        array.schema.attribute(attr).is_native
+        and _BUILTIN.get(aggregate_fn.name) is aggregate_fn
+    )
+
+
+def _cuts(run: tuple[int, int], n: int) -> list[int]:
+    """Offsets where the runs of an *n*-cell axis begin: *run* is (cells
+    before the first boundary, run length)."""
+    first, length = run
+    return [0, *range(first or length, n, length)]
+
+
+def _segmented(
+    ufunc: np.ufunc, plane: np.ndarray, runs: Sequence[Optional[tuple[int, int]]]
+) -> np.ndarray:
+    """Reduce *plane* along every axis by runs (see :func:`_cuts`;
+    ``None``: every index is its own run, the axis is kept as it is).  The
+    result has one index per run."""
+    whole = tuple(
+        axis for axis, run in enumerate(runs)
+        if run and run[0] == 0 and run[1] >= plane.shape[axis]
+    )
+    if whole:  # axes that are a single run reduce together, in one call
+        plane = ufunc.reduce(plane, axis=whole, keepdims=True)
+    for axis, run in enumerate(runs):
+        if run is None or axis in whole:
+            continue
+        shape = plane.shape
+        if run[0] == 0 and shape[axis] % run[1] == 0:
+            # Equal runs fold as an axis of their own: what reduceat
+            # computes, at a quarter of its cost on a chunk-sized plane.
+            plane = ufunc.reduce(
+                plane.reshape(*shape[:axis], -1, run[1], *shape[axis + 1:]),
+                axis=axis + 1,
+            )
+        else:
+            plane = ufunc.reduceat(plane, _cuts(run, shape[axis]), axis=axis)
+    return plane
+
+
+def _partial(
+    name: str,
+    data: np.ndarray,
+    present: np.ndarray,
+    runs: Sequence[Optional[tuple[int, int]]],
+) -> np.ndarray:
+    """Built-in aggregate *name* of one block of cells, PRESENT ones only,
+    run by run (see :func:`_segmented`), in mergeable form: rows stacked
+    along a new leading axis — the count; then the value (the total, or
+    the extreme for min/max); then, for stdev, the squared deviations from
+    each run's own mean.  Integer planes sum and compare as int64 — exact
+    within its range, where float64 would round above 2**53; avg and stdev
+    compute in float64."""
+    if name == "count":
+        return _segmented(np.add, present.astype(np.int64), runs)[None]
+    exact = data.dtype.kind != "f" and name in ("sum", "min", "max")
+    rows = np.zeros((2, *data.shape), np.int64 if exact else np.float64)
+    rows[0] = present
+    if name in _EXTREME:
+        rows[1] = _identity(name, rows.dtype)
+    np.copyto(rows[1], data, where=present)
+    if name in _EXTREME:
+        return np.stack([
+            _segmented(np.add, rows[0], runs),
+            _segmented(_EXTREME[name], rows[1], runs),
+        ])
+    part = _segmented(np.add, rows, [None, *runs])
+    if name != "stdev":
+        return part
+    mean = part[1] / np.maximum(part[0], 1)
+    for axis, run in enumerate(runs):
+        if run is not None:  # spread each run's mean back over its cells
+            n = data.shape[axis]
+            mean = np.repeat(mean, np.diff([*_cuts(run, n), n]), axis=axis)
+    deviation = np.where(present, data - mean, 0.0)
+    squares = _segmented(np.add, deviation * deviation, runs)
+    return np.concatenate([part, squares[None]])
+
+
+_EXTREME = {"min": np.minimum, "max": np.maximum}
+
+
+def _identity(name: str, dtype: np.dtype) -> Any:
+    """The value row of a partial no PRESENT cell fell into."""
+    if name not in _EXTREME:
+        return 0
+    if dtype.kind == "f":
+        return np.inf if name == "min" else -np.inf
+    return np.iinfo(dtype).max if name == "min" else np.iinfo(dtype).min
+
+
+def _absorb(name: str, a: np.ndarray, b: np.ndarray) -> None:
+    """Fold partial *b* into partial *a*, in place: *a* becomes the
+    partial of the union of their (disjoint) cells."""
+    if name == "stdev":
+        # Chan et al.: the union's squared deviations are the parts' plus
+        # the spread between the parts' means.
+        delta = b[1] / np.maximum(b[0], 1) - a[1] / np.maximum(a[0], 1)
+        a[2] += b[2] + delta * delta * (a[0] * b[0] / np.maximum(a[0] + b[0], 1))
+    if name in _EXTREME:
+        _EXTREME[name](a[1], b[1], out=a[1])
+        a[0] += b[0]
+    else:  # counts and totals alike add
+        a[:2] += b[:2]
+
+
+def _final(name: str, part: np.ndarray) -> np.ndarray:
+    """A partial's aggregate value (unspecified where its count is 0)."""
+    if name == "avg":
+        return part[1] / np.maximum(part[0], 1)
+    if name == "stdev":
+        return np.sqrt(part[2] / np.maximum(part[0], 1))
+    return part[-1]
+
+
+def _write_partials(
+    out: SciArray,
+    aggregate_fn: UserAggregate,
+    partials: Iterable[tuple[Coords, np.ndarray]],
+) -> SciArray:
+    """Merge per-chunk partials — each a block of groups at a 1-based
+    origin in *out*'s space — and store the finished groups.
+
+    Partials are held per chunk position of *out*, so memory follows the
+    groups some input chunk reached, not the declared extents.  A group no
+    PRESENT cell fell into stays EMPTY.
+    """
+    name = aggregate_fn.name
+    rows = (slice(None),)
+    held: dict[Coords, tuple[Coords, np.ndarray]] = {}
+    for origin, part in partials:
+        far = tuple(o + n - 1 for o, n in zip(origin, part.shape[1:]))
+        for key, chunk_sel, block_sel in out.chunk_overlaps(origin, far):
+            if key not in held:
+                corner, shape = out.chunk_box(key)
+                block = np.zeros((len(part), *shape), part.dtype)
+                block[1:2] = _identity(name, part.dtype)
+                held[key] = corner, block
+            _absorb(name, held[key][1][rows + chunk_sel], part[rows + block_sel])
+    for corner, part in held.values():
+        out.set_region(
+            corner,
+            {name: _final(name, part)},
+            np.where(part[0] > 0, CellState.PRESENT, CellState.EMPTY),
+        )
+    return out
+
+
+def fold_cells(
+    cells: Iterable[tuple[Coords, Optional[Cell]]],
+    key_of: Callable[[Coords], Coords],
+    aggregate_fn: UserAggregate,
+    attr: str,
+    states: Optional[dict[Coords, Any]] = None,
+) -> dict[Coords, Any]:
+    """The engine's one cell-at-a-time grouped fold.
+
+    Folds component *attr* of every PRESENT cell into the aggregate state
+    of group ``key_of(coords)``, in iteration order (so float accumulation
+    is reproducible), continuing *states* when given.  It serves what the
+    plane kernels cannot: user aggregates, object-dtype components, and
+    the grid's per-partition local phases, whose reads arrive as cells.
+    """
+    states = {} if states is None else states
+    for coords, cell in cells:
+        if cell is None:
+            continue
+        key = key_of(coords)
+        state = states[key] if key in states else aggregate_fn.initial()
+        states[key] = aggregate_fn.transition(state, getattr(cell, attr))
+    return states
+
+
+def group_output(
+    schema_name: str,
+    name: str,
+    aggregate_fn: UserAggregate,
+    dimensions: Iterable[Dimension],
+) -> SciArray:
+    """The empty result of a grouped aggregation: one component named
+    after the aggregate over the surviving *dimensions*."""
+    schema = ArraySchema(
+        name=schema_name,
+        attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
+        dimensions=tuple(dimensions),
+    )
+    return SciArray(schema, name=name)
+
+
+def write_states(
+    out: SciArray, aggregate_fn: UserAggregate, states: dict[Coords, Any]
+) -> SciArray:
+    for key, state in states.items():
+        out.set(key, aggregate_fn.final(state))
+    return out
 
 
 def filter(
-    array: SciArray,
-    predicate: Optional[Predicate] = None,
-    name: Optional[str] = None,
-    block_predicate: Optional[Callable[[dict[str, np.ndarray]], np.ndarray]] = None,
+    array: SciArray, predicate: Predicate, name: Optional[str] = None
 ) -> SciArray:
     """Keep cells satisfying *predicate*; failures become NULL cells.
 
     The output has exactly the input's dimensions.  NULL input cells stay
     NULL (the predicate is never invoked on them); EMPTY stays EMPTY.
 
-    *block_predicate* is the vectorised form: a function from the dict of
-    attribute planes to a boolean ndarray.  On fully dense numeric arrays
-    it evaluates in one numpy pass (the bulk-processing strength the array
-    model exists for); elsewhere the engine falls back to *predicate*,
-    which must then also be supplied (or be derivable — a block predicate
-    alone is rejected on sparse data rather than silently mis-evaluated).
+    A *compiled* predicate — an object that, besides being callable on a
+    :class:`Cell`, names the components it reads (``attrs``) and evaluates
+    itself on their planes (``on_planes(planes, present)`` returning a
+    boolean plane; :class:`repro.query.ast.PredicateConjunction` is the
+    engine's own) — runs as a masked numpy pass over each stored chunk
+    when those components are native.  A plain callable is opaque Python
+    and is shown every PRESENT cell in turn.
     """
-    if predicate is None and block_predicate is None:
-        raise SchemaError("filter needs a predicate or a block_predicate")
     out = array.empty_like(name=name or f"{array.name}_filtered")
-    if block_predicate is not None:
-        blocks = _dense_numeric_blocks(array)
-        if blocks is not None:
-            keep = np.asarray(block_predicate(blocks), dtype=bool)
-            shape = next(iter(blocks.values())).shape
-            if keep.shape != shape:
-                raise SchemaError(
-                    f"block_predicate returned shape {keep.shape}, "
-                    f"expected {shape}"
-                )
-            out.set_region(tuple([1] * array.ndim), blocks, null_mask=~keep)
-            return out
-        if predicate is None:
-            raise SchemaError(
-                "array is not fully dense; supply a per-cell predicate"
+    on_planes = getattr(predicate, "on_planes", None)
+    if on_planes is not None and all(
+        array.schema.attribute(a).is_native for a in predicate.attrs
+    ):
+        for origin, planes, state in array.blocks():
+            present = state == CellState.PRESENT
+            failed = present & ~on_planes(planes, present)
+            out.set_region(
+                origin, planes, np.where(failed, CellState.NULL, state)
             )
+        return out
     for coords, cell in array.cells():
         if cell is not None and predicate(cell):
             out.set_unchecked(coords, cell.values)
@@ -131,101 +313,62 @@ def aggregate(
     positions = [array.schema.dim_index(d) for d in group_dims]
     aggregate_fn = _resolve_aggregate(agg)
     attr_name = attr or array.attr_names[0]
-    array.schema.attribute(attr_name)  # validates
-
-    out_dims = [array.schema.dimensions[p] for p in positions]
-    out_schema = ArraySchema(
-        name=name or f"{array.schema.name}_agg",
-        attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
-        dimensions=tuple(out_dims),
+    out = group_output(
+        name or f"{array.schema.name}_agg",
+        name or f"{array.name}_agg",
+        aggregate_fn,
+        (array.schema.dimensions[p] for p in positions),
     )
-    out = SciArray(out_schema, name=name or f"{array.name}_agg")
-
-    # Vectorised fast path: dense numeric single plane + algebraic
-    # aggregate -> one numpy reduction over the non-grouped axes.
-    attr_obj = array.schema.attribute(attr_name)
-    hw = array.bounds
-    dense = (
-        isinstance(attr_obj.type, ScalarType)
-        and attr_obj.type.numpy_dtype != object
-        and all(h > 0 for h in hw)
-        and array.count_present() == int(np.prod(hw))
-        and aggregate_fn.name in ("sum", "avg", "min", "max", "count")
-    )
-    if dense:
-        block = array.region(tuple([1] * array.ndim), hw, attr=attr_name, fill=0)
-        data = np.asarray(block, dtype=np.float64)
-        reduce_axes = tuple(
-            d for d in range(array.ndim) if d not in positions
+    if not _has_kernel(array, aggregate_fn, attr_name):
+        return write_states(out, aggregate_fn, fold_cells(
+            array.cells(),
+            lambda coords: tuple(coords[p] for p in positions),
+            aggregate_fn, attr_name,
+        ))
+    # Every chunk folds its non-group axes into one run; the surviving axes
+    # come out in ascending original order and are permuted to the caller's
+    # requested group order.
+    # (A partial's axis 0 is its rows, so every cell axis sits one up.)
+    reduced = [d for d in range(array.ndim) if d not in positions]
+    runs = [
+        (0, side) if d in reduced else None
+        for d, side in enumerate(array.chunk_shape)
+    ]
+    kept = sorted(positions)
+    perm = [kept.index(p) + 1 for p in positions]
+    return _write_partials(out, aggregate_fn, (
+        (
+            tuple(origin[p] for p in positions),
+            _partial(
+                aggregate_fn.name, planes[attr_name],
+                state == CellState.PRESENT, runs,
+            ).squeeze(tuple(d + 1 for d in reduced)).transpose(0, *perm),
         )
-        if aggregate_fn.name == "count":
-            reduced = np.full(
-                [hw[p] for p in sorted(positions)],
-                int(np.prod([hw[d] for d in reduce_axes])) if reduce_axes else 1,
-                dtype=np.int64,
-            )
-        else:
-            reducer = {
-                "sum": np.sum, "avg": np.mean, "min": np.min, "max": np.max
-            }[aggregate_fn.name]
-            reduced = reducer(data, axis=reduce_axes) if reduce_axes else data
-        # numpy keeps the surviving axes in ascending original order;
-        # permute to the caller's requested group order.
-        kept = sorted(positions)
-        perm = [kept.index(p) for p in positions]
-        reduced = np.transpose(reduced, perm) if reduced.ndim > 1 else reduced
-        out.set_region(
-            tuple([1] * out.ndim), {aggregate_fn.name: reduced}
-        )
-        return out
-
-    groups: dict[Coords, Any] = {}
-    counts: dict[Coords, bool] = {}
-    for coords, cell in array.cells(include_null=False):
-        key = tuple(coords[p] for p in positions)
-        state = groups.get(key)
-        if key not in counts:
-            state = aggregate_fn.initial()
-            counts[key] = True
-        groups[key] = aggregate_fn.transition(state, getattr(cell, attr_name))
-    for key, state in groups.items():
-        out.set(key, aggregate_fn.final(state))
-    return out
+        for origin, planes, state in array.blocks([attr_name])
+    ))
 
 
 def aggregate_all(array: SciArray, agg: AggSpec, attr: Optional[str] = None) -> Any:
-    """Scalar reduction over every PRESENT cell (no grouping dimensions).
-
-    Dense numeric arrays with an algebraic aggregate reduce in one numpy
-    pass; everything else folds cell by cell.
-    """
+    """Scalar reduction over every PRESENT cell (no grouping dimensions)."""
     aggregate_fn = _resolve_aggregate(agg)
     attr_name = attr or array.attr_names[0]
-    attr_obj = array.schema.attribute(attr_name)
-    hw = array.bounds
-    if (
-        isinstance(attr_obj.type, ScalarType)
-        and attr_obj.type.numpy_dtype != object
-        and all(h > 0 for h in hw)
-        and array.count_present() == int(np.prod(hw))
-        and aggregate_fn.name in ("sum", "count", "avg", "min", "max", "stdev")
-    ):
-        block = np.asarray(
-            array.region(tuple([1] * array.ndim), hw, attr=attr_name, fill=0),
-            dtype=np.float64,
+    if not _has_kernel(array, aggregate_fn, attr_name):
+        return aggregate_fn.compute(
+            getattr(cell, attr_name)
+            for _, cell in array.cells(include_null=False)
         )
-        return {
-            "sum": lambda b: float(b.sum()),
-            "count": lambda b: int(b.size),
-            "avg": lambda b: float(b.mean()),
-            "min": lambda b: float(b.min()),
-            "max": lambda b: float(b.max()),
-            "stdev": lambda b: float(b.std()),
-        }[aggregate_fn.name](block)
-    return aggregate_fn.compute(
-        getattr(cell, attr_name)
-        for _, cell in array.cells(include_null=False)
-    )
+    whole, total = [(0, side) for side in array.chunk_shape], None
+    for _, planes, state in array.blocks([attr_name]):
+        part = _partial(
+            aggregate_fn.name, planes[attr_name], state == CellState.PRESENT, whole
+        )
+        if total is None:
+            total = part
+        else:
+            _absorb(aggregate_fn.name, total, part)
+    if total is None or not total[0].item():
+        return aggregate_fn.final(aggregate_fn.initial())
+    return _final(aggregate_fn.name, total).item()
 
 
 def _result_type(agg: UserAggregate) -> ScalarType:
@@ -290,10 +433,13 @@ def apply(
     *output* order, or bare value for a single output).  NULL cells map to
     NULL, EMPTY to EMPTY.
 
-    *block_fn* is the vectorised form: a function from the dict of input
-    attribute planes to the output plane (single output) or a dict of
-    output planes.  Used in one numpy pass on fully dense numeric arrays;
-    sparse arrays fall back to *fn* (required in that case).
+    *block_fn* is the UDF's vectorised form, the user's to write: an
+    elementwise function from the dict of input attribute planes to the
+    output plane (single output) or a dict of output planes.  It is called
+    once per stored chunk, under the state mask, whenever every input
+    component is native — its results at NULL/EMPTY cells are discarded,
+    and it must not write into the planes it is handed — and alone
+    suffices there; object-dtype inputs are shown to *fn* cell by cell.
     """
     if not output:
         raise SchemaError("apply needs at least one output component")
@@ -306,10 +452,9 @@ def apply(
         dimensions=array.schema.dimensions,
     )
     out = SciArray(out_schema, name=name or f"{array.name}_applied")
-    if block_fn is not None:
-        blocks = _dense_numeric_blocks(array)
-        if blocks is not None:
-            result = block_fn(blocks)
+    if block_fn is not None and all(a.is_native for a in array.schema.attributes):
+        for origin, planes, state in array.blocks():
+            result = block_fn(planes)
             if isinstance(result, np.ndarray):
                 if len(out_attrs) != 1:
                     raise SchemaError(
@@ -322,12 +467,12 @@ def apply(
                 raise SchemaError(
                     f"block_fn output missing planes {sorted(missing)}"
                 )
-            out.set_region(tuple([1] * array.ndim), result)
-            return out
-        if fn is None:
-            raise SchemaError(
-                "array is not fully dense; supply a per-cell fn"
-            )
+            out.set_region(origin, result, state)
+        return out
+    if fn is None:
+        raise SchemaError(
+            "array has object-dtype components; supply a per-cell fn"
+        )
     for coords, cell in array.cells():
         if cell is None:
             out.set(coords, None)
@@ -342,7 +487,7 @@ def apply(
 def project(
     array: SciArray, attrs: Sequence[str], name: Optional[str] = None
 ) -> SciArray:
-    """Narrow each record to the named components."""
+    """Narrow each record to the named components (a plane copy)."""
     if not attrs:
         raise SchemaError("project needs at least one component")
     out_attrs = tuple(array.schema.attribute(a) for a in attrs)
@@ -352,11 +497,8 @@ def project(
         dimensions=array.schema.dimensions,
     )
     out = SciArray(out_schema, name=name or f"{array.name}_proj")
-    for coords, cell in array.cells():
-        if cell is None:
-            out.set_unchecked(coords, None)
-        else:
-            out.set_unchecked(coords, tuple(getattr(cell, a) for a in attrs))
+    for origin, planes, state in array.blocks(attrs):
+        out.set_region(origin, planes, state)
     return out
 
 
@@ -371,8 +513,8 @@ def regrid(
     input block ``[(i-1)*f+1 .. i*f]`` per dimension.
 
     This is the canonical "regrid" the paper names as the operation science
-    users actually want (Section 2.3).  A vectorised numpy path handles
-    fully dense numeric arrays; the general path handles sparse/NULL data.
+    users actually want (Section 2.3).  Extents the factors do not divide
+    end in partial blocks, which aggregate the cells they do hold.
     """
     if len(factors) != array.ndim:
         raise SchemaError(
@@ -382,59 +524,38 @@ def regrid(
         raise SchemaError("regrid factors must be >= 1")
     aggregate_fn = _resolve_aggregate(agg)
     attr_name = attr or array.attr_names[0]
-    attr_obj = array.schema.attribute(attr_name)
-
-    hw = array.bounds
-    out_sizes = [(h + f - 1) // f for h, f in zip(hw, factors)]
-    out_schema = ArraySchema(
-        name=name or f"{array.schema.name}_regrid",
-        attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
-        dimensions=tuple(
+    out_sizes = [(h + f - 1) // f for h, f in zip(array.bounds, factors)]
+    out = group_output(
+        name or f"{array.schema.name}_regrid",
+        name or f"{array.name}_regrid",
+        aggregate_fn,
+        (
             Dimension(d.name, s)
             for d, s in zip(array.schema.dimensions, out_sizes)
         ),
     )
-    out = SciArray(out_schema, name=name or f"{array.name}_regrid")
-
-    dense = (
-        isinstance(attr_obj.type, ScalarType)
-        and attr_obj.type.numpy_dtype != object
-        and array.count_present() == int(np.prod(hw))
-        and aggregate_fn.name in ("sum", "avg", "min", "max", "count")
-        and all(h % f == 0 for h, f in zip(hw, factors))
-    )
-    if dense and all(h > 0 for h in hw):
-        if aggregate_fn.name == "count":
-            data = np.full(out_sizes, int(np.prod(factors)), dtype=np.int64)
-        else:
-            block = array.region(
-                tuple([1] * array.ndim), hw, attr=attr_name, fill=0
-            )
-            # Fold each dimension: reshape to (..., out, factor, ...), reduce.
-            data = np.asarray(block, dtype=np.float64)
-            for d, f in enumerate(factors):
-                new_shape = (
-                    data.shape[:d] + (data.shape[d] // f, f) + data.shape[d + 1 :]
-                )
-                data = data.reshape(new_shape)
-                reducer = {
-                    "sum": np.sum, "avg": np.mean, "min": np.min, "max": np.max
-                }[aggregate_fn.name]
-                data = reducer(data, axis=d + 1)
-        out.set_region(tuple([1] * out.ndim), {aggregate_fn.name: data})
-        return out
-
-    groups: dict[Coords, Any] = {}
-    seeded: set[Coords] = set()
-    for coords, cell in array.cells(include_null=False):
-        key = tuple((c - 1) // f + 1 for c, f in zip(coords, factors))
-        if key not in seeded:
-            groups[key] = aggregate_fn.initial()
-            seeded.add(key)
-        groups[key] = aggregate_fn.transition(groups[key], getattr(cell, attr_name))
-    for key, state in groups.items():
-        out.set(key, aggregate_fn.final(state))
-    return out
+    if not _has_kernel(array, aggregate_fn, attr_name):
+        return write_states(out, aggregate_fn, fold_cells(
+            array.cells(),
+            lambda coords: tuple((c - 1) // f + 1 for c, f in zip(coords, factors)),
+            aggregate_fn, attr_name,
+        ))
+    # Along each axis a chunk's cells fall into runs, one per output index:
+    # a new run begins wherever the coordinate is one past a multiple of
+    # the factor.  A block that straddles chunks gets a partial from each.
+    return _write_partials(out, aggregate_fn, (
+        (
+            tuple((o - 1) // f + 1 for o, f in zip(origin, factors)),
+            _partial(
+                aggregate_fn.name, planes[attr_name], state == CellState.PRESENT,
+                [
+                    None if f == 1 else ((1 - o) % f, f)
+                    for o, f in zip(origin, factors)
+                ],
+            ),
+        )
+        for origin, planes, state in array.blocks([attr_name])
+    ))
 
 
 register_operator("filter", filter)

@@ -21,12 +21,13 @@ named ``"source_index"`` mapping each new index back to its source value.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..array import SciArray
-from ..cells import Cell
+from ..cells import Cell, CellState
 from ..enhance import IrregularEnhancement
 from ..errors import BoundsError, SchemaError
 from ..schema import ArraySchema, Attribute, Dimension
@@ -73,10 +74,6 @@ def _selected_indexes(condition: DimCondition, high_water: int) -> list[int]:
     raise SchemaError(f"unsupported dimension condition {condition!r}")
 
 
-def _is_contiguous_range(condition: DimCondition) -> bool:
-    return isinstance(condition, tuple) or isinstance(condition, int)
-
-
 def subsample(
     array: SciArray,
     predicate: Mapping[str, DimCondition],
@@ -93,12 +90,12 @@ def subsample(
     if unknown:
         raise SchemaError(f"subsample predicate names unknown dimensions {sorted(unknown)}")
 
-    selections: list[list[int]] = []
+    selections: list[Sequence[int]] = []
     for d in range(array.ndim):
         hw = array.high_water(d)
         cond = predicate.get(array.dim_names[d])
         selections.append(
-            list(range(1, hw + 1)) if cond is None else _selected_indexes(cond, hw)
+            range(1, hw + 1) if cond is None else _selected_indexes(cond, hw)
         )
 
     out_dims = tuple(
@@ -110,37 +107,26 @@ def subsample(
     )
     out = SciArray(out_schema, name=name or f"{array.name}_sub")
 
-    # Fast path: every selected run is contiguous -> one region copy.
-    contiguous = all(
-        sel == list(range(sel[0], sel[-1] + 1)) for sel in selections if sel
-    ) and all(selections)
-    if contiguous and array.count_occupied() == array.count_present():
-        lo = tuple(sel[0] for sel in selections)
-        hi = tuple(sel[-1] for sel in selections)
-        occupied_box = all(
-            l <= h for l, h in zip(lo, hi)
+    # The selected indexes a chunk holds are, per dimension, one slice of
+    # the ascending selection, so they land on consecutive output indexes:
+    # one fancy-indexed copy per chunk, planes and state alike, and NULL
+    # and EMPTY cells travel with their neighbours.
+    for origin, planes, state in array.blocks():
+        spans = [
+            (bisect_left(sel, o), bisect_left(sel, o + n))
+            for sel, o, n in zip(selections, origin, state.shape)
+        ]
+        if any(a == b for a, b in spans):
+            continue
+        pick = np.ix_(*(
+            np.asarray(sel[a:b]) - o
+            for sel, (a, b), o in zip(selections, spans, origin)
+        ))
+        out.set_region(
+            tuple(a + 1 for a, _ in spans),
+            {name: plane[pick] for name, plane in planes.items()},
+            state[pick],
         )
-        if occupied_box and array.count_present() == int(
-            np.prod([h - l + 1 for l, h in zip((1,) * array.ndim, array.bounds)])
-        ):
-            block = array.region(lo, hi, fill=0)
-            out.set_region(tuple([1] * array.ndim), block)
-            _attach_source_index(out, array, selections)
-            return out
-
-    index_maps = [
-        {src: i + 1 for i, src in enumerate(sel)} for sel in selections
-    ]
-    for coords, cell in array.cells():
-        new_coords = []
-        for c, m in zip(coords, index_maps):
-            nc = m.get(c)
-            if nc is None:
-                break
-            new_coords.append(nc)
-        else:
-            out.set_unchecked(tuple(new_coords),
-                              None if cell is None else cell.values)
     _attach_source_index(out, array, selections)
     return out
 
@@ -258,49 +244,38 @@ def sjoin(
     )
     out = SciArray(out_schema, name=name or f"{left.name}_sjoin_{right.name}")
 
-    # Vectorised fast path: a full-dimension equijoin of two fully dense
-    # numeric arrays of equal (permuted) extents is a plane concatenation.
-    if len(on) == left.ndim == right.ndim and set(left_join) == set(
-        left.dim_names
-    ):
-        # right axis order expressed in left dimension order
-        perm = [right.schema.dim_index(r) for _, r in sorted(
-            on, key=lambda pair: left.schema.dim_index(pair[0])
-        )]
-        left_ordered_bounds = tuple(
-            left.high_water(left.schema.dim_index(l))
-            for l, _ in sorted(on, key=lambda p: left.schema.dim_index(p[0]))
-        )
-        right_perm_bounds = tuple(right.bounds[p] for p in perm)
-        from ..datatypes import ScalarType as _ST
-
-        def _all_native(a: SciArray) -> bool:
-            return all(
-                isinstance(attr.type, _ST) and attr.type.numpy_dtype != object
-                for attr in a.schema.attributes
+    if len(on) == left.ndim == right.ndim:
+        # A full-dimension equijoin matches cell to cell: for each left
+        # chunk, the right planes read over the same box and transposed
+        # into the left's axis order concatenate with the left's.
+        # b = transpose(r, perm) has b[left_idx] = r[r_idx] with
+        # r_idx[perm[i]] = left_idx[i].
+        perm = [
+            right.schema.dim_index(dict(on)[d]) for d in left.dim_names
+        ]
+        for origin, lplanes, lstate in left.blocks():
+            right_lo, right_hi = [0] * right.ndim, [0] * right.ndim
+            for axis, o, n in zip(perm, origin, lstate.shape):
+                right_lo[axis], right_hi[axis] = o, o + n - 1
+            rplanes, rstate = right.planes(tuple(right_lo), tuple(right_hi))
+            rstate = rstate.transpose(perm)
+            merged = dict(zip(
+                (a.name for a in out_attrs),
+                [*lplanes.values()]
+                + [plane.transpose(perm) for plane in rplanes.values()],
+            ))
+            # A NULL partner makes the pair NULL (NULL = 2 > PRESENT = 1);
+            # an EMPTY one leaves no cell.
+            out.set_region(
+                origin,
+                merged,
+                np.where(
+                    (lstate == CellState.EMPTY) | (rstate == CellState.EMPTY),
+                    CellState.EMPTY,
+                    np.maximum(lstate, rstate),
+                ),
             )
-
-        if (
-            left.bounds == left_ordered_bounds == right_perm_bounds
-            and _all_native(left)
-            and _all_native(right)
-            and left.count_present() == int(np.prod(left.bounds)) > 0
-            and right.count_present() == int(np.prod(right.bounds))
-        ):
-            ones = tuple([1] * left.ndim)
-            lblocks = left.region(ones, left.bounds, fill=0)
-            rblocks = right.region(tuple([1] * right.ndim), right.bounds, fill=0)
-            merged: dict[str, np.ndarray] = {}
-            for attr, la in zip(out_attrs[: len(left.schema.attributes)],
-                                left.schema.attributes):
-                merged[attr.name] = lblocks[la.name]
-            # b = transpose(r, perm): b[left_idx] = r[r_idx] with
-            # r_idx[perm[i]] = left_idx[i] — the join's coordinate match.
-            for attr, ra in zip(out_attrs[len(left.schema.attributes):],
-                                right.schema.attributes):
-                merged[attr.name] = np.transpose(rblocks[ra.name], perm)
-            out.set_region(ones, merged)
-            return out
+        return out
 
     # Build a hash index over the right input keyed by its join coords.
     right_join_pos = [right.schema.dim_index(d) for d in right_join]
@@ -367,24 +342,13 @@ def remove_dimension(
         name or array.schema.name
     )
     out = SciArray(out_schema, name=name or f"{array.name}_minus_{dim_name}")
-    from ..datatypes import ScalarType as _ST
-
-    hw = array.bounds
-    if (
-        all(h > 0 for h in hw)
-        and array.count_present() == int(np.prod(hw))
-        and all(
-            isinstance(a.type, _ST) and a.type.numpy_dtype != object
-            for a in array.schema.attributes
+    # The dimension's one value is index 1: offset 0 of every chunk.
+    for origin, planes, state in array.blocks():
+        out.set_region(
+            origin[:pos] + origin[pos + 1:],
+            {a: plane.take(0, axis=pos) for a, plane in planes.items()},
+            state.take(0, axis=pos),
         )
-    ):
-        blocks = array.region(tuple([1] * array.ndim), hw, fill=0)
-        squeezed = {k: np.squeeze(v, axis=pos) for k, v in blocks.items()}
-        out.set_region(tuple([1] * out.ndim), squeezed)
-        return out
-    for coords, cell in array.cells():
-        out.set_unchecked(coords[:pos] + coords[pos + 1 :],
-                          None if cell is None else cell.values)
     return out
 
 

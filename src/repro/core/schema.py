@@ -117,6 +117,13 @@ class Attribute:
     def is_nested(self) -> bool:
         return isinstance(self.type, ArraySchema)
 
+    @property
+    def is_native(self) -> bool:
+        """Whether chunks hold this component in a native numpy dtype —
+        the precondition of every plane kernel that computes on it (nested
+        arrays, strings, uncertain and user types are object planes)."""
+        return not self.is_nested and self.type.numpy_dtype != object
+
     def __str__(self) -> str:
         tname = self.type.name if isinstance(self.type, ArraySchema) else str(self.type)
         return f"{self.name} = {tname}"

@@ -8,7 +8,9 @@ equality, so the planner's rewrites are easy to test.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional, Union
 
 from ..core.errors import PlanError
@@ -27,8 +29,17 @@ __all__ = [
     "EnhanceNode",
 ]
 
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
 #: Comparison operators admitted in predicates.
-COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+COMPARISONS = tuple(_COMPARE)
 
 
 class Node:
@@ -100,18 +111,10 @@ class AttrPredicate(Node):
         if self.op not in COMPARISONS:
             raise PlanError(f"unknown attribute comparison {self.op!r}")
 
-    def to_callable(self):
-        attr, op, value = self.attr, self.op, self.value
-        ops = {
-            "=": lambda a: a == value,
-            "!=": lambda a: a != value,
-            "<": lambda a: a < value,
-            "<=": lambda a: a <= value,
-            ">": lambda a: a > value,
-            ">=": lambda a: a >= value,
-        }
-        test = ops[op]
-        return lambda cell: test(getattr(cell, attr))
+    def holds(self, values: Any) -> Any:
+        """The comparison applied to a scalar — or, elementwise, to a
+        numpy plane of this attribute."""
+        return _COMPARE[self.op](values, self.value)
 
     def bounds(self) -> Optional[tuple[Any, Any, bool, bool]]:
         """The value interval this term admits: ``(lo, hi, lo_open, hi_open)``.
@@ -151,11 +154,11 @@ class PredicateConjunction(Node):
                     f"predicates, got {type(t).__name__}"
                 )
 
-    @property
+    @cached_property
     def dim_terms(self) -> tuple[DimPredicate, ...]:
         return tuple(t for t in self.terms if isinstance(t, DimPredicate))
 
-    @property
+    @cached_property
     def attr_terms(self) -> tuple[AttrPredicate, ...]:
         return tuple(t for t in self.terms if isinstance(t, AttrPredicate))
 
@@ -173,9 +176,27 @@ class PredicateConjunction(Node):
                 out[term.dim] = _intersect(out[term.dim], cond)
         return out
 
-    def attrs_callable(self):
-        tests = [t.to_callable() for t in self.attr_terms]
-        return lambda cell: all(t(cell) for t in tests)
+    # The compiled-predicate protocol of :func:`repro.core.ops.filter`: a
+    # conjunction tests one cell, or every cell of the planes at once.
+
+    def __call__(self, cell: Any) -> bool:
+        for t in self.attr_terms:  # a loop, not all(): this runs per cell
+            if not _COMPARE[t.op](getattr(cell, t.attr), t.value):
+                return False
+        return True
+
+    @property
+    def attrs(self) -> tuple[str, ...]:
+        """The attributes the terms read."""
+        return tuple(t.attr for t in self.attr_terms)
+
+    def on_planes(self, planes: Any, present: Any) -> Any:
+        """Boolean plane: PRESENT cells whose values satisfy every
+        attribute term (*planes* maps attribute name to ndarray)."""
+        keep = present
+        for t in self.attr_terms:
+            keep = keep & t.holds(planes[t.attr])
+        return keep
 
 
 def _intersect(a, b):

@@ -586,8 +586,11 @@ class Executor:
             pred = node.option("predicate")
             return {"predicate": _as_dim_mapping(pred)}
         if op == "filter":
-            pred = node.option("predicate")
-            fn = _as_cell_callable(pred)
+            fn = node.option("predicate")
+            if not callable(fn):  # a PredicateConjunction tests one cell
+                raise PlanError(
+                    f"cannot use {type(fn).__name__} as a filter predicate"
+                )
 
             def counting(cell, _fn=fn, _res=result):
                 _res.cells_examined += 1
@@ -686,11 +689,3 @@ def _as_dim_mapping(pred: Any) -> dict:
     if isinstance(pred, dict):
         return pred
     raise PlanError(f"cannot use {type(pred).__name__} as a subsample predicate")
-
-
-def _as_cell_callable(pred: Any):
-    if isinstance(pred, PredicateConjunction):
-        return pred.attrs_callable()
-    if callable(pred):
-        return pred
-    raise PlanError(f"cannot use {type(pred).__name__} as a filter predicate")

@@ -196,11 +196,11 @@ class TestFailoverReads:
             for e in events
         ]
         for e in events:
-            base = grid.backoff_base_ms * 2 ** (e.attempt - 1)
+            base = policy.backoff_base_ms * 2 ** (e.attempt - 1)
             assert base <= e.backoff_ms <= min(
                 base * (1 + policy.jitter_frac), policy.backoff_max_ms
             )
-        assert len(events) == grid.max_read_retries
+        assert len(events) == policy.max_attempts
 
     def test_backoff_never_exceeds_cap(self, tmp_path):
         inj = FaultInjector(seed=0)

@@ -289,3 +289,79 @@ class TestUncertainLoad:
         assert out.count_occupied() >= 1
         (coords, cell), *_ = list(out.cells())
         assert cell.flux == 5.0 and cell.mag == 17.0
+
+
+class TestPartitionStrideSurvives:
+    """A partition re-created after the array was (rebuild, added node,
+    repartition) buckets with the creation stride, not the 64-per-dimension
+    default — so statistics pruning keeps its granularity."""
+
+    STRIDE = (8, 8)
+
+    def loaded(self, tmp_path, partitioner):
+        grid = Grid(4, tmp_path, default_replication=2)
+        sky = define_array("sky", {"flux": "float"}, ["x", "y"]).bind([48, 48])
+        arr = grid.create_array("sky", sky, partitioner, stride=self.STRIDE)
+        # flux is clustered along x in bands one stride wide: a selective
+        # range predicate rules out five of every six buckets.
+        arr.load(
+            LoadRecord((x, y), (float((x - 1) // 8) + y / 100,))
+            for x in range(1, 49) for y in range(1, 49)
+        )
+        arr.flush()
+        return grid, arr
+
+    @staticmethod
+    def top_band(grid, arr):
+        """(buckets value-pruned, cells read) of a ``flux >= 5`` gather —
+        a pruned bucket's cells come back NULL, unread."""
+        from repro.query.stats import Interval
+
+        def pruned():
+            return sum(
+                n.partition(arr.name).stats.buckets_value_pruned
+                for n in grid.alive_nodes()
+            )
+
+        before = pruned()
+        out = arr.materialize(attr_ranges={"flux": Interval(lo=5.0)})
+        assert out.count_occupied() == 48 * 48
+        return pruned() - before, out.count_present()
+
+    def test_rebuild_node_keeps_stride_and_pruning(self, tmp_path):
+        grid, arr = self.loaded(tmp_path, HashPartitioner(4))
+        pruned_before, cells_before = self.top_band(grid, arr)
+        assert pruned_before > 0 and cells_before == 8 * 48
+        grid.nodes[1].fail()
+        grid.rebuild_node(1)
+        arr.flush()
+        assert grid.nodes[1].partition("sky").stride == self.STRIDE
+        assert self.top_band(grid, arr) == (pruned_before, cells_before)
+
+    def test_added_node_keeps_stride(self, tmp_path):
+        from repro.cluster import ConsistentHashPartitioner
+
+        grid, arr = self.loaded(
+            tmp_path, ConsistentHashPartitioner(4, members=range(4))
+        )
+        nid, _ = grid.add_node(max_transfer_cells_per_tick=10**9)
+        arr.flush()
+        added = grid.nodes[nid].partition("sky")
+        assert added.stride == self.STRIDE
+        assert added.live_cells > 0
+        before = added.stats.buckets_value_pruned
+        _, cells = self.top_band(grid, arr)
+        assert cells == 8 * 48
+        # the new member's buckets are stride-sized, so it prunes too
+        assert added.stats.buckets_value_pruned > before
+
+    def test_repartition_keeps_stride(self, tmp_path):
+        grid, arr = self.loaded(tmp_path, HashPartitioner(4))
+        arr.repartition(
+            BlockPartitioner(4, bounds=[48, 48], blocks=[2, 2])
+        )
+        assert all(
+            n.partition("sky").stride == self.STRIDE for n in grid.alive_nodes()
+        )
+        pruned, cells = self.top_band(grid, arr)
+        assert pruned > 0 and cells == 8 * 48

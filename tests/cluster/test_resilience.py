@@ -335,15 +335,12 @@ class TestResiliencePolicy:
         assert d["breaker"] == {"failure_threshold": 2, "cooldown": 5}
         assert d["hedge"] == {"delay_ms": 7.5}
 
-    def test_grid_builds_policy_from_legacy_knobs(self, tmp_path):
+    def test_default_policy_is_seeded_from_the_injector(self, tmp_path):
         inj = FaultInjector(seed=11)
-        grid = Grid(N, tmp_path, fault_injector=inj, max_read_retries=3,
-                    backoff_base_ms=2.0, backoff_max_ms=32.0)
-        assert grid.resilience.retry.max_attempts == 3
-        assert grid.resilience.retry.backoff_max_ms == 32.0
+        grid = Grid(N, tmp_path, fault_injector=inj)
+        assert grid.resilience.retry.max_attempts == RetryPolicy().max_attempts
         assert grid.resilience.retry.seed == 11  # jitter follows the drill seed
         assert not grid.resilience.hedge.enabled
-        assert grid.max_read_retries == 3  # back-compat attrs still derived
 
     def test_explicit_policy_wins_and_hedge_override_composes(self, tmp_path):
         pol = ResiliencePolicy(retry=RetryPolicy(max_attempts=5))

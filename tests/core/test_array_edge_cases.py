@@ -35,12 +35,13 @@ class TestSetUnchecked:
 
 
 class TestMaskedRegionWrites:
-    def test_null_mask_sets_null_cells(self):
+    def test_state_plane_sets_null_cells(self):
         schema = define_array("E", {"v": "float"}, ["x", "y"])
         arr = schema.create("a", [4, 4])
         block = np.arange(16.0).reshape(4, 4)
         mask = block < 8  # first half NULL
-        arr.set_region((1, 1), {"v": block}, null_mask=mask)
+        state = np.where(mask, CellState.NULL, CellState.PRESENT)
+        arr.set_region((1, 1), {"v": block}, state)
         assert arr[1, 1] is None
         assert arr[4, 4].v == 15.0
         assert arr.count_present() == 8
@@ -52,10 +53,62 @@ class TestMaskedRegionWrites:
         block = np.ones((20, 20))
         mask = np.zeros((20, 20), dtype=bool)
         mask[::2, :] = True
-        arr.set_region((1, 1), {"v": block}, null_mask=mask)
+        state = np.where(mask, CellState.NULL, CellState.PRESENT)
+        arr.set_region((1, 1), {"v": block}, state)
         assert arr[1, 1] is None  # row 1 masked
         assert arr[2, 1].v == 1.0
         assert arr.count_present() == 200
+
+    def test_empty_state_leaves_cells_and_chunks_unwritten(self):
+        schema = define_array("E", {"v": "float"}, ["x", "t"])
+        arr = SciArray(schema.bind([20, None]), chunk_shape=(7, 7))
+        state = np.zeros((20, 20), dtype=np.uint8)
+        state[2, 3] = CellState.PRESENT
+        state[9, 11] = CellState.NULL
+        arr.set_region((1, 1), {"v": np.ones((20, 20))}, state)
+        assert arr.count_occupied() == 2 and arr.chunk_count() == 2
+        assert arr[3, 4].v == 1.0 and arr[10, 12] is None
+        assert not arr.exists(1, 1)
+        # the unbounded dimension's high-water is the farthest occupied cell
+        assert arr.bounds == (20, 12)
+
+    def test_empty_state_entries_do_not_erase_stored_cells(self):
+        schema = define_array("E", {"v": "float"}, ["x"])
+        arr = schema.create("a", [6])
+        arr[2] = 7.0
+        arr.set_null(3)
+        state = np.array(
+            [CellState.PRESENT, CellState.EMPTY, CellState.EMPTY, CellState.NULL],
+            dtype=np.uint8,
+        )
+        arr.set_region((1,), {"v": np.full(4, 9.0)}, state)
+        assert arr[1].v == 9.0 and arr[4] is None
+        assert arr[2].v == 7.0 and arr[3] is None  # kept, value and state
+
+    def test_blocks_are_the_allocated_chunks_trimmed_to_the_bounds(self):
+        schema = define_array("E", {"v": "float", "n": "int32"}, ["x", "t"])
+        arr = SciArray(schema.bind([10, None]), chunk_shape=(4, 4))
+        arr[10, 1] = (1.5, 7)          # chunk (2, 0): rows 9..12, bound 10
+        arr.set_null((1, 6))           # chunk (0, 1): columns 5..8, high-water 6
+        blocks = list(arr.blocks(["n"]))
+        assert [origin for origin, _, _ in blocks] == [(1, 5), (9, 1)]
+        (_, planes, state), (_, planes2, state2) = blocks
+        assert set(planes) == {"n"} and planes["n"].dtype == np.int32
+        assert state.shape == (4, 2) and state[0, 1] == CellState.NULL
+        assert state2.shape == (2, 4) and planes2["n"][1, 0] == 7
+        assert planes2["n"].base is not None  # a view, not a copy
+
+    def test_planes_round_trip_states_and_values(self):
+        schema = define_array("E", {"v": "float", "n": "int32"}, ["x", "y"])
+        arr = SciArray(schema.bind([9, 9]), chunk_shape=(4, 4))
+        arr[2, 2] = (1.5, 7)
+        arr.set_null((5, 6))
+        planes, state = arr.planes((2, 2), (6, 11), attrs=["n"])
+        assert set(planes) == {"n"} and planes["n"].dtype == np.int32
+        assert state.shape == (5, 10)
+        assert state[0, 0] == CellState.PRESENT and planes["n"][0, 0] == 7
+        assert state[3, 4] == CellState.NULL
+        assert np.count_nonzero(state) == 2  # past the bounds: EMPTY
 
 
 class TestHighDimensional:

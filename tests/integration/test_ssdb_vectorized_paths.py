@@ -1,9 +1,9 @@
-"""Cross-checks of the engine's vectorised fast paths on SS-DB data.
+"""Cross-checks of the engine's plane kernels on SS-DB data.
 
-The dense numpy routes (block apply/filter, dense sjoin, dense
-remove_dimension, vectorised aggregate_all) must agree with the generic
-cell-by-cell paths on the same data, including at sizes that don't divide
-evenly into chunks or regrid factors.
+The numpy bodies (block apply, compiled filter, full-dimension sjoin,
+remove_dimension, aggregate_all) must agree with the table backend and
+with each operator's definition, including at sizes that don't divide
+evenly into chunks or regrid factors and with NULL cells in the way.
 """
 
 import numpy as np
@@ -30,87 +30,90 @@ class TestBackendsAgreeAtOddSizes:
         assert native["Q8"] == pytest.approx(table["Q8"])
 
 
-class TestBlockPathsVsGenericPaths:
-    def make(self, shape=(9, 13), seed=1):
-        rng = np.random.default_rng(seed)
-        schema = define_array("V", {"v": "float"}, ["x", "y"])
-        return SciArray.from_numpy(schema, rng.normal(size=shape))
+class TestKernelsVsReference:
+    """Each plane kernel against the operator's definition computed
+    straight from the numpy data the array was built from (NaN marks a
+    NULL cell, a missing key an EMPTY one)."""
 
-    def test_block_apply_matches_cell_apply(self):
-        arr = self.make()
+    def make(self, shape=(9, 13), seed=1, holes=()):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=shape)
+        schema = define_array("V", {"v": "float"}, ["x", "y", "z"][: len(shape)])
+        arr = SciArray.from_numpy(schema, data)
+        for coords in holes:
+            arr.set_null(coords)
+            data[tuple(c - 1 for c in coords)] = np.nan
+        return arr, data
+
+    @staticmethod
+    def cells_of(arr, attr):
+        return {
+            c: None if cell is None else getattr(cell, attr)
+            for c, cell in arr.cells()
+        }
+
+    @staticmethod
+    def expected(data, keep=lambda v: True, value=lambda v: v):
+        return {
+            tuple(i + 1 for i in idx):
+                value(v) if not np.isnan(v) and keep(v) else None
+            for idx, v in np.ndenumerate(data)
+        }
+
+    def test_block_apply_matches_cell_apply_and_reference(self):
+        arr, data = self.make(holes=[(2, 3)])
         cellwise = ops.apply(arr, lambda c: c.v * 3 + 1, [("w", "float")])
         blockwise = ops.apply(
-            arr, lambda c: c.v * 3 + 1, [("w", "float")],
-            block_fn=lambda b: b["v"] * 3 + 1,
+            arr, output=[("w", "float")], block_fn=lambda b: b["v"] * 3 + 1
         )
+        want = self.expected(data, value=lambda v: v * 3 + 1)
+        assert self.cells_of(blockwise, "w") == pytest.approx(want)
         assert blockwise.content_equal(cellwise)
 
-    def test_block_filter_matches_cell_filter(self):
-        arr = self.make()
-        cellwise = ops.filter(arr, lambda c: c.v > 0)
-        blockwise = ops.filter(
-            arr, lambda c: c.v > 0, block_predicate=lambda b: b["v"] > 0
-        )
-        assert blockwise.content_equal(cellwise)
+    def test_compiled_filter_matches_reference(self):
+        from repro.query.ast import AttrPredicate, PredicateConjunction
 
-    def test_block_filter_rejects_bad_shape(self):
-        from repro import SchemaError
-
-        arr = self.make()
-        with pytest.raises(SchemaError):
-            ops.filter(arr, block_predicate=lambda b: np.array([True]))
-
-    def test_block_paths_fall_back_on_sparse(self):
-        from repro import SchemaError
-
-        schema = define_array("S", {"v": "float"}, ["x"])
-        sparse = schema.create("s", [10])
-        sparse[3] = 1.0
-        # block-only on sparse data is an error, not a silent wrong answer
-        with pytest.raises(SchemaError):
-            ops.filter(sparse, block_predicate=lambda b: b["v"] > 0)
-        # with a cell predicate supplied, the fallback engages
+        arr, data = self.make(holes=[(9, 13), (1, 1)])
         out = ops.filter(
-            sparse, lambda c: c.v > 0, block_predicate=lambda b: b["v"] > 0
+            arr, PredicateConjunction((AttrPredicate("v", ">", 0),))
         )
-        assert out[3].v == 1.0
+        assert self.cells_of(out, "v") == self.expected(data, lambda v: v > 0)
+        # the opaque per-cell route agrees
+        assert out.content_equal(ops.filter(arr, lambda c: c.v > 0))
 
-    def test_aggregate_all_dense_vs_sparse_paths(self):
-        arr = self.make(shape=(11, 11), seed=2)
+    def test_aggregate_all_skips_null_cells(self):
+        arr, data = self.make(shape=(11, 11), seed=2)
         dense_avg = aggregate_all(arr, "avg")
-        # Punch a NULL to force the generic fold; recompute expectation.
+        assert dense_avg == pytest.approx(data.mean())
         arr.set_null((1, 1))
+        data[0, 0] = np.nan
         sparse_avg = aggregate_all(arr, "avg")
-        values = [c.v for _, c in arr.cells(include_null=False)]
-        assert sparse_avg == pytest.approx(sum(values) / len(values))
+        assert sparse_avg == pytest.approx(np.nanmean(data))
         assert dense_avg != pytest.approx(sparse_avg)
+        assert aggregate_all(arr, "stdev") == pytest.approx(np.nanstd(data))
 
-    def test_dense_sjoin_matches_generic_at_odd_sizes(self):
+    def test_sjoin_matches_reference_at_odd_sizes(self):
         rng = np.random.default_rng(3)
         a_schema = define_array("A", {"a": "float"}, ["x", "y"])
         b_schema = define_array("B", {"b": "float"}, ["x", "y"])
-        a = SciArray.from_numpy(a_schema, rng.normal(size=(5, 9)))
-        b = SciArray.from_numpy(b_schema, rng.normal(size=(5, 9)))
-        fast = ops.sjoin(a, b, on=[("x", "x"), ("y", "y")])
-        # Sparse copy of a forces the generic hash-join path.
-        a2 = a_schema.create("a2", [5, 9])
-        for coords, cell in a.cells():
-            a2.set(coords, cell)
-        a2.set_null((5, 9))
-        generic = ops.sjoin(a2, b, on=[("x", "x"), ("y", "y")])
-        for coords, cell in generic.cells(include_null=False):
-            assert fast[coords].a == pytest.approx(cell.a)
-            assert fast[coords].b == pytest.approx(cell.b)
+        da, db_ = rng.normal(size=(5, 9)), rng.normal(size=(6, 7))
+        a = SciArray.from_numpy(a_schema, da)
+        b = SciArray.from_numpy(b_schema, db_)
+        a.set_null((5, 7))
+        joined = ops.sjoin(a, b, on=[("x", "x"), ("y", "y")])
+        want = {
+            (i + 1, j + 1): (da[i, j], db_[i, j])
+            for i in range(5) for j in range(7)  # the overlap of 5x9 and 6x7
+        }
+        want[(5, 7)] = None
+        got = {
+            c: None if cell is None else (cell.a, cell.b)
+            for c, cell in joined.cells()
+        }
+        assert got == want
 
-    def test_dense_remove_dimension_matches_generic(self):
-        schema = define_array("R", {"v": "float"}, ["x", "y", "z"])
-        data = np.random.default_rng(4).normal(size=(4, 6, 1))
-        dense = SciArray.from_numpy(schema, data)
-        fast = ops.remove_dimension(dense, "z")
-        sparse = schema.create("s", [4, 6, 1])
-        for coords, cell in dense.cells():
-            sparse.set(coords, cell)
-        sparse.set_null((4, 6, 1))
-        generic = ops.remove_dimension(sparse, "z")
-        for coords, cell in generic.cells(include_null=False):
-            assert fast[coords].v == pytest.approx(cell.v)
+    def test_remove_dimension_matches_reference(self):
+        arr, data = self.make(shape=(4, 6, 1), seed=4, holes=[(4, 6, 1)])
+        out = ops.remove_dimension(arr, "z")
+        assert out.dim_names == ("x", "y")
+        assert self.cells_of(out, "v") == self.expected(data[:, :, 0])

@@ -43,12 +43,12 @@ class TestDimPredicate:
 
 
 class TestAttrPredicate:
-    def test_to_callable(self):
-        from repro import Cell
+    def test_holds_on_scalars_and_planes(self):
+        import numpy as np
 
-        pred = AttrPredicate("v", ">", 3).to_callable()
-        assert pred(Cell(("v",), (4,)))
-        assert not pred(Cell(("v",), (3,)))
+        pred = AttrPredicate("v", ">", 3)
+        assert pred.holds(4) and not pred.holds(3)
+        assert pred.holds(np.array([2, 3, 4])).tolist() == [False, False, True]
 
     def test_unknown_op(self):
         with pytest.raises(PlanError):
@@ -81,15 +81,22 @@ class TestConjunction:
         assert cond(4)
         assert not cond(5)
 
-    def test_attrs_callable_conjunction(self):
+    def test_conjunction_tests_cells_and_planes(self):
+        import numpy as np
         from repro import Cell
 
         conj = PredicateConjunction(
-            (AttrPredicate("v", ">", 1), AttrPredicate("v", "<", 5))
+            (AttrPredicate("v", ">", 1), AttrPredicate("v", "<", 5),
+             DimPredicate("x", "<", 2))  # dimension terms are Subsample's
         )
-        pred = conj.attrs_callable()
-        assert pred(Cell(("v",), (3,)))
-        assert not pred(Cell(("v",), (7,)))
+        assert conj(Cell(("v",), (3,)))
+        assert not conj(Cell(("v",), (7,)))
+        assert conj.attrs == ("v", "v")
+        planes = {"v": np.array([0.0, 3.0, 3.0, 7.0])}
+        present = np.array([True, True, False, True])
+        assert conj.on_planes(planes, present).tolist() == [
+            False, True, False, False
+        ]
 
 
 class TestOpNode:
