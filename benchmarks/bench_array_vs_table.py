@@ -114,6 +114,7 @@ class TestSummary:
             ratios[label] = r
             rt.add(label, n.per_call * 1e3, t.per_call * 1e3, r)
         rt.print()
+        benchmark.extra_info[rt.title] = rt.rows
         # Direction: native wins every *array* operation — slab, aggregate
         # and regrid by a large factor (the paper's "around two orders of
         # magnitude" applies to these block operations).  Single-cell point

@@ -93,6 +93,7 @@ class TestJoinMovement:
             rt.add(label, grid.ledger.total_bytes("join_shuffle"),
                    out.count_occupied())
         rt.print()
+        benchmark.extra_info[rt.title] = rt.rows
         benchmark(lambda: None)
 
 

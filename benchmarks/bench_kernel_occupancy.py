@@ -1,32 +1,22 @@
-"""Built-in operator cost against occupancy (EXPERIMENTS.md, E1's second table).
+"""E1's second table: built-in operator cost against occupancy.
 
-The plane kernels run chunk by chunk over the chunks that exist.  This
-prints, per operator, best-of-N milliseconds on the benchmark's 48x48x4
-array — dense, and with one NULL and one EMPTY cell — and on arrays whose
-occupied fraction is tiny: two cells at opposite corners of a 100000^2
-extent, and 500 one-cell chunks on the diagonal of an unbounded array.
-None of the columns may depend on the declared or high-water extents.
-
-    PYTHONPATH=src python benchmarks/bench_kernel_occupancy.py [--repeats N]
+The plane kernels run chunk by chunk over the chunks that exist.  Each
+operator is timed on the benchmark's 48x48x4 array — dense, and with one
+NULL and one EMPTY cell — and on arrays whose occupied fraction is tiny:
+two cells at opposite corners of a 100000^2 extent, and 500 one-cell
+chunks on the diagonal of an unbounded array.  The summary test asserts
+what the table shows: no operator's cost follows the declared or
+high-water *box*, only the chunks allocated — and, for ``subsample``, the
+per-dimension length of the ``source_index`` it attaches to its output.
 """
 
-import argparse
-import time
-
 import numpy as np
+import pytest
 
 from repro import SciArray, define_array
+from repro.bench.harness import measure, ratio
 from repro.core import ops
 from repro.query.ast import AttrPredicate, PredicateConjunction
-
-
-def best_ms(fn, repeats):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times) * 1e3
 
 
 def cube(holes):
@@ -46,10 +36,10 @@ def corners(side):
     return arr
 
 
-def diagonal(chunks):
+def diagonal(chunks, spacing=32):
     arr = define_array("D", {"v": "float"}, ["x", "y"]).create("d", ["*", "*"])
     for i in range(chunks):
-        arr[32 * i + 1, 32 * i + 1] = float(i)
+        arr[spacing * i + 1, spacing * i + 1] = float(i)
     return arr
 
 
@@ -63,27 +53,48 @@ def operators(arr, attr, threshold, factors):
         "aggregate_all": lambda: ops.content.aggregate_all(arr, "avg"),
         "regrid": lambda: ops.regrid(arr, factors, "avg"),
         "subsample": lambda: ops.subsample(arr, {dims[0]: (3, 14)}),
-        "sjoin (full)": lambda: ops.sjoin(arr, arr, [(d, d) for d in dims]),
+        "sjoin_full": lambda: ops.sjoin(arr, arr, [(d, d) for d in dims]),
     }
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=40)
-    args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    columns = {
-        "dense 48x48x4": operators(cube(False), "flux", 0.5, [4, 4, 1]),
-        "one NULL + one EMPTY": operators(cube(True), "flux", 0.5, [4, 4, 1]),
-        "2 cells in 100000^2": operators(corners(100000), "v", 1.5, [4, 4]),
-        "500 one-cell chunks": operators(diagonal(500), "v", 1.5, [4, 4]),
+OPERATORS = list(operators(corners(4), "v", 1.5, [4, 4]))
+COLUMNS = {
+    "dense_48x48x4": lambda: operators(cube(False), "flux", 0.5, [4, 4, 1]),
+    "one_null_one_empty": lambda: operators(cube(True), "flux", 0.5, [4, 4, 1]),
+    "2_cells_in_100000sq": lambda: operators(corners(100000), "v", 1.5, [4, 4]),
+    "500_one_cell_chunks": lambda: operators(diagonal(500), "v", 1.5, [4, 4]),
+}
+
+
+@pytest.fixture(scope="module", params=list(COLUMNS))
+def column(request):
+    return COLUMNS[request.param]()
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_operator(benchmark, column, operator):
+    benchmark(column[operator])
+
+
+def test_cost_follows_chunks_not_extents(benchmark):
+    """Same allocated chunks, 100x the extent per dimension: a kernel that
+    walked the declared box (bounded) or the high-water box (unbounded)
+    would be ~10^4x slower; chunk-wise kernels stay within a small factor.
+    ``subsample`` lists one source index per selected value of every
+    dimension, so it may grow with the unconstrained dimension's length
+    (100x here) — per dimension, never the box."""
+    pairs = {
+        "declared": (corners(1000), corners(100000)),
+        "highwater": (diagonal(20), diagonal(20, spacing=3200)),
     }
-    for label, fns in columns.items():
-        print(label)
-        for name, fn in fns.items():
-            print(f"  {name:14s} {best_ms(fn, args.repeats):9.3f} ms", flush=True)
-
-
-if __name__ == "__main__":
-    main()
+    for label, (small, huge) in pairs.items():
+        near = operators(small, "v", 1.5, [4, 4])
+        far = operators(huge, "v", 1.5, [4, 4])
+        for name in OPERATORS:
+            near_m = measure(near[name], repeats=50)
+            far_m = measure(far[name], repeats=50)
+            benchmark.extra_info[f"{label}.{name}"] = ratio(far_m, near_m)
+            limit = 150 if name == "subsample" else 4
+            assert far_m.per_call < limit * near_m.per_call + 1e-3, (
+                label, name, near_m, far_m)
+    benchmark(lambda: None)

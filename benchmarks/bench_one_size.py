@@ -98,6 +98,7 @@ class TestOneSizeDoesNotFitAll:
             ratio(comp_a, comp_g),
         )
         rt.print()
+        benchmark.extra_info[rt.title] = rt.rows
         # The paper's scoping claim, measured: the array model loses the
         # graph workload by a wide margin (and the indexed edge table sits
         # between the two — also far from the graph-native form).

@@ -53,6 +53,7 @@ class TestSummary:
             ratios[qid] = ratio(t, n)
             rt.add(qid, n.per_call * 1e3, t.per_call * 1e3, ratios[qid])
         rt.print()
+        benchmark.extra_info[rt.title] = rt.rows
         # Shape: the array engine wins every block-shaped query (slabs,
         # regrids, statistics, cooking, detection, co-located joins); the
         # table side wins only the single-cell time-series probe (Q8),

@@ -157,6 +157,7 @@ class TestCodecs:
                 ratios[(plane, codec)] = raw / encoded
             rt.add(plane, *row)
         rt.print()
+        benchmark.extra_info[rt.title] = rt.rows
         # Shape: delta shines on digitised smooth data (sensor counts),
         # rle on sparse flags, and nothing compresses white noise well.
         assert ratios[("sensor_counts", "delta")] > 3

@@ -93,6 +93,7 @@ class TestSpace:
         rt.add("exact float", exact.nbytes())
         rt.add("uncertain (varied sigma)", varied.nbytes())
         rt.print()
+        benchmark.extra_info[rt.title] = rt.rows
         assert varied.nbytes() >= exact.nbytes()
         benchmark(lambda: None)
 

@@ -1,8 +1,9 @@
 """Shared fixtures for the experiment suite.
 
 Every module here regenerates one experiment from DESIGN.md §4 (F1–F3,
-E1–E13).  Workload sizes are chosen so the full suite runs in minutes;
-the *shape* of each result (who wins, by roughly what factor) is the
+E1–E14, A1–A3, and the control-arm halves of E22 and E23).  Workload
+sizes are chosen so the full suite runs in minutes; the *shape* of each
+result (who wins, by roughly what factor) is the
 reproduction target, not absolute numbers — see EXPERIMENTS.md.
 """
 

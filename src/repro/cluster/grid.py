@@ -97,7 +97,6 @@ from .partitioning import Partitioner
 from .resilience import (
     CircuitBreaker,
     Deadline,
-    HedgePolicy,
     MeterBuffer,
     ResiliencePolicy,
     RetryPolicy,
@@ -502,11 +501,11 @@ class DistributedArray:
     ) -> list[tuple[Coords, Optional[Cell]]]:
         """One read attempt of partition *p* against a single *site*.
 
-        Sleeps the modeled fetch latency plus any injected slow-read
-        penalty (deadline-aware slices), then scans the site's partition
-        restricted to coordinates whose primary is *p*.  Metering goes to
-        the grid's ledger/counters directly, or into *buf* when this is a
-        hedged attempt whose meters must stay private until it wins.
+        Sleeps any injected slow-read penalty (deadline-aware slices),
+        then scans the site's partition restricted to coordinates whose
+        primary is *p*.  Metering goes to the grid's ledger/counters
+        directly, or into *buf* when this is a hedged attempt whose
+        meters must stay private until it wins.
 
         Raises :class:`NodeFailedError` (node died, possibly mid-scan),
         :class:`TransientIOError` (injected read fault), or
@@ -516,21 +515,19 @@ class DistributedArray:
         grid = self.grid
         node = grid.nodes[site]
         faults = grid.faults
-        penalty_ms = 0.0
         if faults is not None:
             # May raise TransientIOError (scheduled read burst).
             penalty_ms = faults.intercept_read(site, p, attempt)
-        wait_ms = grid.fetch_latency_ms + penalty_ms
-        if wait_ms > 0.0:
-            # Modeled RPC round trip (plus injected slowness) to the
-            # serving site.  A real sleep (not accounting): it releases
-            # the GIL, so concurrent partition fetches overlap under the
-            # scheduler exactly as network waits would — and it is sliced
-            # so a slow site cannot carry the query past its deadline.
-            sleep_under_deadline(
-                wait_ms, deadline,
-                what=f"fetch of partition {p} from node {site}",
-            )
+            if penalty_ms > 0.0:
+                # Injected slowness at the serving site.  A real sleep
+                # (not accounting): it releases the GIL, so concurrent
+                # partition fetches overlap under the scheduler exactly
+                # as network waits would — and it is sliced so a slow
+                # site cannot carry the query past its deadline.
+                sleep_under_deadline(
+                    penalty_ms, deadline,
+                    what=f"fetch of partition {p} from node {site}",
+                )
         # Per-cell metering exists so the injector's transfer clock
         # ticks *during* the scan — a scheduled kill can land
         # mid-read and exercise the partial-read-discard path.
@@ -1336,8 +1333,8 @@ class DistributedArray:
         self._check_coverage()
         out = self.grid.create_array(
             output_name or f"{self.name}_filtered", self.schema,
-            self.partitioner, replication=self.replication,
-            placement=self.placement,
+            self.partitioner, stride=self.stride,
+            replication=self.replication, placement=self.placement,
         )
         # Filter preserves addresses, so the extent high-water carries over.
         out._dim_highwater = list(self._dim_highwater)
@@ -1381,8 +1378,8 @@ class DistributedArray:
         )
         out = self.grid.create_array(
             output_name or f"{self.name}_applied", out_schema,
-            self.partitioner, replication=self.replication,
-            placement=self.placement,
+            self.partitioner, stride=self.stride,
+            replication=self.replication, placement=self.placement,
         )
         out._dim_highwater = list(self._dim_highwater)
         n_out = len(output)
@@ -1630,9 +1627,7 @@ class Grid:
         default_replication: int = 1,
         parallelism: Optional[int] = None,
         chunk_cache_bytes: int = 8 << 20,
-        fetch_latency_ms: float = 0.0,
         resilience: Optional[ResiliencePolicy] = None,
-        hedge_delay_ms: Optional[float] = None,
     ) -> None:
         if n_nodes < 1:
             raise PartitioningError("a grid needs at least one node")
@@ -1662,13 +1657,6 @@ class Grid:
                     seed=fault_injector.seed if fault_injector is not None
                     else 0,
                 ),
-                hedge=HedgePolicy(delay_ms=hedge_delay_ms),
-            )
-        elif hedge_delay_ms is not None:
-            resilience = ResiliencePolicy(
-                retry=resilience.retry,
-                breaker=resilience.breaker,
-                hedge=HedgePolicy(delay_ms=hedge_delay_ms),
             )
         self.resilience = resilience
         self.breakers = [
@@ -1686,14 +1674,6 @@ class Grid:
         self.failover_log: list[FailoverEvent] = []
         #: simulated latency charged by slow-site faults (the grid never sleeps)
         self.store_latency_ms = 0.0
-        #: modeled per-partition-fetch RPC latency, realised as a *real*
-        #: sleep inside each partition read.  Unlike ``store_latency_ms``
-        #: (pure accounting), this knob makes wall-clock behave like a
-        #: networked grid so intra-query fan-out can be measured
-        #: honestly — fetches overlap under the scheduler even when the
-        #: decode work itself cannot.  Off (0.0) by default; benchmarks
-        #: opt in explicitly.
-        self.fetch_latency_ms = float(fetch_latency_ms)
         self.faults: Optional[FaultInjector] = None
         if fault_injector is not None:
             fault_injector.attach(self)
@@ -1953,7 +1933,6 @@ class Grid:
             ],
             "failovers": len(self.failover_log),
             "store_latency_ms": self.store_latency_ms,
-            "fetch_latency_ms": self.fetch_latency_ms,
             "resilience": self.resilience_snapshot(),
             "rebalance": self.rebalance_snapshot(),
             "rebuilds": [asdict(r) for r in self.rebuilds],

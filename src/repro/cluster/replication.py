@@ -20,8 +20,9 @@ Two policies:
 
 The extra write traffic replication causes is metered in the grid's
 :class:`~repro.cluster.grid.DataMovementLedger` under the
-``"replication"`` reason; ``benchmarks/bench_faults.py`` quantifies the
-overhead against the availability it buys.
+``"replication"`` reason; ``tests/cluster/test_replication.py`` pins the
+k-fold overhead and ``tests/cluster/test_faults.py`` the availability it
+buys (EXPERIMENTS.md, E15).
 """
 
 from __future__ import annotations

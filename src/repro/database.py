@@ -548,7 +548,6 @@ class SciDB:
         parallelism: Optional[int] = None,
         chunk_cache_bytes: int = 8 << 20,
         resilience: Optional[ResiliencePolicy] = None,
-        hedge_delay_ms: Optional[float] = None,
     ) -> Grid:
         """Create a named shared-nothing grid rooted under this database.
 
@@ -564,9 +563,10 @@ class SciDB:
         ``min(8, n_nodes)``).  ``chunk_cache_bytes`` sizes each node's
         decompressed-chunk LRU cache (0 disables it).  ``resilience``
         overrides the grid's retry/breaker/hedge bundle
-        (:class:`~repro.cluster.resilience.ResiliencePolicy`);
-        ``hedge_delay_ms`` enables hedged backup reads against the next
-        replica after that many milliseconds without an answer.
+        (:class:`~repro.cluster.resilience.ResiliencePolicy`); its
+        ``hedge=HedgePolicy(delay_ms=...)`` enables hedged backup reads
+        against the next replica after that many milliseconds without an
+        answer.
         """
         if self.directory is None:
             raise SchemaError("this SciDB instance has no storage directory")
@@ -581,7 +581,6 @@ class SciDB:
             parallelism=parallelism,
             chunk_cache_bytes=chunk_cache_bytes,
             resilience=resilience,
-            hedge_delay_ms=hedge_delay_ms,
         )
         self._grids[name] = grid
         get_flight_recorder().watch_grid(name, grid)

@@ -18,9 +18,8 @@ exception-driven trial (``try native; except SchemaError: gather``):
   otherwise the smaller side would have to move, which this engine
   realizes as a gather.
 
-Seeding defaults were measured on the repo's own E17/E18 benchmarks
-(single-core CPython); they only matter until the first few queries
-overwrite them.
+Seeding defaults were measured once on single-core CPython; they only
+matter until the first few queries overwrite them.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ library:
 * :mod:`repro.service.server` — the threaded HTTP server, result
   pager, and the housekeeping thread (idle sweep + slow-query killer).
 * :mod:`repro.service.client` — a small shim client used by the tests
-  and the E24 closed-loop benchmark.
+  and the ``svc_small`` benchmark workload (``perf/``).
 """
 
 from .admission import AdmissionConfig, AdmissionController, AdmissionReject

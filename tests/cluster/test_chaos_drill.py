@@ -37,6 +37,7 @@ from repro.cluster import (
     FaultInjector,
     Grid,
     HashPartitioner,
+    HedgePolicy,
     ResiliencePolicy,
     RetryPolicy,
 )
@@ -76,15 +77,16 @@ def local_truth(recs):
     return {r.coords: r.values[0] for r in recs}
 
 
-def make_grid(tmp_path, sub, seed, **kw):
+def make_grid(tmp_path, sub, seed, hedge_delay_ms=None):
     inj = FaultInjector(seed=seed)
     policy = ResiliencePolicy(
         retry=RetryPolicy(max_attempts=3, seed=seed),
         breaker=BreakerConfig(failure_threshold=2, cooldown=3),
+        hedge=HedgePolicy(delay_ms=hedge_delay_ms),
     )
     grid = Grid(
         N_NODES, tmp_path / sub, fault_injector=inj,
-        parallelism=PARALLELISM, resilience=policy, **kw,
+        parallelism=PARALLELISM, resilience=policy,
     )
     arr = grid.create_array(
         "sky", schema(), HashPartitioner(N_NODES), replication=K

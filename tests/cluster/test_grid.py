@@ -365,3 +365,18 @@ class TestPartitionStrideSurvives:
         )
         pruned, cells = self.top_band(grid, arr)
         assert pruned > 0 and cells == 8 * 48
+
+    def test_filter_and_apply_outputs_keep_stride(self, tmp_path):
+        grid, arr = self.loaded(tmp_path, HashPartitioner(4))
+        kept = arr.filter(lambda cell: True)
+        copied = arr.apply(
+            lambda cell: cell.flux, [("flux", "float")], output_name="copy"
+        )
+        for out in (kept, copied):
+            assert out.stride == self.STRIDE
+            assert all(
+                n.partition(out.name).stride == self.STRIDE
+                for n in grid.alive_nodes()
+            )
+            pruned, cells = self.top_band(grid, out)
+            assert pruned > 0 and cells == 8 * 48

@@ -76,6 +76,28 @@ class TestCheckpointedGridLoad:
             assert len(cursors) == 1
             assert cursors.pop() >= 0
 
+    def test_dirty_records_are_quarantined_not_fatal(self, tmp_path):
+        recs = records(120)
+        dirty = {
+            7: LoadRecord((SIDE + 7, 1), (1.0,), offset=7),
+            40: LoadRecord((1, 2, 3), (1.0,), offset=40),
+            99: LoadRecord(recs[99].coords, ("junk",), offset=99),
+        }
+        stream = [dirty.get(i, r) for i, r in enumerate(recs)]
+        grid, arr = build(tmp_path / "dirty")
+        report = arr.load_checkpointed(
+            iter(stream), batch_size=32, tolerant=True
+        )
+        assert report.records_quarantined == len(dirty)
+        assert report.records_loaded + report.records_quarantined == len(recs)
+        assert list(report.quarantine.offsets()) == sorted(dirty)
+        assert [r.reason for r in report.quarantine] == [
+            "out_of_bounds", "bad_arity", "type_error",
+        ]
+        assert cells_of(arr) == ground_truth(
+            r for i, r in enumerate(recs) if i not in dirty
+        )
+
 
 class TestCrashResume:
     """The acceptance scenario: deterministic crash, resume, identical."""

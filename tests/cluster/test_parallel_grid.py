@@ -445,36 +445,24 @@ class TestExplainIntegration:
         )
 
 
-class TestModeledFetchLatency:
-    """``Grid(fetch_latency_ms=...)`` models the per-partition-fetch RPC
-    round trip as a real sleep, so fan-out speedup is measurable even on
-    a single-core box (sleeps overlap; see E18).  Off by default."""
+class TestSlowReadLatencyOverlaps:
+    """Injected slow reads are real (GIL-releasing) sleeps inside each
+    partition fetch, so the scheduler overlaps them exactly as it would
+    network round trips — measurable even on a single-core box."""
 
-    def test_off_by_default(self, tmp_path):
-        grid = Grid(4, tmp_path)
-        assert grid.fetch_latency_ms == 0.0
-        assert grid.metrics_snapshot()["fetch_latency_ms"] == 0.0
-
-    def test_serial_pays_latency_per_partition(self, tmp_path, schema):
-        grid = Grid(
-            N, tmp_path, parallelism=1, fetch_latency_ms=25.0
-        )
-        arr = grid.create_array("sky", schema, HashPartitioner(N))
-        arr.load(records(40))
-        t0 = time.perf_counter()
-        list(arr.scan())
-        elapsed = time.perf_counter() - t0
-        # 8 partition fetches, strictly sequential at parallelism=1.
-        assert elapsed >= 8 * 0.025
+    @staticmethod
+    def slow_grid(directory, parallelism, penalty_ms):
+        inj = FaultInjector(seed=0)
+        grid = Grid(N, directory, parallelism=parallelism, fault_injector=inj)
+        for site in range(N):
+            inj.set_slow_reads(site, penalty_ms)
+        return grid
 
     def test_parallel_fetches_overlap(self, tmp_path, schema):
         recs = records(40)
         times = {}
         for par in (1, 8):
-            grid = Grid(
-                N, tmp_path / str(par), parallelism=par,
-                fetch_latency_ms=25.0,
-            )
+            grid = self.slow_grid(tmp_path / str(par), par, 25.0)
             arr = grid.create_array("sky", schema, HashPartitioner(N))
             arr.load(recs)
             times[par] = min(
@@ -488,9 +476,7 @@ class TestModeledFetchLatency:
     def test_results_identical_with_latency_on(self, tmp_path, schema):
         recs = records(60, seed=9)
         plain = Grid(N, tmp_path / "plain", parallelism=8)
-        slow = Grid(
-            N, tmp_path / "slow", parallelism=8, fetch_latency_ms=5.0
-        )
+        slow = self.slow_grid(tmp_path / "slow", 8, 5.0)
         got = []
         for grid in (plain, slow):
             arr = grid.create_array("sky", schema, HashPartitioner(N))

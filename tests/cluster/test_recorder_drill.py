@@ -97,6 +97,44 @@ class TestRecorderCompleteness:
         # tail the next rebuild's replay discovered and truncated.
         assert counts.get("fault.wal_tear") == 1
 
+    def test_ingest_and_membership_events_are_accounted_for(self, tmp_path):
+        """The ledgers the chaos pass does not touch: load retries and
+        quarantined records against the loader's own report, the
+        injected I/O burst against the injector, ``add_node`` and its
+        migration against ``grid.rebalance_log``."""
+        rec = FlightRecorder()
+        with use_flight_recorder(rec):
+            grid, arr, inj = make_grid(tmp_path, "ingest")
+            loaded = {r.coords for r in records(120, seed=SEED)}
+            fresh = [
+                r for r in records(60, seed=SEED + 1)
+                if r.coords not in loaded
+            ]
+            stream = fresh + [
+                LoadRecord((1, 1, 1), (9.0,)),   # bad arity
+                LoadRecord((999, 1), (9.0,)),    # out of bounds
+            ]
+            inj.schedule_transient_io(0, 2)
+            report = arr.load_checkpointed(
+                iter(stream), batch_size=16, tolerant=True
+            )
+            nid, _ = grid.add_node(max_transfer_cells_per_tick=48)
+
+        counts = rec.event_counts()
+        assert report.records_quarantined == 2
+        assert counts.get("quarantine") == report.records_quarantined
+        assert report.records_retried >= 2
+        assert counts.get("load_retry") == report.records_retried
+        assert counts.get("fault.io_transient") == inj.counts()["io_transient"] == 2
+        (added,) = rec.events(kind="node_add")
+        assert added.node == nid
+        (migration,) = grid.rebalance_log
+        assert not migration.aborted
+        (plan,) = rec.events(kind="rebalance_plan")
+        (cut,) = rec.events(kind="rebalance_cutover")
+        assert not rec.events(kind="rebalance_abort")
+        assert added.seq < plan.seq < cut.seq
+
     def test_events_preserve_injection_order(self, tmp_path):
         rec = FlightRecorder()
         with use_flight_recorder(rec):

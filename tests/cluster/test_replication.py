@@ -81,8 +81,10 @@ class TestReplicatedWrites:
         arr = grid.create_array("sky", schema, HashPartitioner(4), replication=2)
         arr.load(records(60))
         assert arr.cell_count() == 120  # replicas included
-        # ...but logically each cell exists once.
+        # ...but logically each cell exists once, and replicas are skipped
+        # at the serving site, never shipped.
         assert sum(1 for _ in arr.scan()) == 60
+        assert grid.ledger.total_bytes("gather") == 60 * arr.cell_nbytes
 
     def test_replication_traffic_metered(self, tmp_path, schema):
         grid = Grid(4, tmp_path)

@@ -8,6 +8,7 @@ file pins each mechanism's contract in isolation.
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,7 +347,10 @@ class TestResiliencePolicy:
         pol = ResiliencePolicy(retry=RetryPolicy(max_attempts=5))
         grid = Grid(N, tmp_path / "a", resilience=pol)
         assert grid.resilience is pol
-        grid2 = Grid(N, tmp_path / "b", resilience=pol, hedge_delay_ms=3.0)
+        grid2 = Grid(
+            N, tmp_path / "b",
+            resilience=replace(pol, hedge=HedgePolicy(delay_ms=3.0)),
+        )
         assert grid2.resilience.retry.max_attempts == 5
         assert grid2.resilience.hedge.delay_ms == 3.0
 
