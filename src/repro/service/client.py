@@ -149,6 +149,8 @@ class ShimClient:
 
     def read_all(self, session_id: str, page_bytes: int = 65536) -> str:
         """Drain the session's result, honoring read-rate throttling."""
+        if page_bytes <= 0:
+            raise ValueError(f"page_bytes must be positive, got {page_bytes}")
         chunks: list[bytes] = []
         while True:
             try:

@@ -1,11 +1,19 @@
 """The HTTP query service: shim verbs, cancellation, admission, killer."""
 
+import http.client
+import itertools
+import math
+import socket
+import statistics
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import SciDB, define_function
+from repro import SciArray, SciDB, define_array, define_function
 from repro.cluster.resilience import Deadline
 from repro.service import (
     AdmissionConfig,
@@ -59,6 +67,79 @@ def slow_statement(db, delay_ms=4.0):
         replace=True,
     )
     return "select apply(apply(M, Sloth(s1)), Sloth(out))"
+
+
+def reference_bytes(value):
+    """A result's CSV+ text rendered cell by cell through
+    ``SciArray.cells()`` — the loop ``ResultPager`` ran before it read
+    planes, kept as the oracle for the pages it renders now."""
+
+    def fmt(v):
+        return repr(v) if isinstance(v, float) else str(v)
+
+    if value is None:
+        return b"null\n"
+    if not isinstance(value, SciArray):
+        return (str(value) + "\n").encode()
+    dims = ",".join(d.name for d in value.schema.dimensions)
+    attrs = ",".join(value.schema.attr_names)
+    lines = [f"{{{dims}}} {attrs}\n"]
+    for coords, cell in value.cells(include_null=False):
+        pos = ",".join(str(c) for c in coords)
+        vals = ",".join(fmt(v) for v in cell)
+        lines.append(f"{{{pos}}} {vals}\n")
+    return "".join(lines).encode()
+
+
+VALUES = {
+    # NaN, the infinities and -0.0 must print as repr() prints them;
+    # None is a null attribute value inside a PRESENT cell.
+    "float": [
+        math.nan, math.inf, -math.inf, -0.0, 0.1, 1 / 3, 1e300, -2.5e-7, None,
+    ],
+    "float32": [math.nan, math.inf, -0.0, 0.1, 1 / 3, 3e38, None],
+    "int64": [0, -1, 7, 2**62, -(2**63)],
+    "int32": [0, -1, 7, 2**31 - 1],
+    "bool": [True, False],
+    "string": ["a", "", "two words", "caf\u00e9", "1,2", "None", None],
+}
+
+
+@st.composite
+def results(draw):
+    """Anything ``execute`` can hand the pager: ``None``, a non-array
+    value, or an array — 1-3 dimensions, extents no chunk side divides,
+    an optional unbounded axis, two or more components, and every cell
+    EMPTY, NULL (some over stale values) or PRESENT."""
+    kind = draw(st.sampled_from(["array"] * 6 + ["none", "text", "number"]))
+    if kind != "array":
+        return {"none": None, "text": "defined T2\u00e9", "number": 42.5}[kind]
+    ndim = draw(st.integers(1, 3))
+    extents = draw(st.lists(st.integers(1, 6), min_size=ndim, max_size=ndim))
+    chunk = draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim))
+    types = draw(
+        st.lists(st.sampled_from(sorted(VALUES)), min_size=2, max_size=4)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    attrs = {f"a{i}": t for i, t in enumerate(types)}
+    schema = define_array("Paged_t", attrs, list("xyz"[:ndim]))
+    sizes = list(extents)
+    if draw(st.booleans()):
+        sizes[-1] = "*"
+    arr = schema.create("paged", sizes, chunk_shape=chunk)
+
+    def record():
+        return tuple(VALUES[t][rng.integers(len(VALUES[t]))] for t in types)
+
+    for c in itertools.product(*(range(1, n + 1) for n in extents)):
+        roll = rng.random()
+        if roll < 0.5 or rng.random() < 0.5:
+            arr[c] = record()
+        if roll >= 0.75:
+            arr.delete(c)  # an EMPTY hole, half of them over a stale value
+        elif roll >= 0.5:
+            arr.set_null(c)
+    return arr
 
 
 class TestSessionLifecycle:
@@ -149,6 +230,66 @@ class TestPaging:
         assert pager.read(100) == b"null\n"
         assert pager.eof
 
+    @given(results(), st.integers(1, 65536), st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_pages_from_planes_equal_pages_from_cells(self, value, n, seed):
+        want = reference_bytes(value)
+        rng = np.random.default_rng(seed)
+        pager = ResultPager(value)
+        got = []
+        while not pager.eof:
+            page = pager.read(n)
+            assert len(page) <= n
+            assert page or pager.eof  # an empty page only at the end
+            if rng.random() < 0.3:  # any page can be pushed back whole
+                served = pager.bytes_served
+                pager.unread(page)
+                assert pager.bytes_served == served - len(page)
+                assert not pager.eof or not page
+                assert pager.read(n) == page
+            got.append(page)
+        assert b"".join(got) == want
+        assert pager.bytes_served == len(want)
+        assert pager.read(n) == b"" and pager.eof
+
+    def test_a_small_page_renders_at_most_one_chunk(self, monkeypatch):
+        schema = define_array("Lazy_t", {"v": "int64", "w": "float"}, ["x"])
+        arr = schema.create("lazy", [16], chunk_shape=[4])
+        for x in range(1, 17):
+            arr[x] = (x, x / 4)
+        want = reference_bytes(arr)
+        consumed = []
+        blocks = SciArray.blocks
+
+        def counted(self, attrs=None):
+            for block in blocks(self, attrs):
+                consumed.append(block[0])
+                yield block
+
+        monkeypatch.setattr(SciArray, "blocks", counted)
+        pager = ResultPager(arr)
+        header = pager.read(len(b"{x} v,w\n"))
+        assert header == b"{x} v,w\n" and consumed == []
+        assert pager.read(5) == want[len(header):][:5]
+        assert consumed == [(1,)]  # one small page, one chunk's text
+        rest = pager.read(1 << 20)
+        assert header + want[len(header):][:5] + rest == want
+        assert consumed == [(1,), (5,), (9,), (13,)] and pager.eof
+
+    def test_paging_never_asks_for_cells(self, service, client, monkeypatch):
+        """The cliff stays closed (PR 14's idiom), through the front door."""
+        statement = "select subsample(M, I >= 3)"
+        want = reference_bytes(service.db.query(statement)).decode()
+        assert len(want.splitlines()) == 1 + 48
+
+        def cells_requested(self, include_null=True):
+            raise AssertionError("the pager asked for cells")
+
+        monkeypatch.setattr(SciArray, "cells", cells_requested)
+        sid = client.new_session()
+        client.execute_query(sid, statement)
+        assert client.read_all(sid, page_bytes=100) == want
+
 
 class TestErrors:
     def test_parse_error_is_400(self, client):
@@ -174,6 +315,107 @@ class TestErrors:
         )
         text = client.read_all(sid)
         assert len(text.splitlines()) > 1
+
+    @pytest.mark.parametrize("n", ["abc", "1.5", "nan", "0", "-5"])
+    def test_malformed_page_size_is_400(self, client, n):
+        sid = client.new_session()
+        client.execute_query(sid, "select subsample(M, I >= 7)")
+        with pytest.raises(ServiceError) as err:
+            client.read_bytes(sid, n=n)
+        assert err.value.status == 400
+        # ...and the result is still there, whole.
+        assert len(client.read_all(sid).splitlines()) == 1 + 16
+
+    @pytest.mark.parametrize("timeout_ms", ["soon", "nan", "inf", "0", "-1"])
+    def test_malformed_timeout_is_400(self, service, client, timeout_ms):
+        sid = client.new_session()
+        with pytest.raises(ServiceError) as err:
+            client.execute_query(
+                sid, "select subsample(M, I >= 7)", timeout_ms=timeout_ms
+            )
+        assert err.value.status == 400
+        assert service.queries_served == 0
+
+    @pytest.mark.parametrize("page_bytes", [0, -5])
+    def test_read_all_refuses_a_page_that_cannot_progress(self, page_bytes):
+        # Nothing listens on port 1: a request would raise OSError instead.
+        with ShimClient("127.0.0.1", 1) as c:
+            with pytest.raises(ValueError):
+                c.read_all("any", page_bytes=page_bytes)
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+    def test_malformed_content_length_is_400_and_closes(self, service, length):
+        host, port = service.address
+        with ShimClient(host, port) as c:
+            sid = c.new_session()
+            conn = http.client.HTTPConnection(host, port, timeout=5)
+            try:
+                headers = {"Content-Length": length}
+                conn.request("POST", f"/cancel?id={sid}", headers=headers)
+                response = conn.getresponse()
+                assert response.status == 400
+                assert response.getheader("Connection") == "close"
+                assert b"Content-Length" in response.read()
+            finally:
+                conn.close()
+            assert service.sessions.count() == 1
+            assert c.cancel(sid) is False  # the server is still answering
+
+
+class TestTransport:
+    """One segment per response, pinned without a timer: written as two
+    small segments on a keep-alive socket, a response body waits out the
+    client's delayed-ACK timer (44 ms a request)."""
+
+    @pytest.fixture
+    def sends(self, service, monkeypatch):
+        """``TCP_NODELAY`` of the accepted socket, logged once per
+        ``send``/``sendall`` the server makes on it."""
+        port = service.address[1]
+        log = []
+
+        def logged(name):
+            real = getattr(socket.socket, name)
+
+            def method(sock, data, *flags):
+                if sock.getsockname()[1] == port:
+                    log.append(
+                        sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                    )
+                return real(sock, data, *flags)
+
+            return method
+
+        monkeypatch.setattr(socket.socket, "send", logged("send"))
+        monkeypatch.setattr(socket.socket, "sendall", logged("sendall"))
+        return log
+
+    def test_every_response_is_one_send_with_nagle_off(self, client, sends):
+        sid = client.new_session()
+        verbs = [
+            lambda: client.execute_query(sid, "select filter(M, s1 > 0)"),
+            lambda: client.read_bytes(sid, n=48),
+            lambda: client.read_all(sid),
+            lambda: client.cancel(sid),
+            lambda: client.status(),
+            lambda: client.release_session(sid),
+            lambda: pytest.raises(ServiceError, client.cancel, sid),  # 404
+        ]
+        assert len(sends) == 1  # new_session
+        for expected, verb in enumerate(verbs, start=2):
+            verb()
+            assert len(sends) == expected, "a response took several sends"
+        assert all(sends), "TCP_NODELAY is off on an accepted socket"
+
+    def test_keepalive_round_trip_is_not_timer_bound(self, client):
+        sid = client.new_session()
+        trips = []
+        for _ in range(30):
+            t0 = time.perf_counter()
+            client.cancel(sid)
+            trips.append((time.perf_counter() - t0) * 1e3)
+        # 44 ms with the delayed-ACK stall, ~0.3 ms without it
+        assert statistics.median(trips) < 10
 
 
 class TestCancellation:
