@@ -8,14 +8,15 @@ lives here and not in ``perf/``.  Target: ON within **5 %** of OFF; the
 disabled :func:`~repro.obs.recorder.emit` fast path, at a generous ten
 hook crossings per query, within **0.5 %** of a query.
 
-The ON cost is ~0.2 ms of profile capture over a statement PR 14 made
-faster (~4 ms): 3–6 % on the two-core benchmark host however it is
-measured (the PR 15 script read 7.6–8.8 % there), so the 5 % line cannot
-gate CI today.  It is retired as a gate, stated in ROADMAP item 6, which
-owns winning the margin back: the summary test reports the ratio in
-``extra_info``, xfails when it is over 5 %, and fails only past 25 % (an
-emit on a per-cell path costs multiples, not percent).  The 0.5 % line
-has a tenfold margin and is asserted as is.
+The ON cost reads 3.2–3.6 % on the two-core benchmark host since every
+fact of a statement is written once (5.7–7.7 % before, same hour; ten
+further consecutive runs 1.9–3.7 % with one at 5.5 %).  One run in ten
+over the line is not a gate CI can hold, so the 5 % line stays retired
+as a gate (ROADMAP item 6 has the rule for reinstating it): the summary
+test reports the ratio in ``extra_info``, xfails when it is over 5 %,
+and fails only past 25 % (an emit on a per-cell path costs multiples,
+not percent).  The 0.5 % line has a tenfold margin and is asserted as
+is.
 
 The other half of E22 — every injected fault, rebuild and migration
 accounted for, in order — is a correctness drill and lives in

@@ -27,12 +27,12 @@ of per-partition (or per-node) thunks out across threads:
   :class:`~repro.cluster.resilience.Deadline` (if any) is re-installed
   inside every worker, so per-partition tasks observe the same
   cooperative cancellation budget the coordinator does.
-* **Observability** — the batch is metered through the process registry
-  (``scheduler.tasks``, ``scheduler.batches``) and the coordinator's
-  open operator span is adopted inside each worker
-  (:func:`repro.obs.tracing.adopt`), so per-cell gather metering and the
-  explain report's bytes-moved reconciliation survive the fan-out.  The
-  span is annotated with the configured ``parallelism`` so
+* **Observability** — the scheduler counts its own ``batches`` and
+  ``tasks``, and the coordinator's open operator span is adopted inside
+  each worker (:func:`repro.obs.tracing.adopt`), so per-cell gather
+  metering, the explain report's bytes-moved reconciliation and the
+  statement id on emitted events survive the fan-out.  The span is
+  annotated with the configured ``parallelism`` so
   ``SciDB.explain`` can report the fan-out per operator.
 
 Worker threads genuinely overlap on this engine's read path because the
@@ -43,12 +43,12 @@ the final per-cell assembly is serialized by the interpreter.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..core.errors import GridError
 from ..obs import tracing
-from ..obs.metrics import get_registry
 from .resilience import current_deadline, deadline_scope
 
 __all__ = ["PartitionScheduler", "default_parallelism"]
@@ -68,6 +68,11 @@ class PartitionScheduler:
                 f"scheduler parallelism must be >= 1, got {parallelism}"
             )
         self.parallelism = parallelism
+        #: batches and tasks ever mapped (statements on several threads
+        #: share one grid's scheduler, hence the lock)
+        self.batches = 0
+        self.tasks = 0
+        self._lock = threading.Lock()
 
     def map(self, tasks: Sequence[Callable[[], Any]]) -> List[Any]:
         """Run *tasks*, returning their results in task order.
@@ -79,23 +84,18 @@ class PartitionScheduler:
         and re-raises the first (lowest-index) failure if any.
         """
         tasks = list(tasks)
-        registry = get_registry()
-        registry.counter("scheduler.batches").inc()
-        registry.counter("scheduler.tasks").inc(len(tasks))
+        with self._lock:
+            self.batches += 1
+            self.tasks += len(tasks)
         tracing.annotate_current(parallelism=self.parallelism)
         if self.parallelism == 1 or len(tasks) <= 1:
             return [task() for task in tasks]
 
         parent = tracing.current_span()
-        recorder = tracing.get_recorder()
         deadline = current_deadline()
 
         def run(task: Callable[[], Any]) -> Any:
-            # The active recorder is per-thread (so concurrent queries'
-            # profile trees stay disjoint); re-install the coordinator's
-            # inside each worker before adopting its open span.
-            with tracing.use(recorder), tracing.adopt(parent), \
-                    deadline_scope(deadline):
+            with tracing.adopt(parent), deadline_scope(deadline):
                 return task()
 
         workers = min(self.parallelism, len(tasks))

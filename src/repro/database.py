@@ -15,7 +15,7 @@ external files.
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -29,24 +29,20 @@ from .core.schema import ArraySchema
 from .history.transactions import UpdatableArray
 from .history.versions import Version, VersionTree
 from .obs import tracing
-from .obs.explain import ExplainReport, build_report
+from .obs.explain import ExplainReport, profile_operators
 from .obs.export import events_jsonl, prometheus_text, status_text
 from .obs.health import HealthModel, HealthReport
-from .obs.metrics import get_registry
 from .obs.recorder import (
     FlightRecorder,
     QueryProfile,
     RecordedEvent,
     get_flight_recorder,
 )
-from .obs.slowlog import SlowQuery, SlowQueryLog
-from .obs.tracing import SpanRecorder
 from .provenance.itemstore import ItemLineageStore
 from .provenance.log import ProvenanceEngine
 from .provenance.trace import Item, trace_backward, trace_forward
 from .query.ast import Node
 from .query.executor import ExecutionResult, Executor
-from .query.parser import parse_statement
 from .query.planner import Planner, PlannerConfig
 from .storage.insitu import InSituArray, open_in_situ
 from .storage.loader import BulkLoader, LoadRecord, LoadReport
@@ -110,7 +106,8 @@ class SciDB:
         Planner optimization switch (Section 2.2.1).
     slow_query_ms:
         Statements at or above this wall time land in
-        :meth:`slow_queries` (bounded log).
+        :meth:`slow_queries`.  The threshold is the process flight
+        recorder's (default 100 ms); passing a value here sets it.
     """
 
     def __init__(
@@ -118,16 +115,16 @@ class SciDB:
         directory: "str | Path | None" = None,
         record_item_lineage: bool = False,
         enable_pushdown: bool = True,
-        slow_query_ms: float = 100.0,
+        slow_query_ms: Optional[float] = None,
     ) -> None:
         self.directory = Path(directory) if directory is not None else None
         self.itemstore = ItemLineageStore() if record_item_lineage else None
         self.provenance = ProvenanceEngine(itemstore=self.itemstore)
-        self.slow_log = SlowQueryLog(threshold_ms=slow_query_ms)
+        if slow_query_ms is not None:
+            get_flight_recorder().slow_query_ms = slow_query_ms
         self.executor = Executor(
             planner=Planner(enable_pushdown=enable_pushdown),
             provenance=self.provenance,
-            slow_log=self.slow_log,
         )
         self.storage: Optional[StorageManager] = None
         self.wal: Optional[WriteAheadLog] = None
@@ -212,68 +209,98 @@ class SciDB:
         ``bytes_moved`` figures reconcile with.  *timeout_ms* behaves as
         in :meth:`execute`.
         """
-        if isinstance(statement, str):
-            node = parse_statement(statement)  # typed ParseError on junk
-            text = statement
-        elif isinstance(statement, Node):
-            node = statement
-            text = f"<{type(node).__name__}>"
-        else:
+        if not isinstance(statement, (str, Node)):
             raise PlanError(
                 "explain needs a statement string or parse tree, got "
                 f"{type(statement).__name__}"
             )
-        # Plan ONCE and execute that exact tree: operator spans are
-        # matched back to plan nodes by identity (as are the physical
-        # plan's estimates, joined into the report below).
-        planned = self.executor.planner.plan(node, config=planner)
+        text = (
+            statement
+            if isinstance(statement, str)
+            else f"<{type(statement).__name__}>"
+        )
         grids = self._observed_grids()
         before = _ledger_totals(grids)
-        recorder = SpanRecorder()
-        t0 = time.perf_counter()
-        with tracing.use(recorder), deadline_scope(
+        # EXPLAIN traces whether or not the recorder is on; the executor
+        # nests under this span, so the plan it ran — the exact tree the
+        # operator spans are matched to by identity — comes back on the
+        # result.
+        with get_flight_recorder().statement(
+            text, name="explain", force=True
+        ), deadline_scope(
             Deadline.after_ms(timeout_ms) if timeout_ms is not None else None
         ):
-            result = self.executor.run_planned(planned, statement_text=text)
-        total_ms = (time.perf_counter() - t0) * 1e3
+            span = tracing.current_span()
+            result = self.executor.run(statement, config=planner)
         after = _ledger_totals(grids)
-        delta = {
-            reason: after[reason] - before.get(reason, 0)
-            for reason in after
-            if after[reason] - before.get(reason, 0)
-        }
-        return build_report(
-            planned.node,
-            list(planned.rewrites),
-            recorder.roots,
-            text,
-            total_ms,
-            ledger_delta=delta,
+        return ExplainReport(
+            statement=text,
+            rewrites=list(result.rewrites),
+            root=profile_operators(result.planned, span, self._describe_ref),
+            total_ms=span.duration_ms,
+            ledger_delta={
+                reason: after[reason] - before.get(reason, 0)
+                for reason in after
+                if after[reason] - before.get(reason, 0)
+            },
             cells_examined=result.cells_examined,
-            describe_ref=self._describe_ref,
             grid_status=_grid_status(grids),
-            planned=planned,
         )
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """The unified operational view: process-wide registry (storage,
-        WAL, ingest, query counters) plus every grid's ledger and
-        per-node accounting."""
-        snap = get_registry().snapshot()
-        snap["grids"] = {
-            name: grid.metrics_snapshot() for name, grid in self._grids.items()
-        }
-        snap["slow_query_log"] = {
-            "threshold_ms": self.slow_log.threshold_ms,
-            "observed": self.slow_log.observed,
-            "logged": len(self.slow_log),
-        }
-        snap["flight_recorder"] = get_flight_recorder().summary()
-        return snap
+        """The unified operational view, *pulled* from the components
+        that own each count — nothing is pushed to a registry.
 
-    def slow_queries(self) -> list[SlowQuery]:
-        """Statements that exceeded ``slow_query_ms``, oldest first."""
-        return self.slow_log.entries()
+        ``counters``: statements (the recorder's statement ring), bucket
+        and byte I/O (every :class:`StorageManager`'s ``total_stats``),
+        chunk-cache hits/misses/evictions (each :class:`ChunkCache`),
+        WAL appends/commits (each :class:`WriteAheadLog`), committed
+        load batches and scheduler batches/tasks, summed over this
+        database's own store and every grid node.  ``histograms`` holds
+        the statement latency summary; ``grids`` each grid's ledger and
+        per-node accounting; ``flight_recorder`` the event totals by
+        kind (every discrete occurrence: kills, rejections, tears …).
+        """
+        recorder = get_flight_recorder()
+        latency = recorder.profile_store.latency()
+        stores = [self.storage] if self.storage is not None else []
+        wals = [self.wal] if self.wal is not None else []
+        counters = Counter({"query.statements": latency["count"]})
+        for grid in self._grids.values():
+            stores.extend(node.storage for node in grid.nodes)
+            wals.extend(n.wal for n in grid.nodes if n.wal is not None)
+            counters["scheduler.batches"] += grid.scheduler.batches
+            counters["scheduler.tasks"] += grid.scheduler.tasks
+        for store in stores:
+            stats = store.total_stats()
+            for key in (
+                "buckets_written", "bytes_written", "buckets_read",
+                "bytes_read", "buckets_value_pruned",
+            ):
+                counters[f"storage.{key}"] += stats.get(key, 0)
+            counters["ingest.batch_commits"] += stats.get("load_batches", 0)
+            cache = store.chunk_cache
+            if cache is not None:
+                counters["cache.hit"] += cache.hits
+                counters["cache.miss"] += cache.misses
+                counters["cache.evict"] += cache.evictions
+        for wal in wals:
+            counters["wal.appends"] += wal.records_appended
+            counters["wal.commits"] += wal.commits
+        return {
+            "counters": dict(counters),
+            "histograms": {"query.latency_ms": latency},
+            "grids": {
+                name: grid.metrics_snapshot()
+                for name, grid in self._grids.items()
+            },
+            "flight_recorder": recorder.summary(),
+        }
+
+    def slow_queries(self) -> list[QueryProfile]:
+        """Retained statements at or over ``slow_query_ms``, oldest first
+        (kept past the main profile ring's eviction)."""
+        return get_flight_recorder().slow_queries()
 
     # -- the flight recorder (continuous telemetry) -------------------------------
 
@@ -305,7 +332,7 @@ class SciDB:
         """Take one gauge-sampling pass over every watched grid now;
         returns the number of series updated.  Grids this database
         created are watched automatically; sampling never runs unless
-        asked (or :meth:`FlightRecorder.start_sampling` was called)."""
+        asked."""
         recorder = get_flight_recorder()
         self._watch_grids(recorder)
         return recorder.sample()

@@ -1,9 +1,9 @@
 """``EXPLAIN ANALYZE``-style reports over executed parse trees.
 
-:func:`build_report` pairs a planned parse tree with the span tree its
-execution recorded (operator spans are tagged ``node_id=id(node)`` by
-the executor) and produces an :class:`ExplainReport`: the plan shape,
-each operator annotated with its actual wall time, cells scanned,
+:func:`profile_operators` pairs a planned parse tree with the span tree
+its execution recorded (operator spans are tagged ``node_id=id(node)``
+by the executor); an :class:`ExplainReport` is that plan shape, each
+operator annotated with its actual wall time, cells scanned,
 chunks (storage buckets) touched, nodes visited and bytes moved, plus
 the movement-ledger delta the query caused — the per-operator
 ``bytes_moved`` sums reconcile with that delta by construction, because
@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterator, Optional
 from ..query.ast import ArrayRef, Node, OpNode, SelectNode
 from .tracing import Span
 
-__all__ = ["OperatorProfile", "ExplainReport", "build_report"]
+__all__ = ["OperatorProfile", "ExplainReport", "profile_operators"]
 
 
 @dataclass
@@ -193,17 +193,6 @@ class ExplainReport:
         return self.render()
 
 
-def _index_spans(roots: "list[Span]") -> dict[int, Span]:
-    """Map ``node_id`` attrs to spans across the recorded forest."""
-    index: dict[int, Span] = {}
-    for root in roots:
-        for sp in root.walk():
-            node_id = sp.attrs.get("node_id")
-            if node_id is not None:
-                index[node_id] = sp
-    return index
-
-
 def _label(node: Node) -> str:
     """A compact, human-readable operator label."""
     if isinstance(node, ArrayRef):
@@ -245,27 +234,23 @@ def _profile_from_span(node: Node, sp: Optional[Span]) -> OperatorProfile:
     return prof
 
 
-def build_report(
-    planned_node: Node,
-    rewrites: list[str],
-    roots: "list[Span]",
-    statement: str,
-    total_ms: float,
-    ledger_delta: Optional[dict[str, int]] = None,
-    cells_examined: int = 0,
+def profile_operators(
+    planned: Any,
+    span: Span,
     describe_ref: Optional[Callable[[str], dict[str, Any]]] = None,
-    grid_status: Optional[dict[str, Any]] = None,
-    planned: Optional[Any] = None,
-) -> ExplainReport:
-    """Assemble the report for one executed statement.
+) -> OperatorProfile:
+    """The operator tree of one executed plan, measured and estimated.
 
+    *planned* is the :class:`~repro.query.planner.PlannedQuery` that ran
+    and *span* any span its operator spans sit under; they are joined by
+    plan-node identity (the executor tags each operator span with
+    ``node_id``), as are the planner's physical annotations.
     *describe_ref* (optional) annotates ``scan`` leaves from the catalog
     — e.g. cell counts and grid fan-out for a distributed array.
-    *planned* (a :class:`~repro.query.planner.PlannedQuery`, optional)
-    joins the planner's physical annotations onto the measured tree by
-    node identity, so every operator renders estimated next to actual.
     """
-    index = _index_spans(roots)
+    index = {
+        sp.attrs["node_id"]: sp for sp in span.walk() if "node_id" in sp.attrs
+    }
 
     def profile(node: Node) -> OperatorProfile:
         if isinstance(node, SelectNode):
@@ -276,24 +261,15 @@ def build_report(
             prof.cells_out = int(info.get("cells", prof.cells_out))
             prof.nodes_visited = int(info.get("nodes", prof.nodes_visited))
             prof.distributed = bool(info.get("distributed", prof.distributed))
-        if planned is not None:
-            phys = planned.physical_for(node)
-            if phys is not None:
-                prof.est_cells = phys.est_cells
-                prof.est_chunks = phys.est_chunks
-                prof.est_chunks_pruned = phys.est_chunks_pruned
-                prof.est_ms = phys.est_ms
-                prof.strategy = phys.strategy
+        phys = planned.physical_for(node)
+        if phys is not None:
+            prof.est_cells = phys.est_cells
+            prof.est_chunks = phys.est_chunks
+            prof.est_chunks_pruned = phys.est_chunks_pruned
+            prof.est_ms = phys.est_ms
+            prof.strategy = phys.strategy
         if isinstance(node, OpNode):
             prof.children = [profile(arg) for arg in node.args]
         return prof
 
-    return ExplainReport(
-        statement=statement,
-        rewrites=list(rewrites),
-        root=profile(planned_node),
-        total_ms=total_ms,
-        ledger_delta=dict(ledger_delta or {}),
-        cells_examined=cells_examined,
-        grid_status=dict(grid_status or {}),
-    )
+    return profile(planned.node)

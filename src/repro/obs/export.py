@@ -1,15 +1,15 @@
 """Exporters: Prometheus text exposition, JSONL event dumps, status.
 
-Three ways out of the flight recorder and the metrics registry:
+Three ways out of the flight recorder and the owners' counters:
 
 * :func:`prometheus_text` — the unified ``metrics_snapshot`` dict
-  rendered in the Prometheus text exposition format (``# TYPE`` lines,
-  ``_total`` counter suffixes, per-node series labelled
-  ``{grid="...",node="..."}``), so a real scrape target is one HTTP
-  handler away.
-* :func:`events_jsonl` / :func:`write_events_jsonl` — the event ring as
-  one JSON object per line, the interchange format for offline drill
-  reconciliation.
+  rendered in the Prometheus text exposition format (one ``# TYPE`` line
+  per metric family, ``_total`` counter suffixes, escaped label values,
+  per-node series labelled ``{grid="...",node="..."}``); the service
+  serves it at ``GET /metrics``.
+* :func:`events_jsonl` — the event ring as one JSON object per line,
+  the interchange format for offline drill reconciliation (and
+  ``GET /events``).
 * :func:`status_text` — the one-screen ``db.status()`` report: health,
   recent events, recent query profiles and the headline counters.
 
@@ -20,7 +20,6 @@ export never meters, samples, or mutates anything.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from typing import Any, Iterable, Optional
 
 from .health import HealthReport
@@ -29,16 +28,20 @@ from .recorder import FlightRecorder, RecordedEvent
 __all__ = [
     "prometheus_text",
     "events_jsonl",
-    "write_events_jsonl",
     "status_text",
 ]
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
+_LABEL_ESCAPES = str.maketrans({"\\": r"\\", '"': r"\"", "\n": r"\n"})
 
-
-def _metric_name(name: str, prefix: str = "repro") -> str:
-    """A Prometheus-legal metric name from a dotted instrument name."""
-    return f"{prefix}_{_NAME_OK.sub('_', name)}"
+_NODE_COUNTERS = (
+    "cells_stored", "cells_scanned", "bytes_received", "bytes_sent",
+    "failovers_served", "read_retries",
+)
+_RESILIENCE_COUNTERS = (
+    "failovers", "hedges", "hedge_wins", "breaker_skips", "deadline_misses",
+    "dual_reads", "breaker_transitions",
+)
 
 
 def _fmt(value: Any) -> str:
@@ -52,108 +55,94 @@ def _fmt(value: Any) -> str:
 def _labels(**labels: Any) -> str:
     if not labels:
         return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
+    inner = ",".join(
+        f'{k}="{str(v).translate(_LABEL_ESCAPES)}"'
+        for k, v in sorted(labels.items())
+    )
     return "{" + inner + "}"
 
 
-def prometheus_text(snapshot: dict[str, Any], prefix: str = "repro") -> str:
+def prometheus_text(snapshot: dict[str, Any]) -> str:
     """Render one ``metrics_snapshot()`` dict as Prometheus exposition.
 
-    Registry counters become ``<prefix>_<name>_total``, gauges and
-    histogram summaries keep their names, and per-grid node accounting
-    is emitted as labelled series.  The output ends with a newline, as
-    the exposition format requires.
+    Counters become ``repro_<name>_total``, the latency summary keeps
+    its name, and per-grid node accounting is emitted as labelled
+    series.  Samples are grouped by metric family so each family has
+    exactly one ``# TYPE`` line, however many grids contribute series to
+    it.  The output ends with a newline, as the exposition format
+    requires.
     """
-    lines: list[str] = []
+    #: family -> (type, sample lines), in first-seen order
+    families: dict[str, tuple[str, list[str]]] = {}
+
+    def sample(
+        name: str, mtype: str, value: Any, suffix: str = "", /, **labels: Any
+    ) -> None:
+        family = "repro_" + _NAME_OK.sub("_", name)
+        if mtype == "counter":
+            family += "_total"
+        lines = families.setdefault(family, (mtype, []))[1]
+        lines.append(f"{family}{suffix}{_labels(**labels)} {_fmt(value)}")
 
     for name, value in snapshot.get("counters", {}).items():
-        metric = _metric_name(name, prefix) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_fmt(value)}")
-    for name, value in snapshot.get("gauges", {}).items():
-        metric = _metric_name(name, prefix)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_fmt(value)}")
+        sample(name, "counter", value)
     for name, summary in snapshot.get("histograms", {}).items():
-        metric = _metric_name(name, prefix)
-        lines.append(f"# TYPE {metric} summary")
-        for q in ("p50", "p95"):
-            if q in summary:
-                quantile = {"p50": "0.5", "p95": "0.95"}[q]
-                lines.append(
-                    f"{metric}{_labels(quantile=quantile)} {_fmt(summary[q])}"
-                )
-        lines.append(f"{metric}_sum {_fmt(summary.get('sum', 0))}")
-        lines.append(f"{metric}_count {_fmt(summary.get('count', 0))}")
+        sample(name, "summary", summary["p50"], quantile="0.5")
+        sample(name, "summary", summary["p95"], quantile="0.95")
+        sample(name, "summary", summary["sum"], "_sum")
+        sample(name, "summary", summary["count"], "_count")
 
     for gname, grid in snapshot.get("grids", {}).items():
         ledger = grid.get("ledger", {})
-        metric = _metric_name("grid.ledger.bytes", prefix) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(
-            f"{metric}{_labels(grid=gname)} {_fmt(ledger.get('total_bytes', 0))}"
+        sample(
+            "grid.ledger.bytes", "counter", ledger.get("total_bytes", 0),
+            grid=gname,
         )
         for reason, nbytes in sorted(ledger.get("by_reason", {}).items()):
-            lines.append(
-                f"{metric}{_labels(grid=gname, reason=reason)} {_fmt(nbytes)}"
+            sample(
+                "grid.ledger.bytes", "counter", nbytes,
+                grid=gname, reason=reason,
             )
         for node in grid.get("nodes", []):
             nid = node.get("node_id")
-            up = _metric_name("grid.node.alive", prefix)
-            lines.append(
-                f"{up}{_labels(grid=gname, node=nid)} "
-                f"{_fmt(1 if node.get('alive') else 0)}"
+            sample(
+                "grid.node.alive", "gauge", 1 if node.get("alive") else 0,
+                grid=gname, node=nid,
             )
-            for counter in (
-                "cells_stored", "cells_scanned", "bytes_received",
-                "bytes_sent", "failovers_served", "read_retries",
-            ):
+            for counter in _NODE_COUNTERS:
                 if counter in node:
-                    metric = _metric_name(f"grid.node.{counter}", prefix)
-                    metric += "_total"
-                    lines.append(
-                        f"{metric}{_labels(grid=gname, node=nid)} "
-                        f"{_fmt(node[counter])}"
+                    sample(
+                        f"grid.node.{counter}", "counter", node[counter],
+                        grid=gname, node=nid,
                     )
         resilience = grid.get("resilience", {})
-        for counter in (
-            "failovers", "hedges", "hedge_wins", "breaker_skips",
-            "deadline_misses", "dual_reads", "breaker_transitions",
-        ):
+        for counter in _RESILIENCE_COUNTERS:
             if counter in resilience:
-                metric = _metric_name(f"grid.resilience.{counter}", prefix)
-                metric += "_total"
-                lines.append(
-                    f"{metric}{_labels(grid=gname)} {_fmt(resilience[counter])}"
+                sample(
+                    f"grid.resilience.{counter}", "counter",
+                    resilience[counter], grid=gname,
                 )
 
     recorder = snapshot.get("flight_recorder")
     if recorder:
-        metric = _metric_name("flight.events", prefix) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_fmt(recorder['events']['emitted'])}")
+        sample("flight.events", "counter", recorder["events"]["emitted"])
         for kind, count in sorted(recorder["events"]["by_kind"].items()):
-            lines.append(f"{metric}{_labels(kind=kind)} {_fmt(count)}")
-        metric = _metric_name("flight.profiles_retained", prefix)
-        lines.append(f"{metric} {_fmt(recorder['profiles']['retained'])}")
+            sample("flight.events", "counter", count, kind=kind)
+        sample(
+            "flight.profiles_retained", "gauge",
+            recorder["profiles"]["retained"],
+        )
 
-    return "\n".join(lines) + "\n"
+    out: list[str] = []
+    for family, (mtype, lines) in families.items():
+        out.append(f"# TYPE {family} {mtype}")
+        out.extend(lines)
+    return "\n".join(out) + "\n"
 
 
 def events_jsonl(events: Iterable[RecordedEvent]) -> str:
     """The events as JSON Lines (one object per line, oldest first)."""
     return "".join(e.to_json() + "\n" for e in events)
-
-
-def write_events_jsonl(
-    events: Iterable[RecordedEvent], path: "str | Path"
-) -> int:
-    """Dump *events* to *path* as JSONL; returns the number written."""
-    events = list(events)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(events_jsonl(events), encoding="utf-8")
-    return len(events)
 
 
 def _truncate(text: str, width: int = 56) -> str:
@@ -178,9 +167,9 @@ def status_text(
         if hist:
             bits.append(f"p50={hist['p50']:.2f}ms")
             bits.append(f"p95={hist['p95']:.2f}ms")
-        slow = snapshot.get("slow_query_log")
-        if slow:
-            bits.append(f"slow={slow.get('logged', 0)}")
+        slow = snapshot.get("flight_recorder", {}).get("profiles", {})
+        if slow.get("slow"):
+            bits.append(f"slow={slow['slow']}")
         total_moved = sum(
             g.get("ledger", {}).get("total_bytes", 0)
             for g in snapshot.get("grids", {}).values()

@@ -1,55 +1,61 @@
-"""The flight recorder: continuous, bounded operational memory.
+"""The flight recorder: the one operational record, bounded in memory.
 
-The engine's point-in-time observability (tracing spans, the metrics
-registry, ``EXPLAIN ANALYZE``) answers "what is happening *right now*";
-this module answers "what has been happening *lately*" — the §2.7
-designer loop and the paper's "the system must explain what it did" both
-presuppose telemetry that persists beyond a single call.  Three bounded
-stores, composed by one :class:`FlightRecorder`:
+Cumulative facts are counted once, by their owners (see
+:mod:`repro.obs`); what the recorder adds is the account of *what
+happened to a statement* — the §2.7 designer loop and the paper's "the
+system must explain what it did" both presuppose telemetry that persists
+beyond a single call.  Three bounded stores, composed by one
+:class:`FlightRecorder`:
 
 * :class:`EventLog` — a ring buffer of typed :class:`RecordedEvent`
   records (node kill/rebuild, breaker open/close, rebalance lifecycle,
   WAL tears, deadline misses, quarantines, cache eviction pressure …),
   each stamped with a **monotonic sequence number** (the deterministic
-  ordering drills reconcile against) and a wall-clock timestamp (for
-  humans).  Per-kind totals survive ring eviction, so completeness
-  reconciliation works even after the ring wraps.
-* :class:`QueryProfileStore` — the last N completed statements, each a
-  :class:`QueryProfile` holding the operator tree
+  ordering drills reconcile against), a wall-clock timestamp (for
+  humans) and the ``query_id`` of the statement whose thread — or
+  adopted worker — emitted it (``None`` outside any statement).
+  Per-kind totals survive ring eviction, so completeness reconciliation
+  works even after the ring wraps.
+* :class:`QueryProfileStore` — the last N statements, each a
+  :class:`QueryProfile`: the statement's span tree from the moment it
+  entered the engine (parse → plan → execute, self-times summing to its
+  wall time), the operator tree
   (:class:`~repro.obs.explain.OperatorProfile`) with per-op time /
-  cells / bytes / parallelism / failovers and the cache hit ratio,
-  plus an ``estimated`` summary of the planner's predictions (cells,
-  ms, chunks, pruned chunks, strategy choices) for estimated-vs-actual
-  history — ``db.profiles()`` / ``db.profile(id)`` replay any recent
-  query's explain after the fact.
+  cells / bytes / parallelism / failovers and the cache hit ratio, and
+  an ``estimated`` summary of the planner's predictions —
+  ``db.profiles()`` / ``db.profile(id)`` replay any recent query's
+  explain after the fact.  Statements at or over ``slow_query_ms`` are
+  also held in a second, smaller ring (``db.slow_queries()``); the
+  statement count and latency sum stay exact past eviction.
 * :class:`GaugeSampler` — fixed-size rings of per-node gauge samples
   (cells stored, WAL depth, cache bytes, breaker state, imbalance), so
-  trends survive.  Sampling is **off by default** and explicit: call
-  :meth:`FlightRecorder.sample` from a drill loop, or
-  :meth:`FlightRecorder.start_sampling` for a background thread.
+  trends survive.  Sampling is explicit (:meth:`FlightRecorder.sample`).
 
 One process-wide recorder (swap with :func:`set_flight_recorder`) keeps
-the hook sites one-liners, mirroring the metrics-registry idiom::
+the hook sites one-liners::
 
     from repro.obs import recorder as flight
     flight.emit("node_rebuild", node=3, cells=1200)
 
 Cost discipline: with the recorder disabled, :func:`emit` is one
-function call and one attribute check — nothing allocates.  Every store
-is capped (ring buffers, last-N deques), so a long-running service's
-recorder memory is a constant.
+function call and one attribute check and no statement opens a span —
+nothing allocates.  Every store is capped (ring buffers, last-N
+deques), so a long-running service's recorder memory is a constant.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import weakref
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator, Optional, TYPE_CHECKING
+
+from . import tracing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .explain import OperatorProfile
@@ -75,6 +81,7 @@ class RecordedEvent:
     ``seq`` is a recorder-wide monotonic sequence number — two events'
     relative order is exactly their emission order, which is what drills
     reconcile (wall-clock ``ts`` is for humans and exports only).
+    ``query_id`` joins the event to the statement it happened to.
     """
 
     seq: int
@@ -83,6 +90,7 @@ class RecordedEvent:
     node: Optional[int] = None
     array: Optional[str] = None
     detail: dict[str, Any] = field(default_factory=dict)
+    query_id: Optional[str] = None
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"seq": self.seq, "ts": self.ts, "kind": self.kind}
@@ -90,6 +98,8 @@ class RecordedEvent:
             out["node"] = self.node
         if self.array is not None:
             out["array"] = self.array
+        if self.query_id is not None:
+            out["query_id"] = self.query_id
         if self.detail:
             out["detail"] = self.detail
         return out
@@ -103,6 +113,8 @@ class RecordedEvent:
             bits.append(f"node={self.node}")
         if self.array is not None:
             bits.append(f"array={self.array}")
+        if self.query_id is not None:
+            bits.append(f"query={self.query_id}")
         bits.extend(f"{k}={v}" for k, v in self.detail.items())
         return " ".join(bits)
 
@@ -121,6 +133,7 @@ class EventLog:
         self.capacity = capacity
         self._ring: deque[RecordedEvent] = deque(maxlen=capacity)
         self._seq = 0
+        self._evicted = 0
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -131,6 +144,7 @@ class EventLog:
         array: Optional[str] = None,
         **detail: Any,
     ) -> RecordedEvent:
+        query_id = tracing.current_query_id()
         with self._lock:
             self._seq += 1
             event = RecordedEvent(
@@ -140,7 +154,10 @@ class EventLog:
                 node=node,
                 array=array,
                 detail=detail,
+                query_id=query_id,
             )
+            if len(self._ring) == self.capacity:
+                self._evicted += 1
             self._ring.append(event)
             self._counts[kind] = self._counts.get(kind, 0) + 1
         return event
@@ -177,14 +194,15 @@ class EventLog:
     def evicted(self) -> int:
         """Events pushed out of the ring by newer ones."""
         with self._lock:
-            return self._seq - len(self._ring)
+            return self._evicted
 
     def clear(self) -> None:
+        """Drop the retained events.  The totals are NOT reset: sequence
+        numbers stay monotonic for the recorder's lifetime (``since_seq``
+        bookmarks stay valid) and so do the per-kind counts (exported
+        counters never go backwards)."""
         with self._lock:
             self._ring.clear()
-            self._counts.clear()
-            # _seq is NOT reset: sequence numbers stay monotonic for the
-            # recorder's lifetime, so ``since_seq`` bookmarks stay valid.
 
     def __len__(self) -> int:
         with self._lock:
@@ -196,8 +214,12 @@ class EventLog:
 
 @dataclass
 class QueryProfile:
-    """One completed statement's retained execution profile.
+    """One statement's retained record.
 
+    Opened where the statement enters the engine
+    (:meth:`FlightRecorder.statement`) and stored when its root span
+    closes.  ``span`` is that root — parse, plan, execute and the
+    operator spans beneath it, whose ``self_ms`` sum to ``total_ms``.
     ``root`` is the same per-operator tree ``EXPLAIN ANALYZE`` renders
     (time / cells / bytes / parallelism / failovers / cache hits per
     operator) — :meth:`render` replays the explain after the fact.
@@ -210,7 +232,7 @@ class QueryProfile:
     query_id: str
     statement: str
     started_at: float
-    total_ms: float
+    total_ms: float = 0.0
     rewrites: list[str] = field(default_factory=list)
     root: "Optional[OperatorProfile]" = None
     cells_examined: int = 0
@@ -218,6 +240,8 @@ class QueryProfile:
     #: the planner's predictions for this statement (cells/ms/chunks/
     #: chunks_pruned/strategies); None when nothing was planned (DDL)
     estimated: Optional[dict[str, Any]] = None
+    #: the statement's root span (None on a hand-built profile)
+    span: Optional[tracing.Span] = None
 
     def _sum(self, attr: str) -> float:
         if self.root is None:
@@ -248,16 +272,6 @@ class QueryProfile:
         total = hits + self._sum("cache_misses")
         return hits / total if total else None
 
-    @property
-    def parallelism(self) -> Optional[int]:
-        """The widest fan-out any operator used (None when fully local)."""
-        if self.root is None:
-            return None
-        widths = [
-            p.parallelism for p in self.root.walk() if p.parallelism is not None
-        ]
-        return max(widths) if widths else None
-
     def render(self) -> str:
         """Replay this query's explain from the retained profile."""
         lines = [f"PROFILE {self.query_id}  {self.statement}"]
@@ -265,6 +279,14 @@ class QueryProfile:
             lines.append(f"  rewrite: {rw}")
         if self.root is not None:
             lines.append(self.root.render(1))
+        if self.span is not None:
+            phases = ", ".join(
+                f"{sp.name} {sp.duration_ms:.3f} ms"
+                for sp in self.span.walk()
+                if sp.parent is not None and not sp.name.startswith("op:")
+            )
+            if phases:
+                lines.append(f"  phases: {phases}")
         lines.append(
             f"  total: {self.total_ms:.3f} ms, {self.bytes_moved} bytes moved"
             + (f", estimated: {self.estimated}" if self.estimated else "")
@@ -273,25 +295,48 @@ class QueryProfile:
             lines.append(f"  ERROR: {self.error}")
         return "\n".join(lines)
 
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-able form (``GET /profile``): the scalar fields, the
+        operator tree, and :meth:`render`'s text."""
+        out = {
+            key: getattr(self, key)
+            for key in (
+                "query_id", "statement", "started_at", "total_ms", "rewrites",
+                "cells_examined", "error", "estimated",
+            )
+        }
+        out["operators"] = asdict(self.root) if self.root is not None else None
+        out["rendered"] = self.render()
+        return out
+
     def __str__(self) -> str:
         return self.render()
 
 
 class QueryProfileStore:
-    """The last N completed queries, addressable by ``query_id``.
+    """The last N statements, addressable by ``query_id``.
 
     Ids are handed out from a monotonic counter (``q-000001`` …), so a
-    seeded drill's ids are deterministic; the slow-query log carries the
-    same id, correlating its entries back to full profiles here.
+    seeded drill's ids are deterministic.  Statements flagged *slow* are
+    also held — by reference — in a second, smaller ring, so they stay
+    addressable after the main ring has moved on.  The statement count
+    and latency sum are all-time totals; the latency quantiles describe
+    the retained ring.
     """
+
+    #: slow statements kept after the main ring evicted them
+    SLOW_CAPACITY = 128
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("profile store capacity must be >= 1")
         self.capacity = capacity
         self._ring: deque[QueryProfile] = deque(maxlen=capacity)
+        self._slow: deque[QueryProfile] = deque(maxlen=self.SLOW_CAPACITY)
         self._by_id: dict[str, QueryProfile] = {}
         self._next = 0
+        self._count = 0
+        self._total_ms = 0.0
         self._lock = threading.Lock()
 
     def next_query_id(self) -> str:
@@ -299,17 +344,26 @@ class QueryProfileStore:
             self._next += 1
             return f"q-{self._next:06d}"
 
-    def add(self, profile: QueryProfile) -> None:
+    def add(self, profile: QueryProfile, slow: bool = False) -> None:
         with self._lock:
             if len(self._ring) == self.capacity:
                 evicted = self._ring[0]
                 self._by_id.pop(evicted.query_id, None)
             self._ring.append(profile)
             self._by_id[profile.query_id] = profile
+            self._count += 1
+            self._total_ms += profile.total_ms
+            if slow:
+                self._slow.append(profile)
 
     def get(self, query_id: str) -> Optional[QueryProfile]:
         with self._lock:
-            return self._by_id.get(query_id)
+            found = self._by_id.get(query_id)
+            if found is None:
+                found = next(
+                    (p for p in self._slow if p.query_id == query_id), None
+                )
+            return found
 
     def profiles(self, n: Optional[int] = None) -> list[QueryProfile]:
         """Retained profiles oldest-first (the last *n* if given)."""
@@ -317,9 +371,33 @@ class QueryProfileStore:
             out = list(self._ring)
         return out[-n:] if n is not None else out
 
+    def slow(self) -> list[QueryProfile]:
+        """The retained slow statements, oldest first."""
+        with self._lock:
+            return list(self._slow)
+
+    def latency(self) -> dict[str, float]:
+        """Statement latency: all-time ``count``/``sum`` (exact past
+        eviction) and ``p50``/``p95`` over the retained ring."""
+        with self._lock:
+            times = sorted(p.total_ms for p in self._ring)
+            count, total = self._count, self._total_ms
+
+        def quantile(q: float) -> float:
+            if not times:
+                return 0.0
+            return times[max(0, math.ceil(q * len(times)) - 1)]
+
+        return {
+            "count": count, "sum": total,
+            "p50": quantile(0.50), "p95": quantile(0.95),
+        }
+
     def clear(self) -> None:
+        """Drop the retained profiles (ids and totals keep counting)."""
         with self._lock:
             self._ring.clear()
+            self._slow.clear()
             self._by_id.clear()
 
     def __len__(self) -> int:
@@ -398,14 +476,14 @@ _BREAKER_LEVEL = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
 
 class FlightRecorder:
-    """Event log + query profiles + gauge sampler, as one instrument.
+    """Event log + statement records + gauge sampler, as one instrument.
 
-    ``enabled`` gates events and profile capture together (the
-    satellite stores stay allocated but untouched when off).  Gauge
-    sampling is separately explicit — :meth:`sample` takes one pass over
-    every watched grid; :meth:`start_sampling` runs passes from a
-    daemon thread for long-lived services.  Grids are held through weak
-    references so a recorder never keeps a torn-down grid alive.
+    ``enabled`` gates events and statement capture together (the stores
+    stay allocated but untouched when off).  ``slow_query_ms`` is the
+    wall time at or over which a statement counts as slow.  Gauge
+    sampling is explicit — :meth:`sample` takes one pass over every
+    watched grid.  Grids are held through weak references so a recorder
+    never keeps a torn-down grid alive.
     """
 
     def __init__(
@@ -413,18 +491,17 @@ class FlightRecorder:
         enabled: bool = True,
         event_capacity: int = 4096,
         profile_capacity: int = 256,
-        sample_capacity: int = 512,
-        capture_profiles: bool = True,
+        slow_query_ms: float = 100.0,
     ) -> None:
+        if slow_query_ms < 0:
+            raise ValueError("slow_query_ms must be >= 0")
         self.enabled = enabled
-        self.capture_profiles = capture_profiles
+        self.slow_query_ms = slow_query_ms
         self.events_log = EventLog(capacity=event_capacity)
         self.profile_store = QueryProfileStore(capacity=profile_capacity)
-        self.sampler = GaugeSampler(capacity=sample_capacity)
+        self.sampler = GaugeSampler()
         self._grids: dict[str, "weakref.ref[Any]"] = {}
         self._grids_lock = threading.Lock()
-        self._sampling_thread: Optional[threading.Thread] = None
-        self._sampling_stop = threading.Event()
 
     # -- events ----------------------------------------------------------------
 
@@ -450,14 +527,63 @@ class FlightRecorder:
     def event_counts(self) -> dict[str, int]:
         return self.events_log.counts()
 
-    # -- query profiles --------------------------------------------------------
+    # -- statement records -----------------------------------------------------
 
-    def next_query_id(self) -> str:
-        return self.profile_store.next_query_id()
+    @contextmanager
+    def statement(
+        self, statement: Any, name: str = "query", force: bool = False
+    ) -> Iterator[Optional[QueryProfile]]:
+        """Open the record of *statement* (text, or a parse tree — kept as
+        ``<NodeType>``) where it enters the engine.
+
+        The outermost entry point — the service's ``execute_query``,
+        ``db.explain`` or ``Executor.run`` — opens the root span, mints
+        the query id and stores the record when the root closes; an
+        entry point that finds a span already open nests under it and is
+        handed the record its root carries.  Yields ``None``, and opens
+        nothing, when the recorder is off (unless *force*: EXPLAIN
+        traces regardless).
+        """
+        outer = tracing.current_span()
+        if outer is not None:
+            with tracing.span(name):
+                yield outer.root.attrs.get("record")
+            return
+        if not (self.enabled or force):
+            yield None
+            return
+        record = QueryProfile(
+            query_id=self.profile_store.next_query_id(),
+            statement=(
+                statement
+                if isinstance(statement, str)
+                else f"<{type(statement).__name__}>"
+            ),
+            started_at=time.time(),
+        )
+        try:
+            with tracing.root(name, record=record) as root:
+                root.query_id = record.query_id
+                record.span = root
+                yield record
+        finally:
+            del root.attrs["record"]  # the record holds the span, not both ways
+            record.total_ms = root.duration_ms
+            record.error = root.error
+            self.record_profile(record)
 
     def record_profile(self, profile: QueryProfile) -> None:
         if self.enabled:
-            self.profile_store.add(profile)
+            self.profile_store.add(
+                profile, slow=profile.total_ms >= self.slow_query_ms
+            )
+
+    def slow_queries(self) -> list[QueryProfile]:
+        """Retained statements at or over ``slow_query_ms``, oldest first."""
+        return [
+            p for p in self.profile_store.slow()
+            if p.total_ms >= self.slow_query_ms
+        ]
 
     def profiles(self, n: Optional[int] = None) -> list[QueryProfile]:
         return self.profile_store.profiles(n)
@@ -535,35 +661,6 @@ class FlightRecorder:
             updated += 2
         return updated
 
-    @property
-    def sampling(self) -> bool:
-        t = self._sampling_thread
-        return t is not None and t.is_alive()
-
-    def start_sampling(self, interval_s: float = 1.0) -> None:
-        """Sample every *interval_s* seconds from a daemon thread."""
-        if interval_s <= 0:
-            raise ValueError("sampling interval must be > 0")
-        if self.sampling:
-            return
-        self._sampling_stop.clear()
-
-        def loop() -> None:
-            while not self._sampling_stop.wait(interval_s):
-                self.sample()
-
-        self._sampling_thread = threading.Thread(
-            target=loop, name="repro-flight-sampler", daemon=True
-        )
-        self._sampling_thread.start()
-
-    def stop_sampling(self) -> None:
-        self._sampling_stop.set()
-        t = self._sampling_thread
-        if t is not None:
-            t.join(timeout=5.0)
-        self._sampling_thread = None
-
     # -- lifecycle -------------------------------------------------------------
 
     def clear(self) -> None:
@@ -584,11 +681,12 @@ class FlightRecorder:
             "profiles": {
                 "retained": len(self.profile_store),
                 "capacity": self.profile_store.capacity,
+                "slow": len(self.slow_queries()),
+                "slow_query_ms": self.slow_query_ms,
             },
             "sampler": {
                 "series": len(self.sampler.keys()),
                 "passes": self.sampler.samples_taken,
-                "sampling": self.sampling,
             },
         }
 

@@ -1,29 +1,29 @@
-"""Hierarchical tracing spans for the query/grid/storage layers.
+"""Hierarchical tracing spans: one trace context per thread.
 
 A :class:`Span` is one timed region of work: it has a name, a monotonic
 start/end (``time.perf_counter``), a parent link, free-form attributes,
 additive *counters* (``span.add("bytes_moved", n)``) and set-valued
 *marks* (``span.mark("nodes", site)`` — deduplicating, for "which nodes
-did this touch").  Spans nest through a per-thread stack managed by the
-active :class:`SpanRecorder`.
+did this touch").
 
-The active recorder is **per thread** (swap it with
-:func:`set_recorder` or the :func:`use` context manager): two threads
-executing statements concurrently each trace into their own recorder,
-so one query's profile tree can never absorb — or truncate — another's.
-Threads that never installed one fall back to the shared process
-default, a :class:`NoopRecorder` whose :meth:`~NoopRecorder.span` hands
-back a shared, stateless null span — the instrumented hot paths then
-cost one function call and allocate nothing.  The partition scheduler
-captures the coordinator's recorder at fan-out time and installs it
-inside each worker (alongside :func:`adopt`), so parallel partition
-reads keep metering into the owning query's spans.  Instrumentation
-that would do real work to *compute* an annotation (counting cells,
-say) should guard on :func:`enabled` first.
+A thread either has a current span or it does not.  :func:`root` opens a
+real span wherever a statement enters the engine — as the thread's root
+if nothing is open, nested under the current span otherwise, so an inner
+entry point never starts a second tree.  :func:`span` opens a child only
+*under* a current span; on a thread with none it hands back the shared,
+stateless :data:`NULL_SPAN`, so the instrumented hot paths of an untraced
+statement cost one function call and allocate nothing.  Stacks are per
+thread: two threads executing statements concurrently build disjoint
+trees, and a worker thread joins a statement's tree only by
+:func:`adopt`-ing the coordinator's open span (the partition scheduler
+does this at fan-out), after which its ``add_current``/``mark_current``
+calls — and the events it emits — land on the owning statement.
+Instrumentation that would do real work to *compute* an annotation
+(counting cells, say) should guard on :func:`enabled` first.
 
 Exception safety is part of the contract: a span whose body raises is
-still closed, records the error on itself, and leaves the recorder's
-stack consistent, so one failing query never poisons the next trace.
+still closed, records the error on itself, and leaves the thread's stack
+consistent, so one failing query never poisons the next trace.
 """
 
 from __future__ import annotations
@@ -36,19 +36,17 @@ from typing import Any, Iterator, Optional
 
 __all__ = [
     "Span",
-    "SpanRecorder",
-    "NoopRecorder",
+    "NULL_SPAN",
+    "root",
     "span",
     "current_span",
+    "current_query_id",
     "add_current",
     "add_current_pair",
     "mark_current",
     "annotate_current",
     "adopt",
     "enabled",
-    "get_recorder",
-    "set_recorder",
-    "use",
 ]
 
 
@@ -61,8 +59,8 @@ class Span:
     """
 
     __slots__ = (
-        "name", "attrs", "_counters_mt", "marks", "parent", "children",
-        "error", "t_start", "t_end", "_lock",
+        "name", "attrs", "_counters_mt", "marks", "parent", "root",
+        "query_id", "children", "error", "t_start", "t_end", "_lock",
     )
 
     def __init__(
@@ -73,6 +71,13 @@ class Span:
     ) -> None:
         self.name = name
         self.parent = parent
+        if parent is None:
+            self.root = self
+        else:
+            self.root = parent.root
+            parent.children.append(self)
+        #: on a root: the statement's id, stamped on events emitted under it
+        self.query_id: Optional[str] = None
         self.children: list[Span] = []
         self.attrs: dict[str, Any] = dict(attrs) if attrs else {}
         # Counters are sharded per writing thread so the hot accumulate
@@ -136,6 +141,12 @@ class Span:
         """Wall time in milliseconds (up to now if still open)."""
         end = self.t_end if self.t_end is not None else time.perf_counter()
         return (end - self.t_start) * 1e3
+
+    @property
+    def self_ms(self) -> float:
+        """Wall time not covered by child spans.  Over a tree the
+        self-times telescope: they sum to the root's ``duration_ms``."""
+        return self.duration_ms - sum(c.duration_ms for c in self.children)
 
     # -- traversal --------------------------------------------------------------
 
@@ -202,144 +213,84 @@ NULL_SPAN = _NullSpan()
 
 
 class _SpanContext:
-    """Context manager that opens/closes one recorded span."""
+    """Context manager that opens/closes one span on a thread's stack."""
 
-    __slots__ = ("recorder", "name", "attrs", "span")
+    __slots__ = ("stack", "name", "attrs", "span")
 
-    def __init__(self, recorder: "SpanRecorder", name: str, attrs: dict) -> None:
-        self.recorder = recorder
+    def __init__(self, stack: "list[Span]", name: str, attrs: dict) -> None:
+        self.stack = stack
         self.name = name
         self.attrs = attrs
         self.span: Optional[Span] = None
 
     def __enter__(self) -> Span:
-        stack = self.recorder._stack()
-        parent = stack[-1] if stack else None
-        sp = Span(self.name, parent=parent, attrs=self.attrs)
-        if parent is None:
-            self.recorder.roots.append(sp)
-        else:
-            parent.children.append(sp)
+        stack = self.stack
+        sp = self.span = Span(
+            self.name, parent=stack[-1] if stack else None, attrs=self.attrs
+        )
         stack.append(sp)
-        self.span = sp
         return sp
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         sp = self.span
-        stack = self.recorder._stack()
-        # Pop robustly: an exception that skipped inner __exit__s must not
-        # leave the stack pointing at a dead span.
-        if stack and stack[-1] is sp:
-            stack.pop()
-        else:  # pragma: no cover - defensive
-            try:
-                stack.remove(sp)
-            except ValueError:
-                pass
         assert sp is not None
+        _pop(self.stack, sp)
         sp.close(error=None if exc is None else f"{exc_type.__name__}: {exc}")
         return False
 
 
-class SpanRecorder:
-    """Records a forest of span trees; one nesting stack per thread."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.roots: list[Span] = []
-        self._local = threading.local()
-
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def span(self, name: str, **attrs: Any) -> _SpanContext:
-        return _SpanContext(self, name, attrs)
-
-    def current(self) -> Optional[Span]:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def clear(self) -> None:
-        self.roots.clear()
-        self._local = threading.local()
-
-    def render(self) -> str:
-        return "\n".join(root.render() for root in self.roots)
+def _pop(stack: "list[Span]", sp: Span) -> None:
+    # Pop robustly: an exception that skipped inner __exit__s must not
+    # leave the stack pointing at a dead span.
+    if stack and stack[-1] is sp:
+        stack.pop()
+    else:  # pragma: no cover - defensive
+        try:
+            stack.remove(sp)
+        except ValueError:
+            pass
 
 
-class NoopRecorder:
-    """The default recorder: spans are the shared null span, nothing is
-    kept, nothing is allocated."""
-
-    enabled = False
-
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def current(self) -> None:
-        return None
-
-    def clear(self) -> None:
-        pass
+#: Each thread's stack of open spans (absent or empty: nothing traced).
+_local = threading.local()
 
 
-#: Fallback for threads that never installed a recorder: trace nothing.
-_default_recorder: NoopRecorder = NoopRecorder()
-_active = threading.local()
+def _stack() -> "list[Span]":
+    stack = getattr(_local, "stack", None)
+    if stack is None:
+        stack = _local.stack = []
+    return stack
 
 
-def get_recorder() -> "SpanRecorder | NoopRecorder":
-    """This thread's active recorder (the no-op default if none set)."""
-    rec = getattr(_active, "recorder", None)
-    return rec if rec is not None else _default_recorder
+def root(name: str, **attrs: Any) -> _SpanContext:
+    """Open a real span: the thread's root, or nested if one is open."""
+    return _SpanContext(_stack(), name, attrs)
 
 
-def set_recorder(
-    recorder: "SpanRecorder | NoopRecorder",
-) -> "SpanRecorder | NoopRecorder":
-    """Install *recorder* for THIS thread; returns the thread's previous.
-
-    Per-thread scoping is what keeps concurrent statements' profile
-    trees disjoint: a service thread swapping recorders around its query
-    cannot disable (or adopt) the tracing of a query running on another
-    thread.  Worker threads spawned mid-query get the coordinator's
-    recorder installed by the partition scheduler, not ambiently.
-    """
-    old = getattr(_active, "recorder", None)
-    _active.recorder = recorder
-    return old if old is not None else _default_recorder
+def span(name: str, **attrs: Any) -> "_SpanContext | _NullSpan":
+    """Open a child of the current span (the null span if there is none)."""
+    stack = getattr(_local, "stack", None)
+    return _SpanContext(stack, name, attrs) if stack else NULL_SPAN
 
 
-@contextmanager
-def use(recorder: "SpanRecorder | NoopRecorder") -> Iterator["SpanRecorder | NoopRecorder"]:
-    """Activate *recorder* for the duration of the block."""
-    old = set_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_recorder(old)
+def current_span() -> Optional[Span]:
+    stack = getattr(_local, "stack", None)
+    return stack[-1] if stack else None
+
+
+def current_query_id() -> Optional[str]:
+    """The id of the statement this thread is working for, if any."""
+    stack = getattr(_local, "stack", None)
+    return stack[-1].root.query_id if stack else None
 
 
 def enabled() -> bool:
-    """True when the active recorder actually records.
+    """True when this thread has a current span.
 
     Instrumentation whose *annotation itself* costs real work (counting
     cells, hashing) should check this before computing.
     """
-    return get_recorder().enabled
-
-
-def span(name: str, **attrs: Any):
-    """Open a span on the active recorder (no-op if tracing is off)."""
-    return get_recorder().span(name, **attrs)
-
-
-def current_span() -> Optional[Span]:
-    return get_recorder().current()
+    return bool(getattr(_local, "stack", None))
 
 
 def add_current(key: str, n: float = 1) -> None:
@@ -349,16 +300,14 @@ def add_current(key: str, n: float = 1) -> None:
     sites), so the enabled path is inlined: thread-local stack lookup
     plus one lock-free write into the span's per-thread counter shard.
     """
-    rec = getattr(_active, "recorder", None) or _default_recorder
-    if rec.enabled:
-        stack = getattr(rec._local, "stack", None)
-        if stack:
-            shards = stack[-1]._counters_mt
-            ident = _get_ident()
-            mine = shards.get(ident)
-            if mine is None:
-                mine = shards.setdefault(ident, {})
-            mine[key] = mine.get(key, 0) + n
+    stack = getattr(_local, "stack", None)
+    if stack:
+        shards = stack[-1]._counters_mt
+        ident = _get_ident()
+        mine = shards.get(ident)
+        if mine is None:
+            mine = shards.setdefault(ident, {})
+        mine[key] = mine.get(key, 0) + n
 
 
 def add_current_pair(key1: str, n1: float, key2: str, n2: float) -> None:
@@ -369,33 +318,27 @@ def add_current_pair(key1: str, n1: float, key2: str, n2: float) -> None:
     tracing cost, which is what keeps always-on query-profile capture
     inside its latency budget (E22).
     """
-    rec = getattr(_active, "recorder", None) or _default_recorder
-    if rec.enabled:
-        stack = getattr(rec._local, "stack", None)
-        if stack:
-            shards = stack[-1]._counters_mt
-            ident = _get_ident()
-            mine = shards.get(ident)
-            if mine is None:
-                mine = shards.setdefault(ident, {})
-            mine[key1] = mine.get(key1, 0) + n1
-            mine[key2] = mine.get(key2, 0) + n2
+    stack = getattr(_local, "stack", None)
+    if stack:
+        shards = stack[-1]._counters_mt
+        ident = _get_ident()
+        mine = shards.get(ident)
+        if mine is None:
+            mine = shards.setdefault(ident, {})
+        mine[key1] = mine.get(key1, 0) + n1
+        mine[key2] = mine.get(key2, 0) + n2
 
 
 def mark_current(key: str, value: Any) -> None:
-    rec = get_recorder()
-    if rec.enabled:
-        stack = rec._stack()
-        if stack:
-            stack[-1].mark(key, value)
+    stack = getattr(_local, "stack", None)
+    if stack:
+        stack[-1].mark(key, value)
 
 
 def annotate_current(**attrs: Any) -> None:
-    rec = get_recorder()
-    if rec.enabled:
-        stack = rec._stack()
-        if stack:
-            stack[-1].annotate(**attrs)
+    stack = getattr(_local, "stack", None)
+    if stack:
+        stack[-1].annotate(**attrs)
 
 
 @contextmanager
@@ -406,23 +349,17 @@ def adopt(span: Optional[Span]) -> Iterator[None]:
     fan-out time and adopts it inside each worker thread, so per-cell
     instrumentation (``add_current``/``mark_current``, ledger metering)
     keeps landing on the operator span that owns the work — the explain
-    report's bytes-moved reconciliation survives parallel execution.
-    The span is *not* closed on exit; only the thread-local stack entry
-    is removed.
+    report's bytes-moved reconciliation survives parallel execution —
+    and events the worker emits carry the owning statement's id.  The
+    span is *not* closed on exit; only the thread-local stack entry is
+    removed.  ``adopt(None)`` (nothing is being traced) does nothing.
     """
-    rec = get_recorder()
-    if span is None or not rec.enabled:
+    if span is None:
         yield
         return
-    stack = rec._stack()
+    stack = _stack()
     stack.append(span)
     try:
         yield
     finally:
-        if stack and stack[-1] is span:
-            stack.pop()
-        else:  # pragma: no cover - defensive
-            try:
-                stack.remove(span)
-            except ValueError:
-                pass
+        _pop(stack, span)

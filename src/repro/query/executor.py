@@ -13,7 +13,6 @@ executor then satisfies both Section 2.4 and Section 2.12 at once.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -26,10 +25,7 @@ from ..core.errors import PlanError, SchemaError
 from ..core.ops import get_operator
 from ..core.schema import ArraySchema, define_array
 from ..obs import tracing
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.recorder import QueryProfile, get_flight_recorder
-from ..obs.slowlog import SlowQueryLog
-from ..obs.tracing import SpanRecorder
+from ..obs.recorder import get_flight_recorder
 from .ast import (
     ArrayRef,
     CreateNode,
@@ -84,8 +80,6 @@ class Executor:
         self,
         planner: Optional[Planner] = None,
         provenance: "Optional[ProvenanceEngine]" = None,
-        slow_log: Optional[SlowQueryLog] = None,
-        metrics: Optional[MetricsRegistry] = None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.cost_model = cost_model if cost_model is not None else CostModel()
@@ -103,8 +97,6 @@ class Executor:
                 planner.cost_model = self.cost_model
         self.planner = planner
         self.provenance = provenance
-        self.slow_log = slow_log
-        self.metrics = metrics
         self.schemas: dict[str, ArraySchema] = {}
         self.arrays: dict[str, Any] = {}
         self._temp_counter = itertools.count()
@@ -193,8 +185,12 @@ class Executor:
         *config* overrides the planner's switches for this query only —
         e.g. ``PlannerConfig(enable_pruning=False)`` forces full scans.
         """
-        text = statement if isinstance(statement, str) else None
-        with tracing.span("query"):
+        # The statement's root span opens here — unless the service or
+        # EXPLAIN opened it already, in which case this nests under it —
+        # so parse and plan are inside the retained record.  With the
+        # recorder off and no EXPLAIN active, *record* is None and every
+        # span below is the shared null span.
+        with get_flight_recorder().statement(statement) as record:
             with tracing.span("parse"):
                 node = (
                     parse_statement(statement)
@@ -204,98 +200,30 @@ class Executor:
             with tracing.span("plan") as sp:
                 planned = self.planner.plan(node, config=config)
                 sp.add("rewrites", len(planned.rewrites))
-            return self.run_planned(planned, statement_text=text)
-
-    def run_planned(
-        self,
-        planned: PlannedQuery,
-        statement_text: Optional[str] = None,
-    ) -> ExecutionResult:
-        """Execute an already-planned query.
-
-        EXPLAIN uses this to run the *exact* planned tree it will later
-        annotate (operator spans are matched to plan nodes by identity,
-        and re-planning would rebuild the nodes).
-
-        When the process :class:`~repro.obs.recorder.FlightRecorder` is
-        capturing profiles (the default), the statement runs under a
-        span recorder (reusing an already-active one — e.g. EXPLAIN's —
-        rather than stacking a second) and its operator tree is retained
-        as a :class:`~repro.obs.recorder.QueryProfile`, correlated to
-        the slow-query log by ``query_id``.  With the recorder disabled
-        this costs one global read and one attribute check.
-        """
-        flight = get_flight_recorder()
-        capture = flight.enabled and flight.capture_profiles
-        text = statement_text or f"<{type(planned.node).__name__}>"
-        query_id: Optional[str] = None
-        span_recorder = None
-        previous = None
-        if capture:
-            query_id = flight.next_query_id()
-            active = tracing.get_recorder()
-            if active.enabled:
-                span_recorder = active  # EXPLAIN (or a test) already records
-            else:
-                span_recorder = SpanRecorder()
-                previous = tracing.set_recorder(span_recorder)
-        started_at = time.time()
-        t0 = time.perf_counter()
-        result = ExecutionResult(
-            None, rewrites=list(planned.rewrites), planned=planned
-        )
-        error: Optional[str] = None
-        try:
-            with tracing.span("execute"):
-                result.value = self._execute(planned.node, result)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            if previous is not None:
-                tracing.set_recorder(previous)
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
-            registry = (
-                self.metrics if self.metrics is not None else get_registry()
+            result = ExecutionResult(
+                None, rewrites=list(planned.rewrites), planned=planned
             )
-            registry.counter("query.statements").inc()
-            registry.histogram("query.latency_ms").observe(elapsed_ms)
-            if self.slow_log is not None:
-                self.slow_log.observe(
-                    text,
-                    elapsed_ms,
-                    {"cells_examined": result.cells_examined},
-                    query_id=query_id,
-                )
-            if capture and span_recorder is not None:
-                # Imported here: obs.explain imports the AST module, so a
-                # module-level import would close a cycle through
-                # query.__init__ while obs.__init__ is still loading.
-                from ..obs.explain import build_report
+            ok = False
+            try:
+                with tracing.span("execute") as sp:
+                    result.value = self._execute(planned.node, result)
+                ok = True
+            finally:
+                if record is not None:
+                    # Imported here: obs.explain imports the AST module,
+                    # so a module-level import would close a cycle through
+                    # query.__init__ while obs.__init__ is still loading.
+                    from ..obs.explain import profile_operators
 
-                report = build_report(
-                    planned.node, list(planned.rewrites),
-                    span_recorder.roots, text, elapsed_ms,
-                    planned=planned,
-                )
-                # Close the calibration loop: measured per-operator times
-                # feed the cost model that estimated them.
-                if error is None and self.cost_model is not None:
-                    self.cost_model.observe(report.root)
-                flight.record_profile(
-                    QueryProfile(
-                        query_id=query_id or "",
-                        statement=text,
-                        started_at=started_at,
-                        total_ms=elapsed_ms,
-                        rewrites=list(planned.rewrites),
-                        root=report.root,
-                        cells_examined=result.cells_examined,
-                        error=error,
-                        estimated=_estimated_summary(planned.physical),
-                    )
-                )
-        return result
+                    record.root = profile_operators(planned, sp)
+                    # Close the calibration loop: measured per-operator
+                    # times feed the cost model that estimated them.
+                    if ok and self.cost_model is not None:
+                        self.cost_model.observe(record.root)
+                    record.rewrites = list(result.rewrites)
+                    record.cells_examined = result.cells_examined
+                    record.estimated = _estimated_summary(planned.physical)
+            return result
 
     def run_script(
         self, text: str, config: "Optional[PlannerConfig]" = None
@@ -377,7 +305,7 @@ class Executor:
     def _scan_spec(self, node: Node, result: ExecutionResult):
         """The pruning directive the planner attached to *node*, if any.
 
-        Looked up by node identity in the executed plan — `run_planned`
+        Looked up by node identity in the executed plan — `run`
         executes the exact tree the planner annotated, so the ids line
         up.  Returns ``None`` (no pruning) for nodes planned without a
         spec or trees that never went through :meth:`Planner.plan`.

@@ -36,23 +36,30 @@ __all__ = ["ServiceError", "ShimClient", "Throttled"]
 class ServiceError(SciDBError):
     """A non-2xx response from the query service."""
 
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(
+        self, status: int, message: str, query_id: Optional[str] = None
+    ) -> None:
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
+        #: the failed statement's id (408/409): the key into ``profile()``
+        self.query_id = query_id
 
     @classmethod
     def from_response(
         cls, status: int, body: bytes, retry_after: Optional[str]
     ) -> "ServiceError":
+        query_id = None
         try:
-            message = json.loads(body).get("error", body.decode())
-        except (ValueError, UnicodeDecodeError):
+            parsed = json.loads(body)
+            message = parsed.get("error", body.decode())
+            query_id = parsed.get("query_id")
+        except (ValueError, UnicodeDecodeError, AttributeError):
             message = repr(body[:200])
         if status == 429:
             return Throttled(
                 message, float(retry_after) if retry_after else 0.05
             )
-        return cls(status, message)
+        return cls(status, message, query_id)
 
 
 class Throttled(ServiceError):
@@ -144,6 +151,19 @@ class ShimClient:
     def status(self) -> dict[str, Any]:
         _, body = self._call("status")
         return json.loads(body)
+
+    def metrics(self) -> str:
+        """The Prometheus text exposition (``GET /metrics``)."""
+        return self._call("metrics")[1].decode()
+
+    def profile(self, query_id: str) -> dict[str, Any]:
+        """One retained statement record (404 once evicted)."""
+        return json.loads(self._call("profile", id=query_id)[1])
+
+    def events(self, since: int = 0) -> list[dict[str, Any]]:
+        """Retained events with ``seq > since``, oldest first."""
+        body = self._call("events", since=since)[1].decode()
+        return [json.loads(line) for line in body.splitlines()]
 
     # -- conveniences -------------------------------------------------------------
 

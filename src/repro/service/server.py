@@ -13,7 +13,15 @@ bindings expect (cf. SciDB-Py's shim ``DB``):
 ``GET /release_session``  ``id``; drop the session (cancels anything running)
 ========================  =====================================================
 
-plus ``GET /status`` (JSON introspection, not part of the shim).
+plus four read-only views of the flight recorder (not part of the shim):
+``GET /status`` (JSON introspection), ``GET /metrics`` (Prometheus text
+exposition of ``db.prometheus()``), ``GET /profile?id=<query_id>`` (one
+retained statement record, rendered and as JSON; 404 once evicted) and
+``GET /events?since=<seq>`` (the event ring as JSON lines).
+``execute_query``'s response — and the 408/409 body of a statement that
+timed out, was cancelled or was killed — carries the statement's
+``query_id``, which is the key into ``/profile`` and the ``query_id`` on
+every ``/events`` line the statement caused.
 ``POST`` with a form body is accepted everywhere ``GET`` is, so long
 statements need not fit in a request line.
 
@@ -65,7 +73,8 @@ from ..core.errors import (
     SciDBError,
 )
 from ..database import SciDB
-from ..obs.metrics import get_registry
+from ..obs import tracing
+from ..obs.export import events_jsonl
 from ..obs.recorder import emit as _flight_emit
 from ..query.planner import PlannerConfig
 from .admission import AdmissionConfig, AdmissionController, AdmissionReject
@@ -213,7 +222,7 @@ class QueryService:
         self.kill_after_ms = (
             self.config.kill_after_ms
             if self.config.kill_after_ms is not None
-            else max(1_000.0, db.slow_log.threshold_ms * 50.0)
+            else max(1_000.0, db.flight_recorder.slow_query_ms * 50.0)
         )
         self.queries_served = 0
         self.queries_killed = 0
@@ -290,15 +299,18 @@ class QueryService:
                             f"killed by service after {elapsed:.0f} ms "
                             f"(limit {self.kill_after_ms:.0f} ms)"
                         )
+                        span = session.span
                     self.queries_killed += 1
-                    get_registry().counter("service.kills").inc()
-                    _flight_emit(
-                        "service.query_kill",
-                        session=session.session_id,
-                        tenant=session.tenant,
-                        statement=session.statement,
-                        running_ms=round(elapsed, 1),
-                    )
+                    # Adopting the statement's root stamps its query id
+                    # on the event, though this is not its thread.
+                    with tracing.adopt(span):
+                        _flight_emit(
+                            "service.query_kill",
+                            session=session.session_id,
+                            tenant=session.tenant,
+                            statement=session.statement,
+                            running_ms=round(elapsed, 1),
+                        )
 
     # -- request handling ---------------------------------------------------------
 
@@ -319,21 +331,32 @@ class QueryService:
                 return self._release_session(params)
             if path == "/status":
                 return self._status()
+            if path == "/metrics":
+                return self._text(
+                    self.db.prometheus(), "text/plain; version=0.0.4"
+                )
+            if path == "/profile":
+                return self._profile(params)
+            if path == "/events":
+                since = params.get("since", "0")
+                if not since.isdecimal():
+                    raise SciDBError(
+                        f"since must be a sequence number, got {since!r}"
+                    )
+                return self._text(
+                    events_jsonl(self.db.events(since_seq=int(since))),
+                    "application/x-ndjson",
+                )
             return self._error(404, f"no such endpoint: {path}")
         except SessionError as exc:
             return self._error(404, str(exc))
         except AdmissionReject as exc:
-            get_registry().counter("service.rejections").inc()
             _flight_emit("service.admission_reject", reason=str(exc))
             return self._error(
                 429,
                 str(exc),
                 headers={"Retry-After": f"{exc.retry_after_s:.3f}"},
             )
-        except QueryCancelledError as exc:
-            return self._error(409, str(exc))
-        except DeadlineExceededError as exc:
-            return self._error(408, str(exc))
         except SciDBError as exc:
             return self._error(400, f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # noqa: BLE001 — the server must answer
@@ -341,13 +364,20 @@ class QueryService:
 
     @staticmethod
     def _error(
-        status: int, message: str, headers: Optional[dict[str, str]] = None
+        status: int,
+        message: str,
+        headers: Optional[dict[str, str]] = None,
+        **extra: Any,
     ) -> tuple[int, dict[str, str], bytes]:
-        body = json.dumps({"error": message}).encode()
+        body = json.dumps({"error": message, **extra}).encode()
         out = {"Content-Type": "application/json"}
         if headers:
             out.update(headers)
         return status, out, body
+
+    @staticmethod
+    def _text(body: str, content_type: str) -> tuple[int, dict[str, str], bytes]:
+        return 200, {"Content-Type": content_type}, body.encode()
 
     @staticmethod
     def _ok_json(payload: dict[str, Any]) -> tuple[int, dict[str, str], bytes]:
@@ -412,28 +442,44 @@ class QueryService:
         self.admission.acquire_query(session.tenant)
         t0 = time.perf_counter()
         started = False
+        query_id = None  # stays None if admission or the recorder said no
         try:
-            with session.lock:
-                if session.running:
-                    raise SciDBError(
-                        "session already has a statement executing; open "
-                        "a second session for parallel statements"
-                    )
-                session.deadline = deadline
-                session.query_started = time.time()
-                session.statement = statement
-                session.pager = None  # executing replaces any unread result
-                started = True
-            # The scope installs the *service's* deadline so /cancel and
-            # the killer hold the live handle while the statement runs.
-            with deadline_scope(deadline):
-                result = self.db.execute(statement, planner=planner)
+            # The statement enters the engine here, so this opens its
+            # record: the session holds the root span while it runs (what
+            # the killer and /cancel stamp their events with) and the
+            # id goes out in the response whether it finishes or not.
+            with self.db.flight_recorder.statement(
+                statement, name="service.execute_query"
+            ) as record:
+                query_id = record.query_id if record is not None else None
+                with session.lock:
+                    if session.running:
+                        raise SciDBError(
+                            "session already has a statement executing; "
+                            "open a second session for parallel statements"
+                        )
+                    session.deadline = deadline
+                    session.span = tracing.current_span()
+                    session.query_started = time.time()
+                    session.statement = statement
+                    session.pager = None  # executing replaces any unread result
+                    started = True
+                # The scope installs the *service's* deadline so /cancel
+                # and the killer hold the live handle while the statement
+                # runs.
+                with deadline_scope(deadline):
+                    result = self.db.execute(statement, planner=planner)
+        except QueryCancelledError as exc:
+            return self._error(409, str(exc), query_id=query_id)
+        except DeadlineExceededError as exc:
+            return self._error(408, str(exc), query_id=query_id)
         finally:
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             self.admission.release_query(session.tenant, elapsed_ms)
             if started:
                 with session.lock:
                     session.deadline = None
+                    session.span = None
                     session.query_started = None
                     session.statement = None
                     session.touch()
@@ -441,10 +487,10 @@ class QueryService:
             session.pager = ResultPager(result.value)
             session.queries_run += 1
         self.queries_served += 1
-        get_registry().counter("service.queries").inc()
         return self._ok_json(
             {
                 "session": session.session_id,
+                "query_id": query_id,
                 "elapsed_ms": round(elapsed_ms, 3),
                 "rewrites": list(result.rewrites),
                 "cells_examined": result.cells_examined,
@@ -500,13 +546,14 @@ class QueryService:
             cancelled = deadline is not None and not deadline.cancelled
             if cancelled:
                 deadline.cancel("cancelled by client")
+            span = session.span
         if cancelled:
-            get_registry().counter("service.cancels").inc()
-            _flight_emit(
-                "service.query_cancel",
-                session=session.session_id,
-                tenant=session.tenant,
-            )
+            with tracing.adopt(span):
+                _flight_emit(
+                    "service.query_cancel",
+                    session=session.session_id,
+                    tenant=session.tenant,
+                )
         return self._ok_json(
             {"session": session.session_id, "cancelled": cancelled}
         )
@@ -529,6 +576,17 @@ class QueryService:
         )
 
     # -- introspection ------------------------------------------------------------
+
+    def _profile(
+        self, params: dict[str, str]
+    ) -> tuple[int, dict[str, str], bytes]:
+        profile = self.db.profile(params.get("id", ""))
+        if profile is None:
+            return self._error(
+                404,
+                f"no retained profile {params.get('id')!r} (evicted or unknown)",
+            )
+        return self._ok_json(profile.to_dict())
 
     def _status(self) -> tuple[int, dict[str, str], bytes]:
         return self._ok_json(

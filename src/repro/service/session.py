@@ -24,6 +24,7 @@ from ..core.errors import SciDBError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.resilience import Deadline
+    from ..obs.tracing import Span
     from .server import ResultPager
 
 __all__ = ["Session", "SessionError", "SessionManager"]
@@ -43,7 +44,7 @@ class Session:
         "last_used",
         "lock",
         "deadline",
-        "query_id",
+        "span",
         "query_started",
         "statement",
         "pager",
@@ -59,7 +60,9 @@ class Session:
         self.lock = threading.RLock()
         #: the running statement's cancellation handle, if one is running
         self.deadline: "Optional[Deadline]" = None
-        self.query_id: Optional[str] = None
+        #: the running statement's root span (events a killer or /cancel
+        #: emits on its behalf are stamped with the statement's id)
+        self.span: "Optional[Span]" = None
         self.query_started: Optional[float] = None
         self.statement: Optional[str] = None
         #: the last completed statement's unread output

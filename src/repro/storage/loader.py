@@ -53,7 +53,6 @@ from ..core.errors import (
 )
 from ..core.datatypes import ScalarType
 from ..obs import tracing
-from ..obs.metrics import get_registry
 from ..obs.recorder import emit as _flight_emit
 from .quarantine import QuarantineStore
 
@@ -423,7 +422,6 @@ class BulkLoader:
             self.records_loaded += len(records)
             self.stats.records_loaded += len(records)
             self.stats.batches_committed += 1
-            get_registry().counter("ingest.batch_commits").inc()
             tracing.add_current("ingest_batches", 1)
 
     def finish(self) -> None:

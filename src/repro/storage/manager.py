@@ -34,7 +34,6 @@ from ..core.cells import Cell
 from ..core.errors import StorageError
 from ..core.schema import ArraySchema
 from ..obs import tracing
-from ..obs.metrics import get_registry
 from ..obs.recorder import emit as _flight_emit
 from .bucket import Bucket
 from .compression import Codec
@@ -92,11 +91,9 @@ class ChunkCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                get_registry().counter("cache.miss").inc()
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        get_registry().counter("cache.hit").inc()
         return entry[0]
 
     def put(self, key: CacheKey, bucket: Bucket) -> None:
@@ -116,7 +113,6 @@ class ChunkCache:
                 self.evictions += 1
                 evicted += 1
         if evicted:
-            get_registry().counter("cache.evict").inc(evicted)
             pressure = False
             with self._lock:
                 if self.evictions >= self._pressure_mark:
@@ -191,6 +187,7 @@ class StorageStats:
     buckets_value_pruned: int = 0
     spills: int = 0
     merges: int = 0
+    load_batches: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -359,6 +356,7 @@ class PersistentArray:
             if self._buffer:
                 self._spill_locked()
             self.restore_load_cursor(epoch, batch_seq)
+            self.stats.load_batches += 1
 
     def restore_load_cursor(self, epoch: "int | str", batch_seq: int) -> None:
         """Advance (never regress) the persisted cursor without spilling.
@@ -400,10 +398,6 @@ class PersistentArray:
             f.write(payload)
         self.stats.bytes_written += len(payload)
         self.stats.buckets_written += 1
-        registry = get_registry()
-        registry.counter("storage.buckets_written").inc()
-        registry.counter("storage.bytes_written").inc(len(payload))
-        registry.histogram("storage.codec_encode_ms").observe(codec_ms)
         tracing.add_current("chunks_written", 1)
         tracing.add_current("codec_ms", codec_ms)
         self._rtree.insert(bucket.box, bucket_id)
@@ -430,10 +424,6 @@ class PersistentArray:
         with self._lock:
             self.stats.bytes_read += len(payload)
             self.stats.buckets_read += 1
-        registry = get_registry()
-        registry.counter("storage.buckets_read").inc()
-        registry.counter("storage.bytes_read").inc(len(payload))
-        registry.histogram("storage.codec_decode_ms").observe(codec_ms)
         tracing.add_current("chunks_read", 1)
         tracing.add_current("codec_ms", codec_ms)
         return bucket
@@ -523,7 +513,6 @@ class PersistentArray:
                 if bstats is not None and not bstats.can_match(attr_ranges):
                     with self._lock:
                         self.stats.buckets_value_pruned += 1
-                    get_registry().counter("storage.buckets_value_pruned").inc()
                     tracing.add_current("chunks_pruned", 1)
                     for coords in bstats.occupied_coords():
                         if window is not None and not _in_window(

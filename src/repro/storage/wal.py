@@ -29,7 +29,6 @@ from ..core.array import SciArray
 from ..core.errors import StorageError
 from ..core.schema import ArraySchema, define_array
 from ..obs import tracing
-from ..obs.metrics import get_registry
 from ..obs.recorder import emit as _flight_emit
 
 __all__ = ["WriteAheadLog"]
@@ -53,6 +52,7 @@ class WriteAheadLog:
         self.sync = sync
         self._fh = open(self.path, "a", encoding="utf-8")
         self.records_appended = 0
+        self.commits = 0
         # Parallel repartition/rebuild can append from several scheduler
         # workers; interleaved writes to one file handle would tear lines.
         self._lock = threading.Lock()
@@ -211,7 +211,7 @@ class WriteAheadLog:
             self._fh.flush()
             if self.sync:
                 os.fsync(self._fh.fileno())
-        get_registry().counter("wal.commits").inc()
+            self.commits += 1
 
     def _append(self, record: dict[str, Any]) -> None:
         payload = json.dumps(record, default=_jsonable)
@@ -222,7 +222,6 @@ class WriteAheadLog:
         with self._lock:
             self._fh.write(payload[:-1] + f', "crc": {crc}}}\n')
             self.records_appended += 1
-        get_registry().counter("wal.appends").inc()
         tracing.add_current("wal_appends", 1)
 
     def close(self) -> None:

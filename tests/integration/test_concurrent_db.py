@@ -10,8 +10,10 @@ equal the ones a serial run produces.
 
 import threading
 
-from repro import SciDB
+from repro import SciDB, define_array
+from repro.cluster import FaultInjector, HashPartitioner
 from repro.obs.recorder import FlightRecorder, use_flight_recorder
+from repro.storage.loader import LoadRecord
 
 
 def build_db():
@@ -23,6 +25,15 @@ def build_db():
         for j in range(1, 13):
             m[i, j] = float(i * 12 + j)
     return db
+
+
+def run_all(threads):
+    """Start every thread, then join each with a bound."""
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
 
 
 def snapshot(arr):
@@ -61,10 +72,7 @@ class TestConcurrentStatements:
             threading.Thread(target=run, args=(i, s))
             for i, s in enumerate(STATEMENTS)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_all(threads)
         assert errors == []
         assert results == serial
 
@@ -106,10 +114,7 @@ class TestConcurrentStatements:
             threading.Thread(target=fn)
             for fn in (reader, ingester, explainer)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        run_all(threads)
         assert errors == []
         ingested = snapshot(db.query("select filter(Sink, s1 > 0)"))
         assert len(ingested) == 64 * 4
@@ -132,10 +137,7 @@ class TestConcurrentStatements:
                 errors.append(exc)
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_all(threads)
         assert errors == []
         assert {f"Kept{i}" for i in range(4)} <= set(db.arrays())
 
@@ -161,10 +163,7 @@ class TestConcurrentProfiles:
                 threading.Thread(target=run, args=(s,))
                 for s in STATEMENTS[:4]
             ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            run_all(threads)
             assert errors == []
 
             profiles = [
@@ -186,3 +185,58 @@ class TestConcurrentProfiles:
                 for node in profile.root.walk():
                     assert node.op in (op, "scan")
                     assert node.time_ms >= 0
+
+    def test_grid_records_own_their_spans_and_events(self, tmp_path):
+        """Four threads × six statements over a grid at parallelism=4,
+        read faults landing on scheduler workers mid-run: every record
+        covers parse → plan → execute with only its own operator span,
+        and every event carries the id of the statement whose (adopted)
+        worker hit the fault — the record's failover count, metered on
+        the operator span by that same worker, agrees."""
+        recorder = FlightRecorder()
+        with use_flight_recorder(recorder):
+            db = SciDB(tmp_path)
+            inj = FaultInjector(seed=3)
+            grid = db.create_grid(
+                "g", n_nodes=4, replication=2, fault_injector=inj,
+                parallelism=4,
+            )
+            schema = define_array("D", {"v": "float"}, ["x", "y"]).bind([12, 12])
+            arr = grid.create_array("D", schema, HashPartitioner(4))
+            arr.load(
+                LoadRecord((x, y), (float(x * y),))
+                for x in range(1, 13) for y in range(1, 13)
+            )
+            db.register("D", arr)
+            statements = [f"select subsample(D, x >= {i})" for i in (2, 4, 6, 8)]
+            inj.schedule_transient_reads(0, 10)
+            errors: list = []
+
+            def run(statement):
+                try:
+                    for _ in range(6):
+                        db.query(statement)
+                except BaseException as exc:  # noqa: BLE001
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=run, args=(s,)) for s in statements
+            ]
+            run_all(threads)
+            assert errors == []
+
+            profiles = [p for p in recorder.profiles() if p.statement in statements]
+            assert len({p.query_id for p in profiles}) == len(profiles) == 4 * 6
+            for p in profiles:
+                assert [sp.name for sp in p.span.walk()] == [
+                    "query", "parse", "plan", "execute", "op:subsample",
+                ]
+                assert p.error is None and p.root.op == "subsample"
+            # (node 0's breaker opens part-way, so not all ten fire)
+            faults = recorder.events(kind="fault.io_transient_read")
+            assert faults
+            for p in profiles:
+                assert p.failovers == sum(
+                    1 for e in faults if e.query_id == p.query_id
+                )
+            assert sum(p.failovers for p in profiles) == len(faults)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro import SciArray, SciDB, define_array, define_function
 from repro.cluster.resilience import Deadline
+from repro.obs.recorder import FlightRecorder, use_flight_recorder
 from repro.service import (
     AdmissionConfig,
     QueryService,
@@ -449,18 +450,73 @@ class TestCancellation:
         assert client.cancel(sid) is False
 
     def test_killer_reaps_runaway_statement(self):
+        """The housekeeping thread kills a runaway (409), and it and a
+        throttled statement (429) are each accounted for from HTTP
+        alone: the error body's query id is the key into /profile and
+        the id on the /events line; the rejection is in /events and
+        /metrics."""
         db = make_db()
         statement = slow_statement(db, delay_ms=10.0)
-        cfg = ServiceConfig(kill_after_ms=120, sweep_interval_ms=25)
-        with QueryService(db, cfg) as svc:
-            host, port = svc.address
-            with ShimClient(host, port) as c:
-                sid = c.new_session()
+        cfg = ServiceConfig(
+            kill_after_ms=120,
+            sweep_interval_ms=25,
+            admission=AdmissionConfig(max_concurrent=1),
+        )
+        throttled = []
+
+        def second_client(host, port):
+            # the tenant's one slot is taken while the runaway runs
+            with ShimClient(host, port) as c2:
+                sid2 = c2.new_session()
+                deadline = time.time() + 5
+                while not throttled and time.time() < deadline:
+                    try:
+                        c2.execute_query(sid2, "select subsample(M, I >= 7)")
+                        time.sleep(0.005)
+                    except Throttled as exc:
+                        throttled.append(exc)
+
+        with use_flight_recorder(FlightRecorder()), QueryService(db, cfg) as svc:
+            other = threading.Thread(target=second_client, args=svc.address)
+            with ShimClient(*svc.address) as c:
+                ok = c.execute_query(c.new_session(), "select subsample(M, I >= 7)")
+                assert c.profile(ok["query_id"])["error"] is None
+                other.start()
                 with pytest.raises(ServiceError) as err:
-                    c.execute_query(sid, statement)
+                    c.execute_query(c.new_session(), statement)
+                other.join(timeout=10)
+                killed = err.value.query_id
                 assert err.value.status == 409
                 assert "killed by service" in str(err.value)
-            assert svc.queries_killed == 1
+                assert svc.queries_killed == 1
+                assert killed and killed != ok["query_id"]
+
+                profile = c.profile(killed)
+                assert profile["statement"] == statement
+                assert profile["error"].startswith("QueryCancelledError")
+                assert "killed by service" in profile["error"]
+                # the operator tree, with the operator that was cut short
+                assert profile["operators"]["op"] == "apply"
+                assert "-> apply" in profile["rendered"]
+                assert "QueryCancelledError" in profile["rendered"]
+                assert "phases: query" in profile["rendered"]
+
+                events = c.events()
+                (kill,) = [e for e in events if e["kind"] == "service.query_kill"]
+                assert kill["query_id"] == killed
+                assert not c.events(since=events[-1]["seq"])
+                rejects = [
+                    e for e in events if e["kind"] == "service.admission_reject"
+                ]
+                assert throttled and rejects
+                assert "query_id" not in rejects[0]  # never admitted
+                assert (
+                    'repro_flight_events_total{kind="service.admission_reject"} '
+                    f"{len(rejects)}\n"
+                ) in c.metrics()
+                with pytest.raises(ServiceError) as gone:
+                    c.profile("q-999999")
+                assert gone.value.status == 404
 
 
 class TestAdmission:
