@@ -1,7 +1,7 @@
 """E1's second table: built-in operator cost against occupancy.
 
 The plane kernels run chunk by chunk over the chunks that exist.  Each
-operator is timed on the benchmark's 48x48x4 array — dense, and with one
+operator — the structural plane copies included — is timed on the benchmark's 48x48x4 array — dense, and with one
 NULL and one EMPTY cell — and on arrays whose occupied fraction is tiny:
 two cells at opposite corners of a 100000^2 extent, and 500 one-cell
 chunks on the diagonal of an unbounded array.  The summary test asserts
@@ -16,7 +16,7 @@ import pytest
 from repro import SciArray, define_array
 from repro.bench.harness import measure, ratio
 from repro.core import ops
-from repro.query.ast import AttrPredicate, PredicateConjunction
+from repro.query.ast import AttrPairsEqual, AttrPredicate, PredicateConjunction
 
 
 def cube(holes):
@@ -46,7 +46,16 @@ def diagonal(chunks, spacing=32):
 def operators(arr, attr, threshold, factors):
     dims = arr.dim_names
     pred = PredicateConjunction((AttrPredicate(attr, ">", threshold),))
+    turned = [(f"{d}_n", arr.high_water(d)) for d in reversed(dims)]
+    pair = define_array("P", {"p": "float"}, ["k"]).create("pair", [2])
+    pair[1], pair[2] = 1.0, threshold
     return {
+        "transpose": lambda: ops.transpose(arr, dims[::-1]),
+        "add_dimension": lambda: ops.add_dimension(arr, "w"),
+        "concatenate": lambda: ops.concatenate(arr, arr, dims[0]),
+        "reshape": lambda: ops.reshape(arr, dims[::-1], turned),
+        "cross_product": lambda: ops.cross_product(arr, pair),
+        "cjoin": lambda: ops.cjoin(arr, pair, AttrPairsEqual(((attr, "p"),))),
         "filter": lambda: ops.filter(arr, pred),
         "project": lambda: ops.project(arr, [attr]),
         "aggregate": lambda: ops.aggregate(arr, [dims[0]], "sum"),

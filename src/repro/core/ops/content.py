@@ -266,27 +266,41 @@ def filter(
     itself on their planes (``on_planes(planes, present)`` returning a
     boolean plane; :class:`repro.query.ast.PredicateConjunction` is the
     engine's own) — runs as a masked numpy pass over each stored chunk
-    when those components are native.  A plain callable is opaque Python
-    and is shown every PRESENT cell in turn.
+    when those components are native; one that names a component the
+    array lacks is a :class:`SchemaError` before any chunk is read.  A
+    plain callable is opaque Python and is shown every PRESENT cell in
+    turn.  Either way the predicate tests each PRESENT cell exactly once:
+    that is the ``cells_examined`` a statement reports, and the query
+    executor counts it — ``array.count_present()`` — not this kernel.
     """
     out = array.empty_like(name=name or f"{array.name}_filtered")
     on_planes = getattr(predicate, "on_planes", None)
-    if on_planes is not None and all(
-        array.schema.attribute(a).is_native for a in predicate.attrs
-    ):
-        for origin, planes, state in array.blocks():
-            present = state == CellState.PRESENT
-            failed = present & ~on_planes(planes, present)
-            out.set_region(
-                origin, planes, np.where(failed, CellState.NULL, state)
-            )
-        return out
+    if on_planes is not None:
+        _check_attrs(array, predicate.attrs, "filter predicate")
+        if all(array.schema.attribute(a).is_native for a in predicate.attrs):
+            for origin, planes, state in array.blocks():
+                present = state == CellState.PRESENT
+                failed = present & ~on_planes(planes, present)
+                out.set_region(
+                    origin, planes, np.where(failed, CellState.NULL, state)
+                )
+            return out
     for coords, cell in array.cells():
         if cell is not None and predicate(cell):
             out.set_unchecked(coords, cell.values)
         else:
             out.set_unchecked(coords, None)
     return out
+
+
+def _check_attrs(array: SciArray, attrs: Iterable[str], what: str) -> None:
+    """One error for a compiled predicate naming a missing component."""
+    unknown = sorted(set(attrs) - set(array.attr_names))
+    if unknown:
+        raise SchemaError(
+            f"{what} names unknown attributes {unknown} of array "
+            f"{array.name!r} (attributes: {', '.join(array.attr_names)})"
+        )
 
 
 def aggregate(
@@ -390,24 +404,38 @@ def cjoin(
     the result holds the concatenated record; where both are PRESENT but the
     predicate fails, the result holds NULL (matching Fig. 3); combinations
     involving an EMPTY or NULL input cell are EMPTY.
-    """
-    out_dims = [Dimension(d.name, d.size) for d in left.schema.dimensions]
-    used = {d.name for d in out_dims}
-    for d in right.schema.dimensions:
-        nm = d.name if d.name not in used else f"{d.name}_r"
-        used.add(nm)
-        out_dims.append(Dimension(nm, d.size))
-    from .structural import _concat_attributes
 
-    out_schema = ArraySchema(
-        name=name or f"{left.schema.name}_cjoin_{right.schema.name}",
-        attributes=tuple(_concat_attributes(left.schema, right.schema)),
-        dimensions=tuple(out_dims),
-    )
-    out = SciArray(out_schema, name=name or f"{left.name}_cjoin_{right.name}")
-    right_cells = [
-        (coords, cell) for coords, cell in right.cells(include_null=False)
-    ]
+    A *compiled* pair predicate — :func:`filter`'s protocol for two cells:
+    ``attrs`` is the pair ``(left components read, right components
+    read)`` and ``on_planes(left planes, right planes)`` the boolean plane
+    over a block of pairs, the left planes carrying n trailing unit axes
+    and the right's m leading ones so that they broadcast against each
+    other — runs one left chunk against one right chunk when those
+    components are native (:class:`repro.query.ast.AttrPairsEqual` is the
+    textual binding's).  A plain callable is shown every PRESENT pair in
+    turn.
+    """
+    from .structural import _joined_output, _write_pairs
+
+    out = _joined_output(left, right, right.dim_names, "cjoin", name)
+    on_planes = getattr(predicate, "on_planes", None)
+    if on_planes is not None:
+        sides = list(zip((left, right), predicate.attrs))
+        for side, attrs in sides:
+            _check_attrs(side, attrs, "cjoin predicate")
+        if all(
+            side.schema.attribute(a).is_native
+            for side, attrs in sides for a in attrs
+        ):
+            def pair_state(lplanes, lstate, rplanes, rstate):
+                both = (lstate == CellState.PRESENT) & (rstate == CellState.PRESENT)
+                return np.where(
+                    both & on_planes(lplanes, rplanes),
+                    CellState.PRESENT, both * CellState.NULL,
+                )
+
+            return _write_pairs(out, left, right, pair_state)
+    right_cells = list(right.cells(include_null=False))
     for lcoords, lcell in left.cells(include_null=False):
         for rcoords, rcell in right_cells:
             if predicate(lcell, rcell):

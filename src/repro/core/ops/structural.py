@@ -20,7 +20,7 @@ named ``"source_index"`` mapping each new index back to its source value.
 
 from __future__ import annotations
 
-import itertools
+import math
 from bisect import bisect_left
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -127,20 +127,13 @@ def subsample(
             {name: plane[pick] for name, plane in planes.items()},
             state[pick],
         )
-    _attach_source_index(out, array, selections)
-    return out
-
-
-def _attach_source_index(
-    out: SciArray, source: SciArray, selections: Sequence[Sequence[int]]
-) -> None:
     coordinates = {
-        dim.name: list(sel)
-        for dim, sel in zip(out.schema.dimensions, selections)
+        dim.name: list(sel) for dim, sel in zip(out_dims, selections)
     }
     out.enhancements.append(
         IrregularEnhancement(out, coordinates, name="source_index")
     )
+    return out
 
 
 def exists(array: SciArray, *coords: int) -> bool:
@@ -169,10 +162,11 @@ def reshape(
         )
     old_sizes = [array.high_water(d) for d in order]
     new_sizes = [size for _, size in new_dims]
-    if int(np.prod(old_sizes)) != int(np.prod(new_sizes)):
+    total = math.prod(old_sizes)
+    if total != math.prod(new_sizes):
         raise SchemaError(
             f"reshape must preserve the cell count: "
-            f"{int(np.prod(old_sizes))} != {int(np.prod(new_sizes))}"
+            f"{total} != {math.prod(new_sizes)}"
         )
     out_schema = array.schema.with_dimensions(
         [Dimension(n, s) for n, s in new_dims]
@@ -180,24 +174,57 @@ def reshape(
     out = SciArray(out_schema, name=name or f"{array.name}_reshaped")
 
     perm = [array.schema.dim_index(d) for d in order]
-
-    def linear_index(coords: Coords) -> int:
-        idx = 0
+    # A cell's position in the linearization, then in the new dimensions:
+    # the per-cell arithmetic on whole index vectors, one chunk's occupied
+    # cells at a time (Python ints where the cell count outgrows int64).
+    wide = np.int64 if total < 2**63 else object
+    for origin, planes, state in array.blocks():
+        at = np.nonzero(state)
+        linear = np.zeros(len(at[0]), dtype=wide)
         for pos, size in zip(perm, old_sizes):
-            idx = idx * size + (coords[pos] - 1)
-        return idx
-
-    def delinearize(idx: int) -> Coords:
-        rev: list[int] = []
+            linear = linear * size + (at[pos] + (origin[pos] - 1))
+        coords = []
         for size in reversed(new_sizes):
-            idx, r = divmod(idx, size)
-            rev.append(r + 1)
-        return tuple(reversed(rev))
-
-    for coords, cell in array.cells():
-        out.set_unchecked(delinearize(linear_index(coords)),
-                          None if cell is None else cell.values)
+            coords.append(linear % size + 1)
+            linear = linear // size
+        _scatter(
+            out,
+            np.stack(coords[::-1], axis=1).astype(np.int64),
+            {a: plane[at] for a, plane in planes.items()},
+            state[at],
+        )
     return out
+
+
+def _scatter(
+    out: SciArray,
+    coords: np.ndarray,
+    values: Mapping[str, np.ndarray],
+    state: np.ndarray,
+) -> None:
+    """Write cells at arbitrary coordinates (one row of *coords* each).
+
+    Cells are grouped by the chunk of *out* they land in and each group
+    goes in as one :meth:`SciArray.set_region` block over its bounding
+    box, so no block is larger than a chunk."""
+    if not len(coords):
+        return
+    keys = (coords - 1) // np.asarray(out.chunk_shape)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
+    for group in np.split(order, starts):
+        at = coords[group]
+        lo = at.min(axis=0)
+        shape = tuple(at.max(axis=0) - lo + 1)
+        where = tuple((at - lo).T)
+        block_state = np.zeros(shape, np.uint8)
+        block_state[where] = state[group]
+        planes = {}
+        for a, cells in values.items():
+            planes[a] = np.zeros(shape, cells.dtype)
+            planes[a][where] = cells[group]
+        out.set_region(tuple(lo), planes, block_state)
 
 
 def sjoin(
@@ -226,23 +253,7 @@ def sjoin(
         raise SchemaError("a dimension may appear only once in the join predicate")
 
     right_keep = [d for d in right.dim_names if d not in right_join]
-    out_dims = [
-        Dimension(d.name, d.size) for d in left.schema.dimensions
-    ]
-    used = {d.name for d in out_dims}
-    for dname in right_keep:
-        dim = right.schema.dimension(dname)
-        out_name = dname if dname not in used else f"{dname}_r"
-        used.add(out_name)
-        out_dims.append(Dimension(out_name, dim.size))
-
-    out_attrs = _concat_attributes(left.schema, right.schema)
-    out_schema = ArraySchema(
-        name=name or f"{left.schema.name}_sjoin_{right.schema.name}",
-        attributes=tuple(out_attrs),
-        dimensions=tuple(out_dims),
-    )
-    out = SciArray(out_schema, name=name or f"{left.name}_sjoin_{right.name}")
+    out = _joined_output(left, right, right_keep, "sjoin", name)
 
     if len(on) == left.ndim == right.ndim:
         # A full-dimension equijoin matches cell to cell: for each left
@@ -260,7 +271,7 @@ def sjoin(
             rplanes, rstate = right.planes(tuple(right_lo), tuple(right_hi))
             rstate = rstate.transpose(perm)
             merged = dict(zip(
-                (a.name for a in out_attrs),
+                out.attr_names,
                 [*lplanes.values()]
                 + [plane.transpose(perm) for plane in rplanes.values()],
             ))
@@ -309,6 +320,66 @@ def _concat_attributes(
     return out_attrs
 
 
+def _joined_output(
+    left: SciArray,
+    right: SciArray,
+    right_dims: Sequence[str],
+    joiner: str,
+    name: Optional[str],
+) -> SciArray:
+    """The empty result of a join: the left dimensions then *right_dims* of
+    the right's, records concatenated; a clashing name gains ``_r``."""
+    out_dims = [Dimension(d.name, d.size) for d in left.schema.dimensions]
+    used = {d.name for d in out_dims}
+    for dname in right_dims:
+        out_name = dname if dname not in used else f"{dname}_r"
+        used.add(out_name)
+        out_dims.append(Dimension(out_name, right.schema.dimension(dname).size))
+    out_schema = ArraySchema(
+        name=name or f"{left.schema.name}_{joiner}_{right.schema.name}",
+        attributes=tuple(_concat_attributes(left.schema, right.schema)),
+        dimensions=tuple(out_dims),
+    )
+    return SciArray(out_schema, name=name or f"{left.name}_{joiner}_{right.name}")
+
+
+def _write_pairs(
+    out: SciArray,
+    left: SciArray,
+    right: SciArray,
+    pair_state: Callable[..., np.ndarray],
+) -> SciArray:
+    """Fill the (m + n)-dimensional *out* with every left cell beside
+    every right cell, one left chunk against one right chunk at a time.
+
+    The left planes and state get n trailing unit axes and the right's m
+    leading ones, so they broadcast to the block of pairs;
+    ``pair_state(left planes, left state, right planes, right state)``
+    returns that block's state plane."""
+    trail = (...,) + (None,) * right.ndim
+    lead = (None,) * left.ndim
+    rights = [
+        (origin, {a: p[lead] for a, p in planes.items()}, state[lead])
+        for origin, planes, state in right.blocks()
+    ]
+    for lorigin, lplanes, lstate in left.blocks():
+        lplanes = {a: p[trail] for a, p in lplanes.items()}
+        lstate = lstate[trail]
+        for rorigin, rplanes, rstate in rights:
+            state = pair_state(lplanes, lstate, rplanes, rstate)
+            out.set_region(
+                lorigin + rorigin,
+                {
+                    a: np.broadcast_to(plane, state.shape)
+                    for a, plane in zip(
+                        out.attr_names, (*lplanes.values(), *rplanes.values())
+                    )
+                },
+                state,
+            )
+    return out
+
+
 def add_dimension(
     array: SciArray, dim_name: str, name: Optional[str] = None
 ) -> SciArray:
@@ -319,9 +390,12 @@ def add_dimension(
         list(array.schema.dimensions) + [Dimension(dim_name, 1)]
     ).renamed(name or array.schema.name)
     out = SciArray(out_schema, name=name or f"{array.name}_plus_{dim_name}")
-    for coords, cell in array.cells():
-        out.set_unchecked(coords + (1,),
-                          None if cell is None else cell.values)
+    for origin, planes, state in array.blocks():
+        out.set_region(
+            origin + (1,),
+            {a: plane[..., None] for a, plane in planes.items()},
+            state[..., None],
+        )
     return out
 
 
@@ -380,38 +454,28 @@ def concatenate(
         name or f"{left.schema.name}_concat"
     )
     out = SciArray(out_schema, name=name or f"{left.name}_concat_{right.name}")
-    for coords, cell in left.cells():
-        out.set_unchecked(coords, None if cell is None else cell.values)
-    for coords, cell in right.cells():
-        shifted = coords[:pos] + (coords[pos] + offset,) + coords[pos + 1 :]
-        out.set_unchecked(shifted, None if cell is None else cell.values)
+    for source, shift in ((left, 0), (right, offset)):
+        for origin, planes, state in source.blocks():
+            out.set_region(
+                origin[:pos] + (origin[pos] + shift,) + origin[pos + 1:],
+                planes, state,
+            )
     return out
 
 
 def cross_product(
     left: SciArray, right: SciArray, name: Optional[str] = None
 ) -> SciArray:
-    """The (m + n)-dimensional cross product with concatenated records."""
-    out_dims = [Dimension(d.name, d.size) for d in left.schema.dimensions]
-    used = {d.name for d in out_dims}
-    for d in right.schema.dimensions:
-        out_name = d.name if d.name not in used else f"{d.name}_r"
-        used.add(out_name)
-        out_dims.append(Dimension(out_name, d.size))
-    out_schema = ArraySchema(
-        name=name or f"{left.schema.name}_x_{right.schema.name}",
-        attributes=tuple(_concat_attributes(left.schema, right.schema)),
-        dimensions=tuple(out_dims),
+    """The (m + n)-dimensional cross product with concatenated records:
+    a pair with a NULL member is NULL, one with an EMPTY member EMPTY."""
+    return _write_pairs(
+        _joined_output(left, right, right.dim_names, "x", name), left, right,
+        lambda _l, lstate, _r, rstate: np.where(
+            (lstate == CellState.EMPTY) | (rstate == CellState.EMPTY),
+            CellState.EMPTY,
+            np.maximum(lstate, rstate),  # NULL = 2 > PRESENT = 1
+        ),
     )
-    out = SciArray(out_schema, name=name or f"{left.name}_x_{right.name}")
-    right_cells = list(right.cells())
-    for lcoords, lcell in left.cells():
-        for rcoords, rcell in right_cells:
-            if lcell is None or rcell is None:
-                out.set_unchecked(lcoords + rcoords, None)
-            else:
-                out.set_unchecked(lcoords + rcoords, lcell.values + rcell.values)
-    return out
 
 
 def transpose(
@@ -429,9 +493,12 @@ def transpose(
         name or f"{array.schema.name}_t"
     )
     out = SciArray(out_schema, name=name or f"{array.name}_t")
-    for coords, cell in array.cells():
-        out.set_unchecked(tuple(coords[p] for p in perm),
-                          None if cell is None else cell.values)
+    for origin, planes, state in array.blocks():
+        out.set_region(
+            tuple(origin[p] for p in perm),
+            {a: plane.transpose(perm) for a, plane in planes.items()},
+            state.transpose(perm),
+        )
     return out
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "DimPredicate",
     "AttrPredicate",
     "PredicateConjunction",
+    "AttrPairsEqual",
     "OpNode",
     "DefineNode",
     "CreateNode",
@@ -196,6 +197,28 @@ class PredicateConjunction(Node):
         keep = present
         for t in self.attr_terms:
             keep = keep & t.holds(planes[t.attr])
+        return keep
+
+
+@dataclass(frozen=True)
+class AttrPairsEqual:
+    """The textual ``cjoin(A, B, A.a = B.b and ...)`` predicate, in the
+    compiled pair-predicate protocol of :func:`repro.core.ops.cjoin`."""
+
+    pairs: tuple[tuple[str, str], ...]
+
+    def __call__(self, left: Any, right: Any) -> bool:
+        return all(getattr(left, a) == getattr(right, b) for a, b in self.pairs)
+
+    @property
+    def attrs(self) -> tuple[tuple[str, ...], ...]:
+        """The attributes read of the left cell, and of the right."""
+        return tuple(zip(*self.pairs))
+
+    def on_planes(self, left: Any, right: Any) -> Any:
+        keep = True
+        for a, b in self.pairs:
+            keep = keep & (left[a] == right[b])
         return keep
 
 

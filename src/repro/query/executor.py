@@ -28,6 +28,7 @@ from ..obs import tracing
 from ..obs.recorder import get_flight_recorder
 from .ast import (
     ArrayRef,
+    AttrPairsEqual,
     CreateNode,
     DefineNode,
     EnhanceNode,
@@ -278,43 +279,23 @@ class Executor:
             return self.lookup(node.name)
         if not isinstance(node, OpNode):
             raise PlanError(f"cannot evaluate node type {type(node).__name__}")
-        kwargs = self._translate_options(node, result)
+        kwargs = self._translate_options(node)
+        # Resolve inputs BEFORE opening this operator's span: nested
+        # expressions execute under their own spans, keeping every
+        # span's time and counters exclusive to its operator.
+        log_as = None
         if self.provenance is not None and not self._has_distributed_args(node):
-            # Resolve inputs BEFORE opening this operator's span: nested
-            # expressions execute under their own spans, keeping every
-            # span's time and counters exclusive to its operator.
-            input_names = [self._name_of(a, result) for a in node.args]
-            output = output_name or f"__q{next(self._temp_counter)}"
-            # Operator boundary: cooperative cancellation under a deadline.
-            check_deadline(f"operator {node.op}")
-            with tracing.span("op:" + node.op, op=node.op, node_id=id(node)) as sp:
-                value = self.provenance.execute(
-                    node.op, input_names, output, **kwargs
-                )
-                self._annotate_local(
-                    sp, [self.provenance.catalog[n] for n in input_names], value
-                )
-            return value
-        args = [self._eval(a, result) for a in node.args]
+            names = [self._name_of(a, result) for a in node.args]
+            args = [self.provenance.catalog[n] for n in names]
+            log_as = names, output_name or f"__q{next(self._temp_counter)}"
+        else:
+            args = [self._eval(a, result) for a in node.args]
+        # Operator boundary: cooperative cancellation under a deadline.
         check_deadline(f"operator {node.op}")
         with tracing.span("op:" + node.op, op=node.op, node_id=id(node)) as sp:
-            value = self._apply_op(node, args, kwargs, sp, self._scan_spec(node, result))
+            value = self._apply_op(node, args, kwargs, sp, result, log_as)
             self._annotate_local(sp, args, value)
         return value
-
-    def _scan_spec(self, node: Node, result: ExecutionResult):
-        """The pruning directive the planner attached to *node*, if any.
-
-        Looked up by node identity in the executed plan — `run`
-        executes the exact tree the planner annotated, so the ids line
-        up.  Returns ``None`` (no pruning) for nodes planned without a
-        spec or trees that never went through :meth:`Planner.plan`.
-        """
-        planned = result.planned
-        if planned is None:
-            return None
-        phys = planned.physical_for(node)
-        return phys.scan if phys is not None else None
 
     def _name_of(self, node: Node, result: ExecutionResult) -> str:
         """Resolve an argument to a provenance catalog name."""
@@ -324,18 +305,9 @@ class Executor:
                     node.name, self.lookup(node.name), program="executor.catalog"
                 )
             return node.name
-        # Nested expression: evaluate through provenance under a temp name.
-        kwargs = self._translate_options(node, result)
-        input_names = [self._name_of(a, result) for a in node.args]
-        output = f"__q{next(self._temp_counter)}"
-        with tracing.span("op:" + node.op, op=node.op, node_id=id(node)) as sp:
-            self.provenance.execute(node.op, input_names, output, **kwargs)
-            self._annotate_local(
-                sp,
-                [self.provenance.catalog[n] for n in input_names],
-                self.provenance.catalog[output],
-            )
-        return output
+        # Nested expression: evaluated through provenance, which names the
+        # result after the temp name it is logged under.
+        return self._eval(node, result).name
 
     # -- distributed dispatch ----------------------------------------------------
 
@@ -361,15 +333,24 @@ class Executor:
         return False
 
     def _apply_op(
-        self, node: OpNode, args: list, kwargs: dict, sp, scan_spec=None
+        self, node: OpNode, args: list, kwargs: dict, sp,
+        result: ExecutionResult, log_as: Optional[tuple] = None,
     ) -> Any:
+        """Run *node*'s operator on resolved inputs — through the
+        provenance engine, under the ``(input names, output name)`` of
+        *log_as*, when the derivation is logged."""
         DistributedArray = _distributed_type()
         if any(isinstance(a, DistributedArray) for a in args):
-            return self._dispatch_distributed(node, args, kwargs, sp, scan_spec)
+            return self._dispatch_distributed(node, args, kwargs, sp, result)
+        if node.op == "filter":
+            # Its predicate, compiled or opaque, tests each PRESENT cell once.
+            result.cells_examined += args[0].count_present()
+        if log_as is not None:
+            return self.provenance.execute(node.op, *log_as, **kwargs)
         return get_operator(node.op)(*args, **kwargs)
 
     def _dispatch_distributed(
-        self, node: OpNode, args: list, kwargs: dict, sp, scan_spec=None
+        self, node: OpNode, args: list, kwargs: dict, sp, result: ExecutionResult
     ) -> Any:
         """Run an operator over grid-resident inputs.
 
@@ -378,14 +359,18 @@ class Executor:
         in place on the grid; anything else gathers the operands to the
         coordinator (metered as movement) and runs the local operator.
 
-        *scan_spec* is the planner's chunk-skipping directive for this
-        node (a :class:`~repro.query.planner.ScanSpec`): when the read
-        feeding this operator is a direct grid scan of the spec's array,
+        The planner's chunk-skipping directive for this node (a
+        :class:`~repro.query.planner.ScanSpec`) applies when the read
+        feeding this operator is a direct grid scan of the spec's array:
         the per-attribute value intervals are forwarded so every node's
         storage manager can skip buckets whose statistics rule them out.
         """
         DistributedArray = _distributed_type()
         op = node.op
+        # Found by node identity: `run` executes the very tree it planned.
+        planned = result.planned
+        phys = planned.physical_for(node) if planned is not None else None
+        scan_spec = phys.scan if phys is not None else None
         sp.annotate(distributed=True)
         first = args[0] if isinstance(args[0], DistributedArray) else None
         grid_arg = next(
@@ -416,11 +401,11 @@ class Executor:
                     return get_operator(op)(slab, **kwargs)
             elif op == "aggregate" and first is not None and len(args) == 1:
                 return first.aggregate(
-                    kwargs["group_dims"], kwargs["agg"], kwargs["attr"]
+                    kwargs["group_dims"], kwargs["agg"], kwargs.get("attr")
                 )
             elif op == "regrid" and first is not None and len(args) == 1:
                 return first.regrid(
-                    kwargs["factors"], kwargs["agg"], kwargs["attr"]
+                    kwargs["factors"], kwargs["agg"], kwargs.get("attr")
                 )
             elif (
                 op == "sjoin"
@@ -440,7 +425,7 @@ class Executor:
             else a
             for a in args
         ]
-        return get_operator(op)(*local, **kwargs)
+        return self._apply_op(node, local, kwargs, sp, result)
 
     def _predicate_window(
         self, pred: Any, darr: Any
@@ -455,38 +440,26 @@ class Executor:
             return None
         if pred.attr_terms:
             return None
-        dims = list(darr.schema.dimensions)
-        names = [d.name for d in dims]
-        lo: dict[str, int] = {}
-        hi: dict[str, int] = {}
+        lo = {d.name: 1 for d in darr.schema.dimensions}
+        hi = {d.name: d.size for d in darr.schema.dimensions}
         for term in pred.dim_terms:
-            if term.dim not in names:
+            if term.dim not in lo:
                 raise PlanError(
                     f"array {darr.name!r} has no dimension {term.dim!r} "
-                    f"(dimensions: {', '.join(names)})"
+                    f"(dimensions: {', '.join(lo)})"
                 )
-            if term.op in ("even", "odd", "!="):
+            cond = term.to_condition()
+            if callable(cond):  # even, odd, !=
                 return None
-            value = term.value
-            if term.op == "=":
-                lo[term.dim] = max(lo.get(term.dim, value), value)
-                hi[term.dim] = min(hi.get(term.dim, value), value)
-            elif term.op == "<":
-                hi[term.dim] = min(hi.get(term.dim, value - 1), value - 1)
-            elif term.op == "<=":
-                hi[term.dim] = min(hi.get(term.dim, value), value)
-            elif term.op == ">":
-                lo[term.dim] = max(lo.get(term.dim, value + 1), value + 1)
-            elif term.op == ">=":
-                lo[term.dim] = max(lo.get(term.dim, value), value)
-        lo_coords, hi_coords = [], []
-        for d in dims:
-            lo_coords.append(lo.get(d.name, 1))
-            upper = hi.get(d.name, d.size)
-            if upper is None:  # unbounded dim, no upper constraint
-                return None
-            hi_coords.append(upper)
-        return tuple(lo_coords), tuple(hi_coords)
+            low, high = (cond, cond) if isinstance(cond, int) else cond
+            if low is not None:
+                lo[term.dim] = max(lo[term.dim], low)
+            if high is not None:
+                bound = hi[term.dim]
+                hi[term.dim] = high if bound is None else min(bound, high)
+        if None in hi.values():  # an unbounded dimension left open above
+            return None
+        return tuple(lo.values()), tuple(hi.values())
 
     # -- span annotation ---------------------------------------------------------
 
@@ -507,56 +480,38 @@ class Executor:
         if isinstance(value, SciArray):
             sp.add("cells_out", value.count_occupied())
 
-    def _translate_options(self, node: OpNode, result: ExecutionResult) -> dict:
+    def _translate_options(self, node: OpNode) -> dict:
         """Map AST options to the operator functions' keyword arguments."""
         op = node.op
         if op == "subsample":
             pred = node.option("predicate")
             return {"predicate": _as_dim_mapping(pred)}
         if op == "filter":
-            fn = node.option("predicate")
-            if not callable(fn):  # a PredicateConjunction tests one cell
+            pred = node.option("predicate")
+            if not callable(pred):  # a PredicateConjunction tests one cell
                 raise PlanError(
-                    f"cannot use {type(fn).__name__} as a filter predicate"
+                    f"cannot use {type(pred).__name__} as a filter predicate"
                 )
-
-            def counting(cell, _fn=fn, _res=result):
-                _res.cells_examined += 1
-                return _fn(cell)
-
-            return {"predicate": counting}
-        if op == "aggregate":
+            on_dims = [t.dim for t in getattr(pred, "dim_terms", ())]
+            if on_dims:
+                raise PlanError(
+                    f"filter tests cell values, not positions: its predicate "
+                    f"has terms on dimension(s) {on_dims}; put those in a "
+                    f"subsample"
+                )
+            return {"predicate": pred}
+        if op in ("aggregate", "regrid", "sjoin", "project", "transpose", "reshape"):
+            # Their options carry the operator's own keyword names; the
+            # AST's tuples go in as lists.
             return {
-                "group_dims": list(node.option("group_dims")),
-                "agg": node.option("agg"),
-                "attr": node.option("attr"),
+                k: list(v) if isinstance(v, tuple) else v
+                for k, v in node.options
             }
-        if op == "regrid":
-            return {
-                "factors": list(node.option("factors")),
-                "agg": node.option("agg"),
-                "attr": node.option("attr"),
-            }
-        if op == "sjoin":
-            return {"on": list(node.option("on"))}
         if op == "cjoin":
             pairs = node.option("attr_pairs")
             if pairs is not None:
-                def predicate(l, r, _pairs=pairs):
-                    return all(
-                        getattr(l, la) == getattr(r, ra) for la, ra in _pairs
-                    )
-                return {"predicate": predicate}
+                return {"predicate": AttrPairsEqual(tuple(pairs))}
             return {"predicate": node.option("predicate")}
-        if op == "project":
-            return {"attrs": list(node.option("attrs"))}
-        if op == "transpose":
-            return {"order": list(node.option("order"))}
-        if op == "reshape":
-            return {
-                "order": list(node.option("order")),
-                "new_dims": list(node.option("new_dims")),
-            }
         if op == "apply":
             udf_name = node.option("udf")
             if udf_name is not None:

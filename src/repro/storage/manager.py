@@ -709,6 +709,8 @@ class StorageManager:
             ChunkCache(chunk_cache_bytes) if chunk_cache_bytes > 0 else None
         )
         self._arrays: dict[str, PersistentArray] = {}
+        # What dropped arrays had counted: totals are cumulative.
+        self._retired: dict[str, int] = {}
         # Concurrent ingests (the service's per-request threads) race
         # ensure_array's check-then-create; without this lock two threads
         # could build two PersistentArray instances over one directory.
@@ -788,16 +790,23 @@ class StorageManager:
                 # cached decodes of the dropped files must not survive.
                 self.chunk_cache.invalidate(str(arr.directory))
             del self._arrays[name]
+            _add_counts(self._retired, arr.stats)
 
     def names(self) -> list[str]:
         with self._lock:
             return sorted(self._arrays)
 
     def total_stats(self) -> dict[str, int]:
+        """Every array's counters summed, dropped arrays included, so no
+        count ever steps back."""
         with self._lock:
+            totals = dict(self._retired)
             arrays = list(self._arrays.values())
-        totals: dict[str, int] = {}
         for arr in arrays:
-            for k, v in arr.stats.snapshot().items():
-                totals[k] = totals.get(k, 0) + v
+            _add_counts(totals, arr.stats)
         return totals
+
+
+def _add_counts(totals: dict[str, int], stats: StorageStats) -> None:
+    for k, v in stats.snapshot().items():
+        totals[k] = totals.get(k, 0) + v

@@ -14,7 +14,8 @@ over a few cells spread across a 10^7 x 10^7 extent, where assembling the
 bounding box is a 90 TiB allocation.
 
 The last part pins the cliff shut: with ``SciArray.cells`` patched to
-raise, built-in work still runs, and opaque Python still asks for cells.
+raise, built-in work still runs — called directly and as statements
+through ``SciDB.execute`` — and opaque Python still asks for cells.
 """
 
 import itertools
@@ -26,9 +27,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import SciArray, UserAggregate, define_array
+from repro import SciArray, SciDB, UserAggregate, define_array
 from repro.core import ops
-from repro.query.ast import AttrPredicate, PredicateConjunction
+from repro.query import Executor, array as q, attr
+from repro.query.ast import AttrPairsEqual, AttrPredicate, PredicateConjunction
 
 COMPARE = {
     "=": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -113,6 +115,52 @@ def ref_sjoin(left, right, perm):
             rrec = right[tuple(rc)]
             out[c] = None if lrec is None or rrec is None else lrec + rrec
     return out
+
+
+def ref_transpose(cells, perm):
+    return {tuple(c[p] for p in perm): rec for c, rec in cells.items()}
+
+
+def ref_add_dimension(cells):
+    return {c + (1,): rec for c, rec in cells.items()}
+
+
+def ref_concatenate(left, right, pos, offset):
+    out = dict(left)
+    for c, rec in right.items():
+        out[c[:pos] + (c[pos] + offset,) + c[pos + 1:]] = rec
+    return out
+
+
+def ref_reshape(cells, perm, old_sizes, new_sizes):
+    """Linearize over the dimensions in *perm* order (first slowest), then
+    regroup into *new_sizes* (first slowest)."""
+    out = {}
+    for c, rec in cells.items():
+        idx = 0
+        for p, size in zip(perm, old_sizes):
+            idx = idx * size + c[p] - 1
+        new = []
+        for size in reversed(new_sizes):
+            idx, r = divmod(idx, size)
+            new.append(r + 1)
+        out[tuple(reversed(new))] = rec
+    return out
+
+
+def ref_cross_product(left, right):
+    return {
+        lc + rc: None if lrec is None or rrec is None else lrec + rrec
+        for lc, lrec in left.items() for rc, rrec in right.items()
+    }
+
+
+def ref_cjoin(left, right, holds):
+    return {
+        lc + rc: lrec + rrec if holds(lrec, rrec) else None
+        for lc, lrec in left.items() if lrec is not None
+        for rc, rrec in right.items() if rrec is not None
+    }
 
 
 # -- models <-> arrays ------------------------------------------------------------
@@ -214,6 +262,15 @@ def build(params, name="a", dim_names="xyz"):
     return Case(name, dim_names[:ndim], **params)
 
 
+def random_terms(rng, attrs):
+    return [
+        (attrs[int(rng.integers(len(attrs)))],
+         list(COMPARE)[int(rng.integers(6))],
+         float(rng.integers(-12, 12)) / 4)
+        for _ in range(int(rng.integers(1, 3)))
+    ]
+
+
 # -- the property ------------------------------------------------------------------
 
 
@@ -236,12 +293,7 @@ class TestKernelsMatchTheReference:
         assert arr.bounds == tuple(case.bounds)
 
         # filter, compiled predicate
-        terms = [
-            (attrs[int(rng.integers(len(attrs)))],
-             list(COMPARE)[int(rng.integers(6))],
-             float(rng.integers(-12, 12)) / 4)
-            for _ in range(int(rng.integers(1, 3)))
-        ]
+        terms = random_terms(rng, attrs)
         pred = PredicateConjunction(tuple(AttrPredicate(*t) for t in terms))
         assert_same_cells(ops.filter(arr, pred), ref_filter(cells, attrs, terms))
 
@@ -334,6 +386,93 @@ class TestKernelsMatchTheReference:
             ops.sjoin(arr, other.array, on),
             ref_sjoin(cells, other.cells, perm),
         )
+
+        # transpose, add_dimension
+        assert_same_cells(
+            ops.transpose(arr, [arr.dim_names[p] for p in perm]),
+            ref_transpose(cells, perm),
+        )
+        assert_same_cells(ops.add_dimension(arr, "w"), ref_add_dimension(cells))
+
+        # reshape: linearize in a random order, regroup into the extents
+        # shuffled, then split or merged
+        old_sizes = [case.bounds[p] for p in perm]
+        new_sizes = [case.bounds[int(p)] for p in rng.permutation(ndim)]
+        if rng.integers(2):
+            new_sizes = [math.prod(new_sizes[:-1]), new_sizes[-1]]
+        if math.prod(old_sizes):
+            out = ops.reshape(
+                arr, [arr.dim_names[p] for p in perm],
+                [(f"n{i}", size) for i, size in enumerate(new_sizes)],
+            )
+            assert_same_cells(out, ref_reshape(cells, perm, old_sizes, new_sizes))
+
+        # concatenate with a differently ragged array of the same type, along
+        # the one dimension whose extents may differ
+        pos = ndim - 1 if params["unbounded"] else int(rng.integers(ndim))
+        more = list(params["extents"])
+        more[pos] = int(rng.integers(1, 6))
+        tail = Case(
+            "a", arr.dim_names, tuple(more),
+            tuple(int(s) for s in rng.integers(1, 5, size=ndim)),
+            params["types"], pos == ndim - 1 and bool(rng.integers(2)),
+            int(rng.integers(2**16)),
+        )
+        out = ops.concatenate(arr, tail.array, arr.dim_names[pos])
+        assert_same_cells(
+            out, ref_concatenate(cells, tail.cells, pos, case.bounds[pos])
+        )
+        assert out.bounds[pos] == case.bounds[pos] + tail.bounds[pos]
+
+        # cross_product and cjoin against a small 1-2 dimensional partner
+        few = int(rng.integers(1, 3))
+        small = Case(
+            "c", "pq"[:few],
+            tuple(int(n) for n in rng.integers(1, 4, size=few)),
+            tuple(int(s) for s in rng.integers(1, 3, size=few)),
+            ("float", "int64")[: int(rng.integers(1, 3))],
+            bool(rng.integers(2)), int(rng.integers(2**16)),
+        )
+        assert_same_cells(
+            ops.cross_product(arr, small.array),
+            ref_cross_product(cells, small.cells),
+        )
+        pairs = [
+            (int(rng.integers(len(attrs))), int(rng.integers(len(small.attrs))))
+            for _ in range(int(rng.integers(1, 3)))
+        ]
+        equal = AttrPairsEqual(
+            tuple((attrs[i], small.attrs[j]) for i, j in pairs)
+        )
+        assert_same_cells(
+            ops.cjoin(arr, small.array, equal),
+            ref_cjoin(
+                cells, small.cells,
+                lambda l, r: all(l[i] == r[j] for i, j in pairs),
+            ),
+        )
+
+    @given(cases(), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_a_statement_examines_the_same_cells_either_way(self, params, choices):
+        """Through the executor, a compiled conjunction and the same test
+        as an opaque lambda keep the same cells and report the same
+        ``cells_examined``: one per PRESENT input cell."""
+        case = build(params)
+        terms = random_terms(np.random.default_rng(choices), case.attrs)
+        executor = Executor()
+        executor.register("a", case.array)
+        compiled = executor.run(q("a").filter(
+            PredicateConjunction(tuple(AttrPredicate(*t) for t in terms))
+        ).node)
+        opaque = executor.run(q("a").filter(
+            lambda cell: all(COMPARE[op](getattr(cell, a), v) for a, op, v in terms)
+        ).node)
+        expected = ref_filter(case.cells, case.attrs, terms)
+        assert_same_cells(compiled.array, expected)
+        assert_same_cells(opaque.array, expected)
+        present = sum(rec is not None for rec in case.cells.values())
+        assert compiled.cells_examined == opaque.cells_examined == present
 
     def test_an_array_with_no_cells(self):
         schema = define_array("E", {"e0": "float"}, ["x", "y"])
@@ -450,6 +589,46 @@ class TestCostFollowsTheChunks:
             ref_sjoin(model, kept, [1, 0]),
         )
 
+    def test_the_structural_copies(self, scattered):
+        arr, model = scattered
+        high = arr.bounds  # (FAR, FAR) bounded, (FAR - 3, FAR) high-water
+        assert_same_cells(
+            ops.transpose(arr, ["y", "x"]), ref_transpose(model, [1, 0])
+        )
+        assert_same_cells(ops.add_dimension(arr, "w"), ref_add_dimension(model))
+        assert_same_cells(
+            ops.concatenate(arr, arr, "x"),
+            ref_concatenate(model, model, 0, high[0]),
+        )
+        flat = ops.reshape(arr, ["y", "x"], [("u", high[0] * high[1])])
+        assert_same_cells(
+            flat, ref_reshape(model, [1, 0], [high[1], high[0]], [flat.bounds[0]])
+        )
+        pair = define_array("P", {"p0": "float"}, ["k"]).create("pair", [FAR])
+        pair[1], pair[FAR] = 1.5, -0.25
+        pair.set_null(9)
+        few = {(1,): (1.5,), (9,): None, (FAR,): (-0.25,)}
+        crossed = ops.cross_product(arr, pair)
+        assert_same_cells(crossed, ref_cross_product(model, few))
+        assert crossed.chunk_count() == 3 * 2
+        assert_same_cells(
+            ops.cjoin(arr, pair, AttrPairsEqual((("f0", "p0"),))),
+            ref_cjoin(model, few, lambda l, r: l[0] == r[0]),
+        )
+
+    def test_reshape_counts_past_int64(self):
+        schema = define_array("W", {"v": "float"}, ["x", "y", "z"])
+        arr = schema.create("w", [FAR, FAR, FAR])  # 10^21 cells
+        model = {(1, 2, 3): (1.0,), (FAR, FAR - 1, FAR - 2): (2.0,), (5, 5, 5): None}
+        for c, rec in model.items():
+            arr[c] = rec
+        out = ops.reshape(
+            arr, ["z", "y", "x"], [("a", FAR), ("b", FAR * FAR)]
+        )
+        assert_same_cells(
+            out, ref_reshape(model, [2, 1, 0], [FAR] * 3, [FAR, FAR * FAR])
+        )
+
     def test_a_lone_dimension_is_removed_chunk_by_chunk(self):
         schema = define_array("L", {"v": "float"}, ["x", "one"])
         arr = schema.create("l", [FAR, 1])
@@ -489,6 +668,8 @@ class TestTheCliffStaysClosed:
         attrs = ["flux", "err"]
         factors = [4, 4, 1]
         pred = PredicateConjunction((AttrPredicate("flux", ">", 0.5),))
+        near = ops.subsample(arr, {"x": (4, 7), "y": (5, 8), "t": (1, 2)})
+        corner = ops.subsample(arr, {"x": (5, 6), "y": (6, 7), "t": 2})
         with monkeypatch.context() as m:
             m.setattr(SciArray, "cells", _raise_cells_requested)
             filtered = ops.filter(arr, pred)
@@ -499,6 +680,14 @@ class TestTheCliffStaysClosed:
             window = ops.subsample(arr, {"x": (3, 14), "y": (30, 41)})
             joined = ops.sjoin(arr, arr, [(d, d) for d in "xyt"])
             chained = ops.aggregate(filtered, ["t"], "count")
+            turned = ops.transpose(arr, ["t", "x", "y"])
+            deeper = ops.add_dimension(arr, "w")
+            doubled = ops.concatenate(arr, arr, "t")
+            folded = ops.reshape(arr, ["t", "y", "x"], [("u", 4 * 48), ("v", 48)])
+            crossed = ops.cross_product(near, corner)
+            matched = ops.cjoin(
+                near, corner, AttrPairsEqual((("flux", "flux"),))
+            )
         assert_same_cells(filtered, ref_filter(model, attrs, [("flux", ">", 0.5)]))
         assert_same_cells(projected, ref_project(model, attrs, ["err"]))
         assert_same_cells(
@@ -517,6 +706,59 @@ class TestTheCliffStaysClosed:
             ref_filter(model, attrs, [("flux", ">", 0.5)]), 0,
             lambda c: c[2:], "count",
         ))
+        assert_same_cells(turned, ref_transpose(model, [2, 0, 1]))
+        assert_same_cells(deeper, ref_add_dimension(model))
+        assert_same_cells(doubled, ref_concatenate(model, model, 2, 4))
+        assert_same_cells(
+            folded, ref_reshape(model, [2, 1, 0], [4, 48, 48], [4 * 48, 48])
+        )
+        some, few = as_model(near), as_model(corner)
+        assert None in few.values()  # the NULL at (5, 6, 2)
+        assert_same_cells(crossed, ref_cross_product(some, few))
+        assert_same_cells(
+            matched, ref_cjoin(some, few, lambda l, r: l[0] == r[0])
+        )
+        assert matched.count_present() == 3  # each of the corner's own cells
+
+    def test_statements_never_ask_for_cells(self, holed, monkeypatch):
+        """The same cliff through the front door: parse, plan and execute
+        add no per-cell step to a built-in statement."""
+        arr, model = holed
+        attrs = ["flux", "err"]
+        db = SciDB()
+        db.register("R", arr)
+        db.register("S", arr)
+        statements = {
+            "filter": "select filter(R, flux > 0.5)",
+            "subsample": "select subsample(R, x >= 3 and x <= 14 and y >= 30)",
+            "aggregate": "select aggregate(R, {x}, sum(flux))",
+            "regrid": "select regrid(R, [4, 4, 1], avg(flux))",
+            "sjoin": "select sjoin(R, S, R.x = S.x and R.y = S.y and R.t = S.t)",
+            "project": "select project(R, err)",
+            "chained": q("R").filter(attr("flux") > 0.5)
+            .aggregate(["t"], "count").node,
+        }
+        with monkeypatch.context() as m:
+            m.setattr(SciArray, "cells", _raise_cells_requested)
+            got = {k: db.execute(stmt) for k, stmt in statements.items()}
+        kept = ref_filter(model, attrs, [("flux", ">", 0.5)])
+        assert_same_cells(got["filter"].array, kept)
+        assert got["filter"].cells_examined == len(model) - 1
+        assert_same_cells(got["subsample"].array, ref_subsample(
+            model, [range(3, 15), range(30, 49), range(1, 5)]
+        ))
+        assert_same_cells(
+            got["aggregate"].array, ref_grouped(model, 0, lambda c: c[:1], "sum")
+        )
+        assert_same_cells(got["regrid"].array, ref_grouped(
+            model, 0,
+            lambda c: ((c[0] - 1) // 4 + 1, (c[1] - 1) // 4 + 1, c[2]), "avg",
+        ))
+        assert_same_cells(got["sjoin"].array, ref_sjoin(model, model, [0, 1, 2]))
+        assert_same_cells(got["project"].array, ref_project(model, attrs, ["err"]))
+        assert_same_cells(
+            got["chained"].array, ref_grouped(kept, 0, lambda c: c[2:], "count")
+        )
 
     @pytest.mark.parametrize("call", [
         lambda a: ops.filter(a, lambda cell: cell.flux > 0.5),

@@ -4,7 +4,10 @@ Python binding (Section 2.4)."""
 import numpy as np
 import pytest
 
-from repro import ParseError, PlanError, SciArray, define_array, define_function
+from repro import (
+    ParseError, PlanError, SchemaError, SciArray, SciDB, define_array,
+    define_function,
+)
 from repro.query import (
     ArrayRef,
     CreateNode,
@@ -239,6 +242,35 @@ class TestExecutor:
         naive = ex2.run(q)
         assert naive.cells_examined == 16
         assert optimized.array.content_equal(naive.array)
+
+    def test_filter_refuses_dimension_terms(self):
+        """They used to be dropped without a word: ``dim("x") >= 3`` kept
+        all 16 cells, and with ``attr("v") > 1`` beside it 14, not 8."""
+        db = SciDB()
+        db.register("A", make_2d(np.arange(1.0, 17.0).reshape(4, 4)))
+        for pred in (dim("x") >= 3, (dim("x") >= 3) & (attr("v") > 1)):
+            with pytest.raises(PlanError, match=r"dimension.*'x'.*subsample"):
+                db.execute(array("A").filter(pred).node)
+        kept = db.query(
+            array("A").subsample(dim("x") >= 3).filter(attr("v") > 1).node
+        )
+        assert kept.count_present() == 8
+
+    @pytest.mark.parametrize("statement", [
+        "select filter(A, w > 5)",
+        array("A").filter(attr("w") > 5).node,
+        # beside a string term the predicate is shown cells, not planes
+        array("T").filter((attr("tag") == "b") & (attr("w") > 5)).node,
+        "select cjoin(A, T, A.v = T.w)",
+    ], ids=["text", "fluent", "cell-route", "cjoin"])
+    def test_unknown_attribute_is_one_error(self, statement):
+        db = SciDB()
+        db.register("A", make_2d(np.arange(1.0, 17.0).reshape(4, 4)))
+        tagged = define_array("Tagged", {"tag": "string", "v": "float"}, ["x"])
+        db.register("T", tagged.create("T", [4]))
+        db.lookup("T")[1] = ("b", 1.0)
+        with pytest.raises(SchemaError, match=r"\['w'\].*attributes: "):
+            db.execute(statement)
 
     def test_select_into_registers(self):
         ex = self.make_executor()

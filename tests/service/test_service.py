@@ -301,6 +301,16 @@ class TestErrors:
         # ...and the session survives the failed statement.
         client.execute_query(sid, "select subsample(M, I >= 7)")
 
+    def test_unknown_attribute_is_a_typed_400(self, service, client):
+        sid = client.new_session()
+        with pytest.raises(ServiceError) as err:
+            client.execute_query(sid, "select filter(M, w > 5)")
+        assert err.value.status == 400
+        assert "SchemaError" in str(err.value) and "attributes: s1" in str(err.value)
+        client.execute_query(sid, "select filter(M, s1 > 5)")
+        client.release_session(sid)
+        assert service.sessions.count() == 0
+
     def test_timeout_is_408(self, client):
         sid = client.new_session()
         with pytest.raises(ServiceError) as err:

@@ -224,3 +224,21 @@ class TestStorageManager:
         totals = sm.total_stats()
         assert totals["cells_written"] == 2
         assert totals["buckets_written"] == 2
+
+    def test_total_stats_never_step_back(self, schema, tmp_path):
+        # Repartition drops and recreates arrays; the storage.* counters
+        # exported from these totals must stay monotone through it.
+        sm = StorageManager(tmp_path)
+        seen = [sm.total_stats()]
+        for round_ in range(2):
+            pa = sm.create_array("a", schema)
+            pa.append((1, 1), (1.0, 0))
+            pa.flush()
+            list(pa.scan())
+            seen.append(sm.total_stats())
+            sm.drop_array("a")
+            seen.append(sm.total_stats())
+        for before, after in zip(seen, seen[1:]):
+            assert all(after[k] >= v for k, v in before.items())
+        assert seen[-1]["cells_written"] == 2
+        assert seen[-1]["buckets_read"] == 2
