@@ -48,12 +48,6 @@ class HashIndex:
             if row is not None:
                 yield row
 
-    def lookup_ids(self, key: tuple) -> list[int]:
-        return [
-            rid for rid in self._map.get(tuple(key), ())
-            if self.table._rows[rid] is not None
-        ]
-
     def __len__(self) -> int:
         return sum(len(v) for v in self._map.values())
 

@@ -1,0 +1,538 @@
+"""The grid's operators: choose partitions, read, fold or merge (§2.7).
+
+Every operator on :class:`DistributedArray` has the same shape — choose
+the partitions, read them through
+:func:`~repro.cluster.readpath.read_partitions` (running the operator's
+local phase where the data is), merge at the coordinator, wrap the
+coverage — and the retry/breaker/hedge machinery that makes the read
+survive broken nodes is entirely the read path's business:
+
+* ``scan`` / ``subsample`` / ``materialize`` — one metered gather, with
+  per-node R-tree window pruning and value pruning;
+* ``aggregate`` / ``regrid`` — one grouped-partials body: local partial
+  aggregation, coordinator merge (algebraic aggregates move only partial
+  states; holistic ones fall back to raw shipment);
+* ``sjoin`` — local joins when the operands are co-partitioned, otherwise
+  a shuffle of the right operand to the left's scheme first;
+* ``filter`` / ``apply`` — node-local, zero movement;
+* ``repartition`` — migrate to a new partitioning scheme, as the paper's
+  time-varying partitioning requires.
+
+With ``degraded=True`` (or ``on_unavailable="partial"``) a query that
+lost every replica of some partition returns the partial answer plus a
+:class:`~repro.cluster.replication.CoverageReport` instead of raising
+:class:`~repro.core.errors.QuorumError`.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+
+from ..core.array import SciArray
+from ..core.cells import Cell
+from ..core.errors import (
+    GridError,
+    NodeFailedError,
+    PartitioningError,
+    QuorumError,
+    SchemaError,
+)
+from ..core.ops import content as content_ops
+from ..core.ops import structural as structural_ops
+from ..core.schema import ArraySchema, Dimension, define_array
+from ..core.udf import UserAggregate, get_aggregate
+from .ledger import COORDINATOR
+from .node import Node
+from .partitioning import Partitioner
+from .readpath import read_partitions
+from .replication import CoverageReport, DegradedResult
+from .resilience import Deadline, deadline_scope
+from .writepath import WritableArray
+
+__all__ = ["DistributedArray"]
+
+Coords = tuple[int, ...]
+Missing = list[tuple[str, int]]
+
+#: Merge functions for algebraic built-in aggregates (state x state -> state).
+_ALGEBRAIC_MERGES: dict[str, Callable[[Any, Any], Any]] = {
+    "sum": lambda a, b: a + b,
+    "count": lambda a, b: a + b,
+    "avg": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "min": lambda a, b: b if a is None else (a if b is None else min(a, b)),
+    "max": lambda a, b: b if a is None else (a if b is None else max(a, b)),
+    "stdev": lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+}
+
+
+def _unavailable_mode(degraded: bool, on_unavailable: str) -> tuple[bool, bool]:
+    """``(partial, tolerate_deadline)`` for an operator's *degraded* /
+    *on_unavailable* pair: a partial answer is wanted under either, and
+    only ``"partial"`` also forgives a deadline-starved read."""
+    if on_unavailable not in ("raise", "partial"):
+        raise GridError(
+            f"on_unavailable must be 'raise' or 'partial', "
+            f"got {on_unavailable!r}"
+        )
+    tolerate_deadline = on_unavailable == "partial"
+    return degraded or tolerate_deadline, tolerate_deadline
+
+
+def _covered(
+    out: SciArray, partial: bool, total_partitions: int, missing: Missing
+) -> "SciArray | DegradedResult":
+    """*out* as the operator returns it: bare, or with its coverage."""
+    if not partial:
+        return out
+    return DegradedResult(
+        out, CoverageReport(total_partitions, tuple(missing))
+    )
+
+
+class DistributedArray(WritableArray):
+    """One array partitioned across the grid's nodes, ``k`` replicas deep."""
+
+    # -- the gather ---------------------------------------------------------------
+
+    def _gather_cells(
+        self,
+        window: Optional[tuple[Coords, Coords]] = None,
+        partial: bool = False,
+        tolerate_deadline: bool = False,
+        attr_ranges: Optional[dict] = None,
+    ) -> tuple[Iterator[tuple[Coords, Optional[Cell]]], Missing]:
+        """Gather (windowed) cells at the coordinator, metered
+        ``"gather"``: the cells in partition order, and what was missing.
+
+        Each logical partition is read from its first surviving replica,
+        so the gather survives up to ``replication - 1`` failures per
+        chain.  *attr_ranges* forwards the planner's value-pruning
+        intervals to every node's storage manager (chunk skipping; pruned
+        buckets' occupied cells come back NULL).
+        """
+        served, missing = read_partitions(
+            self, window, "gather", degraded=partial,
+            tolerate_deadline=tolerate_deadline, attr_ranges=attr_ranges,
+        )
+        return (
+            chain.from_iterable(cells for _site, cells in served.values()),
+            missing,
+        )
+
+    def _gather_array(self, name: str, **read: Any) -> tuple[SciArray, Missing]:
+        # Partition reads yield schema-conforming cells at 1-based coords,
+        # so the checked set() path (coord normalisation, bounds, record
+        # coercion) is pure overhead here — and this loop is the gather
+        # hot path for every distributed operator.
+        out = SciArray(self.schema, name=name)
+        cells, missing = self._gather_cells(**read)
+        unchecked = out.set_unchecked
+        for coords, cell in cells:
+            unchecked(coords, None if cell is None else cell.values)
+        return out, missing
+
+    def scan(
+        self,
+        window: Optional[tuple[Coords, Coords]] = None,
+        degraded: bool = False,
+        attr_ranges: Optional[dict] = None,
+    ) -> Iterator[tuple[Coords, Optional[Cell]]]:
+        """Gather (windowed) cells at the coordinator, metering the gather.
+
+        A partition with no surviving replica raises
+        :class:`~repro.core.errors.QuorumError` — or, with
+        ``degraded=True``, is silently skipped (partial answer).
+        """
+        cells, _missing = self._gather_cells(
+            window, degraded, attr_ranges=attr_ranges
+        )
+        yield from cells
+
+    def subsample(
+        self,
+        window: tuple[Coords, Coords],
+        degraded: bool = False,
+        deadline: Optional[Deadline] = None,
+        on_unavailable: str = "raise",
+        attr_ranges: Optional[dict] = None,
+    ) -> "SciArray | DegradedResult":
+        """Window query executed with per-node bucket pruning.
+
+        With ``degraded=True``, partitions that lost every replica are
+        skipped and the partial answer comes back with a coverage report
+        instead of a :class:`QuorumError`.  *deadline* bounds the query's
+        wall time (installed as the ambient deadline for every partition
+        task); *on_unavailable* decides what an unservable partition —
+        dead chain or deadline-starved read — does: ``"raise"`` (default)
+        propagates the error, ``"partial"`` marks the partition missing
+        and returns a :class:`DegradedResult` within the budget.
+        """
+        partial, tolerate_deadline = _unavailable_mode(degraded, on_unavailable)
+        with deadline_scope(deadline):
+            out, missing = self._gather_array(
+                f"{self.name}_window", window=window, partial=partial,
+                tolerate_deadline=tolerate_deadline, attr_ranges=attr_ranges,
+            )
+        return _covered(out, partial, len(self.partitions()), missing)
+
+    def materialize(self, attr_ranges: Optional[dict] = None) -> SciArray:
+        return self._gather_array(self.name, attr_ranges=attr_ranges)[0]
+
+    # -- grouped partials ---------------------------------------------------------
+
+    def _grouped(
+        self,
+        suffix: str,
+        reason: str,
+        aggregate_fn: UserAggregate,
+        attr: Optional[str],
+        key_of: Callable[[Coords], Coords],
+        dimensions: Iterable[Dimension],
+        partial: bool = False,
+        tolerate_deadline: bool = False,
+    ) -> tuple[SciArray, Missing]:
+        """Fold component *attr* of every cell into group ``key_of(coords)``
+        and write one output cell per group over *dimensions*.
+
+        Each logical partition is folded exactly once, at the serving
+        site of its replica chain — so the partials stay node-local even
+        when the primary is dead, and replicas are never double-counted.
+        What crosses to the coordinator is metered as *reason*.
+        """
+        attr_name = attr or self.schema.attr_names[0]
+        merge = _ALGEBRAIC_MERGES.get(aggregate_fn.name)
+        record = self.grid.ledger.record
+        states: dict[Coords, Any] = {}
+        if merge is not None:
+            # Algebraic: the local phase (scan + per-group transitions)
+            # runs in scheduler workers; the coordinator merges partial
+            # states in partition order, so float accumulation order — and
+            # therefore the result, bit for bit — matches the serial path.
+            served, missing = read_partitions(
+                self, degraded=partial, tolerate_deadline=tolerate_deadline,
+                local=lambda cells: content_ops.fold_cells(
+                    cells, key_of, aggregate_fn, attr_name
+                ),
+            )
+            for site, local in served.values():
+                # Partial states ship at 24 B each, the wire estimate.
+                for key, state in local.items():
+                    record(site, COORDINATOR, 24, reason)
+                    states[key] = (
+                        merge(states[key], state) if key in states else state
+                    )
+        else:
+            # Holistic user aggregate: ship raw values to the coordinator.
+            # Reads fan out; the transitions themselves stay coordinator-
+            # side and in partition order (holistic state is not mergeable,
+            # and order-dependent aggregates must see the serial order).
+            def shipped(site: int, cells: Iterable) -> Iterator:
+                # Ledger each PRESENT cell as the fold consumes it.
+                for item in cells:
+                    if item[1] is not None:
+                        record(site, COORDINATOR, self.cell_nbytes, reason)
+                    yield item
+
+            served, missing = read_partitions(
+                self, degraded=partial, tolerate_deadline=tolerate_deadline
+            )
+            for site, cells in served.values():
+                content_ops.fold_cells(
+                    shipped(site, cells), key_of, aggregate_fn, attr_name,
+                    states,
+                )
+        name = f"{self.name}_{suffix}"
+        out = content_ops.group_output(name, name, aggregate_fn, dimensions)
+        return content_ops.write_states(out, aggregate_fn, states), missing
+
+    def aggregate(
+        self,
+        group_dims: Sequence[str],
+        agg: "str | UserAggregate",
+        attr: Optional[str] = None,
+        degraded: bool = False,
+        deadline: Optional[Deadline] = None,
+        on_unavailable: str = "raise",
+    ) -> "SciArray | DegradedResult":
+        """Grouped aggregation with local partials where algebraic
+        (metered ``"aggregate"``).  *deadline* / *on_unavailable* behave
+        as in :meth:`subsample`.
+        """
+        aggregate_fn = agg if isinstance(agg, UserAggregate) else get_aggregate(agg)
+        positions = [self.schema.dim_index(d) for d in group_dims]
+        partial, tolerate_deadline = _unavailable_mode(degraded, on_unavailable)
+        with deadline_scope(deadline):
+            out, missing = self._grouped(
+                "agg", "aggregate", aggregate_fn, attr,
+                lambda coords: tuple(coords[q] for q in positions),
+                [self.schema.dimensions[q] for q in positions],
+                partial, tolerate_deadline,
+            )
+        return _covered(out, partial, len(self.partitions()), missing)
+
+    def regrid(
+        self,
+        factors: Sequence[int],
+        agg: "str | UserAggregate" = "avg",
+        attr: Optional[str] = None,
+    ) -> SciArray:
+        """Distributed Regrid: local partial aggregation per output block,
+        merged at the coordinator (algebraic aggregates only).
+
+        Output blocks can straddle partition boundaries, so unlike
+        :meth:`filter`/:meth:`apply` this moves partial states — metered as
+        ``"regrid"``.
+        """
+        aggregate_fn = agg if isinstance(agg, UserAggregate) else get_aggregate(agg)
+        if aggregate_fn.name not in _ALGEBRAIC_MERGES:
+            raise SchemaError(
+                f"distributed regrid needs an algebraic aggregate, "
+                f"not {aggregate_fn.name!r}"
+            )
+        if len(factors) != self.schema.ndim:
+            raise SchemaError(
+                f"regrid needs {self.schema.ndim} factors, got {len(factors)}"
+            )
+        return self._grouped(
+            "regrid", "regrid", aggregate_fn, attr,
+            lambda coords: tuple(
+                (c - 1) // f + 1 for c, f in zip(coords, factors)
+            ),
+            [
+                Dimension(d.name, (self._extent(i) + f - 1) // f)
+                for i, (d, f) in enumerate(
+                    zip(self.schema.dimensions, factors)
+                )
+            ],
+        )[0]
+
+    # -- join ---------------------------------------------------------------------
+
+    def sjoin(
+        self,
+        other: "DistributedArray",
+        on: Optional[Sequence[tuple[str, str]]] = None,
+        degraded: bool = False,
+    ) -> "SciArray | DegradedResult":
+        """Structured join of two distributed arrays on all dimensions.
+
+        Co-partitioned operands (equal partitioners — see
+        :func:`repro.cluster.copartition.is_copartitioned`) join locally
+        with **zero** shuffle; otherwise the right operand's cells are first
+        repartitioned to the left's scheme (metered as ``"join_shuffle"``).
+        Either side failing over to a replica keeps the join running; a
+        partition with no surviving replica raises :class:`QuorumError`
+        unless ``degraded=True``.
+        """
+        if on is None:
+            on = list(zip(self.schema.dim_names, other.schema.dim_names))
+        if len(on) != self.schema.ndim or len(on) != other.schema.ndim:
+            raise SchemaError(
+                "distributed sjoin joins all dimensions pairwise; use a "
+                "local sjoin for partial-dimension joins"
+            )
+        copartitioned = self.partitioner == other.partitioner
+        record = self.grid.ledger.record
+
+        # Read every left partition in parallel (no per-cell metering: the
+        # join runs at the serving site, which holds the cells locally).
+        left_served, missing = read_partitions(self, degraded=degraded)
+
+        # Assemble the right side per left partition: co-partitioned, right
+        # partition q *is* left partition q (and only the live ones are
+        # read); otherwise every right cell is shuffled to the site joining
+        # the matching left cell.
+        right_parts: dict[int, SciArray] = {
+            p: SciArray(other.schema, name=f"{other.name}@p{p}")
+            for p in left_served
+        }
+        total_partitions = len(self.partitions())
+        if not copartitioned:
+            total_partitions += len(other.partitions())
+        right_served, right_missing = read_partitions(
+            other, degraded=degraded,
+            partitions=sorted(left_served) if copartitioned else None,
+        )
+        missing += right_missing
+        for q, (r_site, r_cells) in right_served.items():
+            for coords, cell in r_cells:
+                target = q if copartitioned else self.partitioner.site_of(coords)
+                if target not in left_served:
+                    continue  # left side lost: nothing to join against
+                left_site = left_served[target][0]
+                if r_site != left_site:
+                    # Replica chains diverge (different k/placement) or the
+                    # schemes differ: the cell travels to the join site.
+                    record(r_site, left_site, other.cell_nbytes, "join_shuffle")
+                right_parts[target].set(coords, cell)
+
+        # Local joins are pure per partition: fan them out, merge the
+        # results (and meter the gathers) serially in partition order.
+        def local_join(p: int) -> Optional[SciArray]:
+            left = SciArray(self.schema, name=f"{self.name}@p{p}")
+            for coords, cell in left_served[p][1]:
+                left.set(coords, cell)
+            right = right_parts[p]
+            if left.count_occupied() == 0 or right.count_occupied() == 0:
+                return None
+            return structural_ops.sjoin(left, right, on=on)
+
+        ordered = sorted(left_served)
+        locals_ = self.grid.scheduler.map(
+            [(lambda p=p: local_join(p)) for p in ordered]
+        )
+        out: Optional[SciArray] = None
+        for p, local in zip(ordered, locals_):
+            if local is None:
+                continue
+            record(
+                left_served[p][0],
+                COORDINATOR,
+                local.count_occupied() * (self.cell_nbytes + other.cell_nbytes),
+                "gather",
+            )
+            if out is None:
+                out = local.empty_like(name=f"{self.name}_sjoin_{other.name}")
+            for coords, cell in local.cells():
+                out.set(coords, cell)
+        if out is None:
+            # Build an empty result with the joined schema.
+            out = structural_ops.sjoin(
+                SciArray(self.schema), SciArray(other.schema), on=on
+            )
+        return _covered(out, degraded, total_partitions, missing)
+
+    # -- node-local operators -----------------------------------------------------
+
+    def _node_local(
+        self,
+        output_name: str,
+        schema: ArraySchema,
+        per_cell: Callable[[Cell], Optional[tuple]],
+    ) -> "DistributedArray":
+        """A new array under the same partitioner whose every stored copy
+        is ``per_cell`` of this array's copy at the same address: each
+        node rewrites its own partition in place — replica copies
+        included, which keeps the output replicated exactly like the
+        input — with **zero** movement.  Nodes that die mid-pass are
+        skipped: their partitions' surviving replicas still produce
+        complete output copies.
+        """
+        self._check_coverage()
+        out = self.grid.create_array(
+            output_name, schema, self.partitioner, stride=self.stride,
+            replication=self.replication, placement=self.placement,
+        )
+        # Addresses are preserved, so the extent high-water carries over.
+        out._dim_highwater = list(self._dim_highwater)
+
+        def run(node: Node) -> None:
+            try:
+                target = node.partition(out.name)
+                for coords, cell in node.scan_partition(self.name):
+                    target.append(
+                        coords, None if cell is None else per_cell(cell)
+                    )
+                target.flush()
+            except NodeFailedError:
+                pass  # replicas on surviving nodes cover this partition
+
+        # One task per node touches only that node's storage, so the
+        # fan-out needs no cross-task coordination.
+        self.grid.scheduler.map(
+            [(lambda node=node: run(node)) for node in self.grid.alive_nodes()]
+        )
+        return out
+
+    def filter(
+        self,
+        predicate,
+        output_name: Optional[str] = None,
+    ) -> "DistributedArray":
+        """Distributed Filter: runs node-local with **zero** movement
+        (Filter preserves cell addresses; failing cells become NULL)."""
+        return self._node_local(
+            output_name or f"{self.name}_filtered", self.schema,
+            lambda cell: cell.values if predicate(cell) else None,
+        )
+
+    def apply(
+        self,
+        fn,
+        output: Sequence[tuple[str, str]],
+        output_name: Optional[str] = None,
+    ) -> "DistributedArray":
+        """Distributed Apply: node-local per-cell computation, no movement."""
+        out_schema = define_array(
+            f"{self.schema.name}_applied",
+            values=list(output),
+            dims=[(d.name, d.size) for d in self.schema.dimensions],
+        )
+
+        def per_cell(cell: Cell) -> tuple:
+            result = fn(cell)
+            if len(output) == 1 and not isinstance(result, tuple):
+                result = (result,)
+            return result
+
+        return self._node_local(
+            output_name or f"{self.name}_applied", out_schema, per_cell
+        )
+
+    def _check_coverage(self) -> None:
+        """Raise QuorumError if any partition has lost every replica."""
+        for p in self.partitions():
+            chain = self.partition_chain(p)
+            if not any(self.grid.nodes[s].alive for s in chain):
+                raise QuorumError(
+                    f"partition {p} of {self.name!r}: every replica site "
+                    f"of {chain} is dead"
+                )
+
+    # -- repartitioning --------------------------------------------------------------
+
+    def repartition(self, new_partitioner: Partitioner) -> int:
+        """Migrate to *new_partitioner*; returns cells whose primary moved.
+
+        Movement is metered as ``"repartition"``; replica copies already
+        resident on their (new) target node do not move (and cost
+        nothing).  Reads fail over to surviving replicas, so a
+        repartition can run through a node failure.
+        """
+        if new_partitioner.n_sites != len(self.grid.nodes):
+            raise PartitioningError("new partitioner targets a different grid size")
+        # Gather every logical cell once (in parallel), remembering who
+        # served it; redistribution below stays serial so the delivery —
+        # and with it fault ordering — is deterministic.
+        served, _missing = read_partitions(self)
+        # Snapshot current physical placement: copies already on their new
+        # home are free.
+        prior: dict[int, frozenset[Coords]] = {}
+        for node in self.grid.alive_nodes():
+            prior[node.node_id] = node.partition(self.name).live_coords()
+        # Rebuild partitions on every live node, then replay.
+        for node in self.grid.alive_nodes():
+            node.storage.drop_array(self.name)
+            node.create_partition(self.name, self.schema, stride=self.stride)
+        moved = 0
+        for src_site, cells in served.values():
+            for coords, cell in cells:
+                values = None if cell is None else cell.values
+                new_primary = new_partitioner.site_of(coords)
+                if new_primary != self.partitioner.site_of(coords):
+                    moved += 1
+                for dst in self.chain_under(new_partitioner, new_primary):
+                    if coords in prior.get(dst, ()):
+                        # Already resident before the migration: free.
+                        node = self.grid.nodes[dst]
+                        if node.alive:
+                            node.store(self.name, coords, values)
+                        continue
+                    self.grid.deliver(
+                        src_site, dst, self.cell_nbytes, "repartition",
+                        self.name, coords, values,
+                    )
+        self.flush()
+        self.partitioner = new_partitioner
+        return moved

@@ -18,7 +18,7 @@ with serving reads.  This module is the migration engine behind
 * between ticks the grid keeps serving: reads resolve against the old
   placement until cutover (falling back to the new homes only when an
   old chain is fully dead — see
-  ``DistributedArray._dual_resolve_read``), and writes land in *both*
+  :mod:`repro.cluster.readpath`), and writes land in *both*
   homes (``"rebalance_dual"`` copies) so no tick ordering can lose an
   update;
 * a verification pass before cutover re-checks every logical cell is
@@ -49,12 +49,12 @@ from ..core.errors import (
     GridError,
     NodeFailedError,
     PartitioningError,
-    QuorumError,
     StorageError,
     TransientIOError,
 )
 from ..obs.recorder import emit as _flight_emit
 from .partitioning import Partitioner
+from .readpath import read_partitions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .grid import DistributedArray, Grid
@@ -238,16 +238,11 @@ class Rebalancer:
         if self._planned:
             raise GridError("rebalance already planned")
         arr, mig = self.array, self.migration
-        for p, (_site, cells) in zip(
-            arr.partitions(), arr._read_partitions()
-        ):
-            if cells is None:  # pragma: no cover - defensive
-                raise QuorumError(
-                    f"partition {p} of {arr.name!r}: no surviving replica"
-                )
+        served, _missing = read_partitions(arr)
+        for _site, cells in served.values():
             for coords, _cell in cells:
                 mig.known.add(coords)
-                if self._wants_copies(coords):
+                if self._owed(coords):
                     mig.enqueue(coords)
         self._planned = True
         arr._migration = mig
@@ -386,15 +381,16 @@ class Rebalancer:
 
     # -- the per-cell move ---------------------------------------------------------
 
-    def _wants_copies(self, coords: Coords) -> bool:
+    def _owed(self, coords: Coords) -> list[int]:
+        """New-chain sites still lacking a trusted copy of *coords*."""
         mig, grid, arr = self.migration, self.grid, self.array
-        for site in mig.new_chain(coords):
+        return [
+            s for s in mig.new_chain(coords)
             if not (
-                grid.nodes[site].has_cell(arr.name, coords)
-                and mig.trusted(coords, site)
-            ):
-                return True
-        return False
+                grid.nodes[s].has_cell(arr.name, coords)
+                and mig.trusted(coords, s)
+            )
+        ]
 
     def _move_cell(self, coords: Coords) -> str:
         """Copy *coords* to every new home it is missing from.
@@ -404,13 +400,7 @@ class Rebalancer:
         destination / no live trusted source / delivery lost — re-queue
         and retry later)."""
         mig, grid, arr = self.migration, self.grid, self.array
-        dsts = [
-            s for s in mig.new_chain(coords)
-            if not (
-                grid.nodes[s].has_cell(arr.name, coords)
-                and mig.trusted(coords, s)
-            )
-        ]
+        dsts = self._owed(coords)
         if not dsts:
             return "done"
         if any(not grid.nodes[s].alive for s in dsts):
@@ -463,19 +453,14 @@ class Rebalancer:
     def _verify(self) -> int:
         """Re-queue every known cell missing a trusted copy at any new
         home; returns how many were re-queued."""
-        mig, grid, arr = self.migration, self.grid, self.array
+        mig = self.migration
         with mig._lock:
             known = list(mig.known)
         requeued = 0
         for coords in known:
-            for site in mig.new_chain(coords):
-                if not (
-                    grid.nodes[site].has_cell(arr.name, coords)
-                    and mig.trusted(coords, site)
-                ):
-                    mig.enqueue(coords)
-                    requeued += 1
-                    break
+            if self._owed(coords):
+                mig.enqueue(coords)
+                requeued += 1
         return requeued
 
     def _cutover(self) -> None:

@@ -8,8 +8,10 @@ folds those into an exponentially-weighted moving average, so the model
 self-calibrates as the workload runs; :meth:`CostModel.from_profiles`
 warm-starts one from the recorder's retained history.
 
-Strategy choice covers the two decisions the executor used to make by
-exception-driven trial (``try native; except SchemaError: gather``):
+Route choice is :func:`grid_route`: the one predicate that says where an
+operator over grid-resident operands runs.  The planner labels EXPLAIN
+with it and the executor dispatches on it, so a printed strategy is the
+route that ran:
 
 * **aggregate** — algebraic aggregates (sum/count/avg/min/max/stdev)
   decompose into per-node partials merged at the coordinator; holistic
@@ -26,12 +28,18 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
-__all__ = ["CostModel", "ALGEBRAIC_AGGREGATES", "DEFAULT_MS_PER_CELL"]
+from ..core.errors import PlanError, SchemaError
+from .ast import OpNode, PredicateConjunction
+
+__all__ = [
+    "CostModel", "ALGEBRAIC_AGGREGATES", "DEFAULT_MS_PER_CELL",
+    "grid_route", "predicate_window",
+]
 
 #: Aggregates with a partial/merge decomposition (mirrors the operator
-#: layer's ``_ALGEBRAIC_MERGES`` in :mod:`repro.cluster.grid`).
+#: layer's ``_ALGEBRAIC_MERGES`` in :mod:`repro.cluster.operators`).
 ALGEBRAIC_AGGREGATES = frozenset({"sum", "count", "avg", "min", "max", "stdev"})
 
 #: Seed rates (ms per cell handled) until observations arrive.
@@ -50,7 +58,7 @@ _FALLBACK_RATE = 0.006
 
 
 class CostModel:
-    """EWMA per-operator cost rates + strategy choices.
+    """EWMA per-operator cost rates (route choice is :func:`grid_route`).
 
     Thread-safe: the executor observes completed profiles from the query
     thread while the planner reads rates from wherever a plan is built.
@@ -137,30 +145,84 @@ class CostModel:
                 for op, rate in sorted(self._rates.items())
             }
 
-    # -- strategy choice ---------------------------------------------------
 
-    def aggregate_strategy(self, agg: Any) -> str:
-        """``"partial-aggregate"`` when the aggregate decomposes into
-        per-node partials, else ``"gather"``."""
-        if isinstance(agg, str) and agg in ALGEBRAIC_AGGREGATES:
-            return "partial-aggregate"
-        return "gather"
+# -- route choice ------------------------------------------------------------
 
-    def sjoin_strategy(
-        self, left: Optional[Any], right: Optional[Any]
-    ) -> str:
-        """``"copartitioned"`` when both sides live on the same grid
-        (node-local join legal), else ``"gather"``.  Descriptions are
-        :class:`~repro.query.stats.ArrayDescription`-shaped; unknown
-        sides (computed subtrees) default to copartitioned-if-same-grid
-        being unknowable, i.e. ``"gather"`` only when provably apart."""
-        if left is None or right is None:
-            return "copartitioned"  # runtime identity check still applies
-        if not getattr(left, "distributed", False) or not getattr(
-            right, "distributed", False
+
+def predicate_window(
+    pred: Any, array: Any
+) -> Optional[tuple[tuple, tuple]]:
+    """Compile a pure-range dimension predicate to a scan window over
+    *array* (anything with ``name`` and ``dims`` — ``(name, size)`` pairs).
+
+    Returns ``None`` when the predicate needs per-cell evaluation
+    (even/odd/!=, attribute terms, callables) or the window cannot
+    be closed (an unbounded dimension with no upper constraint).
+    """
+    if not isinstance(pred, PredicateConjunction):
+        return None
+    if pred.attr_terms:
+        return None
+    lo = {name: 1 for name, _size in array.dims}
+    hi = dict(array.dims)
+    for term in pred.dim_terms:
+        if term.dim not in lo:
+            raise PlanError(
+                f"array {array.name!r} has no dimension {term.dim!r} "
+                f"(dimensions: {', '.join(lo)})"
+            )
+        cond = term.to_condition()
+        if callable(cond):  # even, odd, !=
+            return None
+        low, high = (cond, cond) if isinstance(cond, int) else cond
+        if low is not None:
+            lo[term.dim] = max(lo[term.dim], low)
+        if high is not None:
+            bound = hi[term.dim]
+            hi[term.dim] = high if bound is None else min(bound, high)
+    if None in hi.values():  # an unbounded dimension left open above
+        return None
+    return tuple(lo.values()), tuple(hi.values())
+
+
+def grid_route(node: OpNode, operands: Sequence[Optional[Any]]) -> str:
+    """Where operator *node* runs, given what its arguments are.
+
+    *operands* holds, per argument, an
+    :class:`~repro.query.stats.ArrayDescription`-shaped object
+    (``distributed``, ``dims``, ``grid_id``) for a catalog array, or
+    ``None`` for a computed subtree.  The answer is ``""`` when no
+    argument is a bare grid array (the local operator, nothing moves),
+    the native grid route — ``"window"``, ``"partial-aggregate"``,
+    ``"partial-regrid"``, ``"copartitioned"`` — or ``"gather"``: every
+    grid argument is materialized at the coordinator and the local
+    operator runs there.  A statement no route can run raises before a
+    byte moves.
+    """
+    grids = [d for d in operands if d is not None and d.distributed]
+    if not grids:
+        return ""
+    op, first = node.op, operands[0]
+    if len(operands) == 1:
+        if op == "subsample":
+            if predicate_window(node.option("predicate"), first) is not None:
+                return "window"
+        elif op in ("aggregate", "regrid"):
+            if op == "regrid" and len(node.option("factors")) != len(first.dims):
+                raise SchemaError(
+                    f"regrid needs {len(first.dims)} factors, "
+                    f"got {len(node.option('factors'))}"
+                )
+            agg = node.option("agg")
+            if getattr(agg, "name", agg) in ALGEBRAIC_AGGREGATES:
+                return "partial-" + op
+    elif op == "sjoin" and len(grids) == len(operands) == 2:
+        second = operands[1]
+        on = node.option("on")
+        joined = min(len(first.dims), len(second.dims)) if on is None else len(on)
+        if (
+            first.grid_id == second.grid_id
+            and joined == len(first.dims) == len(second.dims)
         ):
             return "copartitioned"
-        lg, rg = getattr(left, "grid_id", None), getattr(right, "grid_id", None)
-        if lg is not None and rg is not None and lg != rg:
-            return "gather"
-        return "copartitioned"
+    return "gather"

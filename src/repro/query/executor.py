@@ -21,7 +21,7 @@ import itertools
 from ..cluster.resilience import check_deadline
 from ..core.array import SciArray
 from ..core.enhance import enhance as attach_enhancement
-from ..core.errors import PlanError, SchemaError
+from ..core.errors import PlanError
 from ..core.ops import get_operator
 from ..core.schema import ArraySchema, define_array
 from ..obs import tracing
@@ -37,9 +37,10 @@ from .ast import (
     PredicateConjunction,
     SelectNode,
 )
-from .cost import CostModel
+from .cost import CostModel, grid_route, predicate_window
 from .parser import parse_statement
 from .planner import PhysicalOp, PlannedQuery, Planner, PlannerConfig
+from .stats import ArrayDescription, ArrayStats
 
 
 def _distributed_type():
@@ -47,6 +48,17 @@ def _distributed_type():
     from ..cluster.grid import DistributedArray
 
     return DistributedArray
+
+
+def _describe_grid_array(name: str, arr: Any, **estimates: Any) -> ArrayDescription:
+    """What :func:`~repro.query.cost.grid_route` asks of a grid array —
+    written once, so the planner's catalog and the dispatch agree."""
+    return ArrayDescription(
+        name, "distributed", grid_id=id(arr.grid),
+        dims=tuple((d.name, d.size) for d in arr.schema.dimensions),
+        **estimates,
+    )
+
 
 try:  # Provenance is optional wiring, not a hard dependency.
     from ..provenance.log import ProvenanceEngine
@@ -135,8 +147,6 @@ class Executor:
         any failure inside is swallowed by the planner (stats must never
         fail a query).
         """
-        from .stats import ArrayDescription, ArrayStats
-
         arr = self.arrays.get(name)
         if arr is None:
             return None
@@ -152,16 +162,13 @@ class Executor:
                     continue  # no partition on this node / racing failure
             merged = ArrayStats.merged(parts)
             k = max(1, arr.replication)
-            return ArrayDescription(
-                name=name,
-                kind="distributed",
+            return _describe_grid_array(
+                name, arr,
                 cells=merged.cell_count // k,
                 chunks=-(-merged.chunk_count // k),
                 nodes=len(arr.grid.nodes),
                 replication=k,
-                grid_id=id(arr.grid),
                 partitioner=type(arr.partitioner).__name__,
-                dims=tuple((d.name, d.size) for d in arr.schema.dimensions),
                 stats=merged,
             )
         if isinstance(arr, SciArray):
@@ -352,7 +359,10 @@ class Executor:
     def _dispatch_distributed(
         self, node: OpNode, args: list, kwargs: dict, sp, result: ExecutionResult
     ) -> Any:
-        """Run an operator over grid-resident inputs.
+        """Run an operator over grid-resident inputs, on the route
+        :func:`~repro.query.cost.grid_route` names — decided from the
+        statement and its operands before any read, so a statement no
+        route can run fails without moving a byte.
 
         Operators with a native distributed implementation (window
         subsample, algebraic aggregate/regrid, co-partitioned sjoin) run
@@ -366,59 +376,51 @@ class Executor:
         storage manager can skip buckets whose statistics rule them out.
         """
         DistributedArray = _distributed_type()
-        op = node.op
         # Found by node identity: `run` executes the very tree it planned.
         planned = result.planned
         phys = planned.physical_for(node) if planned is not None else None
         scan_spec = phys.scan if phys is not None else None
-        sp.annotate(distributed=True)
-        first = args[0] if isinstance(args[0], DistributedArray) else None
-        grid_arg = next(
-            (a for a in args if isinstance(a, DistributedArray)), None
+        operands = [
+            _describe_grid_array(a.name, a)
+            if isinstance(a, DistributedArray) else None
+            for a in args
+        ]
+        route = grid_route(node, operands)
+        # The scheduler re-annotates on entry, but a gather never enters
+        # it — record the configured fan-out either way so explain shows
+        # per-op parallelism consistently.
+        sp.annotate(
+            distributed=True,
+            parallelism=next(
+                a for a in args if isinstance(a, DistributedArray)
+            ).grid.parallelism,
         )
-        if grid_arg is not None:
-            # The scheduler re-annotates on entry, but a fallback gather
-            # path never enters it — record the configured fan-out either
-            # way so explain shows per-op parallelism consistently.
-            sp.annotate(parallelism=grid_arg.grid.parallelism)
+
         def ranges_for(darr) -> Optional[dict]:
             if scan_spec is None or scan_spec.array != darr.name:
                 return None
             return scan_spec.attr_ranges or None
 
-        try:
-            if op == "subsample" and first is not None and len(args) == 1:
-                window = self._predicate_window(
-                    node.option("predicate"), first
-                )
-                if window is not None:
-                    # The window is a pruned (R-tree), metered gather of
-                    # just the slab; the local operator then applies the
-                    # exact Subsample semantics (rebasing, source_index).
-                    slab = first.subsample(
-                        window, attr_ranges=ranges_for(first)
-                    )
-                    return get_operator(op)(slab, **kwargs)
-            elif op == "aggregate" and first is not None and len(args) == 1:
-                return first.aggregate(
-                    kwargs["group_dims"], kwargs["agg"], kwargs.get("attr")
-                )
-            elif op == "regrid" and first is not None and len(args) == 1:
-                return first.regrid(
-                    kwargs["factors"], kwargs["agg"], kwargs.get("attr")
-                )
-            elif (
-                op == "sjoin"
-                and len(args) == 2
-                and first is not None
-                and isinstance(args[1], DistributedArray)
-                and args[0].grid is args[1].grid
-            ):
-                return args[0].sjoin(args[1], on=kwargs.get("on"))
-        except SchemaError:
-            # Holistic aggregate / incompatible partitioning: fall back
-            # to a metered gather plus the local operator.
-            pass
+        first = args[0]
+        if route == "window":
+            # The window is a pruned (R-tree), metered gather of just the
+            # slab; the local operator then applies the exact Subsample
+            # semantics (rebasing, source_index).
+            slab = first.subsample(
+                predicate_window(node.option("predicate"), operands[0]),
+                attr_ranges=ranges_for(first),
+            )
+            return get_operator(node.op)(slab, **kwargs)
+        if route == "partial-aggregate":
+            return first.aggregate(
+                kwargs["group_dims"], kwargs["agg"], kwargs.get("attr")
+            )
+        if route == "partial-regrid":
+            return first.regrid(
+                kwargs["factors"], kwargs["agg"], kwargs.get("attr")
+            )
+        if route == "copartitioned":
+            return first.sjoin(args[1], on=kwargs.get("on"))
         local = [
             a.materialize(attr_ranges=ranges_for(a))
             if isinstance(a, DistributedArray)
@@ -426,40 +428,6 @@ class Executor:
             for a in args
         ]
         return self._apply_op(node, local, kwargs, sp, result)
-
-    def _predicate_window(
-        self, pred: Any, darr: Any
-    ) -> Optional[tuple[tuple, tuple]]:
-        """Compile a pure-range dimension predicate to a scan window.
-
-        Returns ``None`` when the predicate needs per-cell evaluation
-        (even/odd/!=, attribute terms, callables) or the window cannot
-        be closed (an unbounded dimension with no upper constraint).
-        """
-        if not isinstance(pred, PredicateConjunction):
-            return None
-        if pred.attr_terms:
-            return None
-        lo = {d.name: 1 for d in darr.schema.dimensions}
-        hi = {d.name: d.size for d in darr.schema.dimensions}
-        for term in pred.dim_terms:
-            if term.dim not in lo:
-                raise PlanError(
-                    f"array {darr.name!r} has no dimension {term.dim!r} "
-                    f"(dimensions: {', '.join(lo)})"
-                )
-            cond = term.to_condition()
-            if callable(cond):  # even, odd, !=
-                return None
-            low, high = (cond, cond) if isinstance(cond, int) else cond
-            if low is not None:
-                lo[term.dim] = max(lo[term.dim], low)
-            if high is not None:
-                bound = hi[term.dim]
-                hi[term.dim] = high if bound is None else min(bound, high)
-        if None in hi.values():  # an unbounded dimension left open above
-            return None
-        return tuple(lo.values()), tuple(hi.values())
 
     # -- span annotation ---------------------------------------------------------
 

@@ -42,6 +42,7 @@ from .ast import (
     PredicateConjunction,
     SelectNode,
 )
+from .cost import grid_route
 from .stats import ArrayDescription, Interval, attr_intervals, intersect_ranges
 
 __all__ = [
@@ -185,12 +186,6 @@ class Planner:
         self.config = config
         self.catalog = catalog
         self.cost_model = cost_model
-
-    # Kept as a property so legacy callers (and tests) reading
-    # ``planner.enable_pushdown`` keep working after the config refactor.
-    @property
-    def enable_pushdown(self) -> bool:
-        return self.config.enable_pushdown
 
     def plan(
         self, node: Node, config: Optional[PlannerConfig] = None
@@ -345,20 +340,16 @@ class Planner:
     def _choose_strategy(
         self, node: OpNode, phys: PhysicalOp, cfg: PlannerConfig
     ) -> None:
+        """Label the operators whose grid route is a choice with the
+        route :func:`~repro.query.cost.grid_route` says will run — the
+        executor dispatches on the same call, so the label cannot lie."""
         if not cfg.enable_cost_model or self.cost_model is None:
             return
-        if node.op == "aggregate":
-            phys.strategy = self.cost_model.aggregate_strategy(
-                node.option("agg")
-            )
-        elif node.op == "sjoin":
-            descs = [
+        if node.op in ("aggregate", "sjoin"):
+            phys.strategy = grid_route(node, [
                 self._describe(a.name) if isinstance(a, ArrayRef) else None
-                for a in node.args[:2]
-            ]
-            left = descs[0] if descs else None
-            right = descs[1] if len(descs) > 1 else None
-            phys.strategy = self.cost_model.sjoin_strategy(left, right)
+                for a in node.args
+            ])
 
     def _estimate(
         self, node: OpNode, phys: PhysicalOp, cfg: PlannerConfig

@@ -286,23 +286,6 @@ class ArrayStats:
     def chunk_count(self) -> int:
         return len(self.buckets)
 
-    def attr_range(self, attr: str) -> Optional[AttrStats]:
-        """Global min/max for one attribute across every bucket."""
-        lo: Optional[float] = None
-        hi: Optional[float] = None
-        nulls = 0
-        seen = False
-        for b in self.buckets:
-            st = b.attrs.get(attr)
-            if st is None:
-                continue
-            seen = True
-            nulls += st.null_count
-            if st.lo is not None:
-                lo = st.lo if lo is None else min(lo, st.lo)
-                hi = st.hi if hi is None else max(hi, st.hi)
-        return AttrStats(lo, hi, nulls) if seen else None
-
     def estimate_match(
         self, ranges: dict[str, Interval]
     ) -> tuple[int, int, int]:

@@ -17,7 +17,6 @@ Every byte written/read and every bucket event is counted in
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
@@ -26,8 +25,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence, Union
-
-import numpy as np
 
 from ..core.array import SciArray
 from ..core.cells import Cell
@@ -277,23 +274,6 @@ class PersistentArray:
             self._buffer[coords] = values
             self._live_coords.add(coords)
             self.stats.cells_written += 1
-            if self._buffer_bytes >= self.memory_budget:
-                self._spill_locked()
-
-    def append_block(self, origin: Coords, values: dict[str, np.ndarray]) -> None:
-        """Buffer a dense block (bulk-load fast path)."""
-        arrays = {k: np.asarray(v) for k, v in values.items()}
-        shape = next(iter(arrays.values())).shape
-        names = list(self.schema.attr_names)
-        with self._lock:
-            for off in itertools.product(*(range(s) for s in shape)):
-                coords = tuple(int(o + i) for o, i in zip(origin, off))
-                record = tuple(arrays[n][off] for n in names)
-                if coords not in self._buffer:
-                    self._buffer_bytes += self._cell_cost
-                self._buffer[coords] = record
-                self._live_coords.add(coords)
-                self.stats.cells_written += 1
             if self._buffer_bytes >= self.memory_budget:
                 self._spill_locked()
 

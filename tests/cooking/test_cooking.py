@@ -11,6 +11,7 @@ from repro.cooking import (
     cloud_filter,
     composite_passes,
     decode_counts,
+    load_stage,
     recook_region,
     regrid_step,
 )
@@ -18,6 +19,7 @@ from repro.cooking.pipeline import COMPOSITE_SCHEMA, PASS_SCHEMA
 from repro.cooking.raw import QUALITY_DEAD, QUALITY_GOOD, QUALITY_SATURATED
 from repro.history import UpdatableArray, VersionTree
 from repro.provenance import ProvenanceEngine, trace_backward
+from repro.storage.loader import LoadRecord
 from repro.workloads import SatelliteInstrument
 
 
@@ -100,6 +102,55 @@ class TestPipeline:
         # regrid <- apply <- raw (external)
         assert steps[0].command.op == "regrid"
         assert engine.repository.is_external("raw")
+
+    def raw_downlink(self):
+        """An 8x8 raw frame as a load stream, with one stray reading from
+        outside the sensor frame spliced in at offset 1000."""
+        frame = SatelliteInstrument(width=8, height=8, seed=1).acquire_raw_frame(1)
+        records = [
+            LoadRecord(coords, tuple(cell.values), offset=i)
+            for i, (coords, cell) in enumerate(frame.cells())
+        ]
+        records.insert(5, LoadRecord((9, 9), (1, 293.0), offset=1000))
+        return frame, records
+
+    def test_load_stage_feeds_the_cook(self, tmp_path):
+        """Stage 0 (Section 2.10): the raw downlink comes in durably, a
+        reading outside the sensor frame is quarantined by offset instead
+        of poisoning the cook, and what comes out is cookable."""
+        frame, records = self.raw_downlink()
+        raw, report = load_stage(
+            records, frame.schema.bind([8, 8]), tmp_path, batch_size=16
+        )
+        assert (report.records_loaded, report.batches_committed) == (64, 5)
+        assert report.quarantine.offsets() == [1000]
+        assert raw.content_equal(frame)
+        engine = ProvenanceEngine()
+        engine.register_external("raw", raw, program="load_stage")
+        cooked = CookingPipeline(engine, [decode_counts(0.01, 100.0)]).run("raw")
+        assert cooked[3, 3].value == pytest.approx(
+            0.01 * (frame[3, 3].counts - 100.0)
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a PersistentArray re-opened over its directory restores its "
+        "load cursors but not its bucket index, so the resumed call skips "
+        "committed batches whose cells it can no longer see (ROADMAP item 7)",
+    )
+    def test_load_stage_resumes_a_feed_that_died(self, tmp_path):
+        frame, records = self.raw_downlink()
+        schema = frame.schema.bind([8, 8])
+
+        def dying(records):
+            yield from records[:40]
+            raise ConnectionError("downlink lost")
+
+        with pytest.raises(ConnectionError):
+            load_stage(dying(records), schema, tmp_path, batch_size=16)
+        raw, report = load_stage(records, schema, tmp_path, batch_size=16)
+        assert report.records_skipped == 31  # two batches, less the stray
+        assert raw.content_equal(frame)
 
     def test_cloud_filter_step(self):
         engine = ProvenanceEngine()

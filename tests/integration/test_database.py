@@ -129,6 +129,50 @@ class TestStorageThroughFacade:
         db.register("grid", adaptor.load("grid"))
         assert db.query("select filter(grid, value >= 2)").count_present() == 2
 
+    def dirty_feed(self, path):
+        """A 4x4 CSV feed with two out-of-bounds rows (source lines 4, 9)."""
+        rows = [f"{x},{y},{x * 10 + y}.0" for x in range(1, 5) for y in range(1, 5)]
+        rows.insert(2, "9,9,2.0")
+        rows.insert(7, "0,1,5.0")
+        path.write_text("\n".join(["x,y,flux"] + rows) + "\n")
+        return define_array("feed", {"flux": "float"}, ["x", "y"]).bind([4, 4])
+
+    def test_ingest_quarantines_dirty_rows_by_source_line(self, tmp_path):
+        schema = self.dirty_feed(tmp_path / "feed.csv")
+        db = SciDB(tmp_path / "db")
+        assert db.quarantined("feed") is None
+        report = db.ingest(
+            "feed", db.attach(tmp_path / "feed.csv", dims=["x", "y"]),
+            schema=schema, batch_size=4,
+        )
+        assert (report.records_loaded, report.records_quarantined) == (16, 2)
+        assert db.quarantined("feed").offsets() == [4, 9]
+        assert {r.reason for r in db.quarantined("feed")} == {"out_of_bounds"}
+        # The loaded array is catalogued: statements see the clean rows.
+        kept = db.query("select filter(feed, flux > 40)")
+        assert kept.count_present() == 4
+
+    def test_ingest_resumes_from_the_last_committed_batch(self, tmp_path):
+        schema = self.dirty_feed(tmp_path / "feed.csv")
+        db = SciDB(tmp_path / "db")
+        adaptor = db.attach(tmp_path / "feed.csv", dims=["x", "y"])
+
+        def feed_that_hiccups():
+            for i, record in enumerate(adaptor.records()):
+                if i == 10:
+                    raise ConnectionError("feed hiccup")
+                yield record
+
+        with pytest.raises(ConnectionError):
+            db.ingest("feed", feed_that_hiccups(), schema=schema, batch_size=4)
+        resumed = db.ingest("feed", adaptor, schema=schema, batch_size=4)
+        # Two batches (8 source rows, 2 of them dirty) had committed.
+        assert (resumed.records_skipped, resumed.records_loaded) == (6, 10)
+        assert db.lookup("feed").count_present() == 16
+        assert db.quarantined("feed").offsets() == [4, 9]
+        again = db.ingest("feed", adaptor, schema=schema, batch_size=4)
+        assert (again.records_loaded, again.records_skipped) == (0, 16)
+
 
 class TestCrashRecovery:
     def test_updatable_arrays_survive_crash(self, tmp_path):

@@ -162,6 +162,51 @@ class TestForwardTrace:
         assert ("evens", (2,)) in affected
         assert trace_forward(eng, ("src", (3,))) == set()
 
+    def test_sjoin_forward_from_either_side(self):
+        """A left cell reaches every output cell it joined into (one per
+        matching right cell along the right's unjoined dimension); a
+        right cell reaches exactly the one it produced."""
+        eng = ProvenanceEngine()
+        line = define_array("Line", {"v": "float"}, ["x"])
+        plane = define_array("Plane", {"w": "float"}, ["x", "t"])
+        eng.register_external(
+            "a", SciArray.from_numpy(line, np.array([1.0, 2.0]), name="a"),
+            program="gen",
+        )
+        eng.register_external(
+            "b",
+            SciArray.from_numpy(plane, np.arange(6.0).reshape(2, 3), name="b"),
+            program="gen",
+        )
+        eng.execute("sjoin", ["a", "b"], "j", on=[("x", "x")])
+        assert trace_forward(eng, ("a", (2,))) == {
+            ("j", (2, 1)), ("j", (2, 2)), ("j", (2, 3)),
+        }
+        assert trace_forward(eng, ("b", (1, 3))) == {("j", (1, 3))}
+        # And back again: the forward image's backward trace is the pair.
+        steps = trace_backward(eng, ("j", (1, 3)))
+        assert set(steps[0].contributors) == {("a", (1,)), ("b", (1, 3))}
+
+    def test_cjoin_lineage_is_the_cross_product(self):
+        eng = ProvenanceEngine()
+        schema = define_array("T", {"v": "float"}, ["x"])
+        other = define_array("U", {"w": "float"}, ["y"])
+        eng.register_external(
+            "a", SciArray.from_numpy(schema, np.array([1.0, 2.0]), name="a"),
+            program="gen",
+        )
+        eng.register_external(
+            "b", SciArray.from_numpy(other, np.array([1.0, 2.0, 3.0]), name="b"),
+            program="gen",
+        )
+        eng.execute("cjoin", ["a", "b"], "c", predicate=lambda l, r: True)
+        assert trace_forward(eng, ("a", (2,))) == {
+            ("c", (2, 1)), ("c", (2, 2)), ("c", (2, 3)),
+        }
+        assert trace_forward(eng, ("b", (3,))) == {("c", (1, 3)), ("c", (2, 3))}
+        steps = trace_backward(eng, ("c", (2, 3)))
+        assert set(steps[0].contributors) == {("a", (2,)), ("b", (3,))}
+
 
 class TestItemStore:
     """The Trio design point: eager item-level lineage."""

@@ -117,7 +117,7 @@ QUERIES = {
 
 GOLDEN = {
     "Q1": """\
-aggregate [partial-aggregate] ~cells=2304
+aggregate ~cells=2304
   subsample ~cells=2304
     scan raw ~cells=2304 ~chunks=36""",
     "Q2": """\
@@ -128,7 +128,7 @@ regrid ~cells=2304
 aggregate [partial-aggregate] ~cells=2304
   scan raw ~cells=2304 ~chunks=36""",
     "Q4": """\
-aggregate [partial-aggregate] ~cells=2304
+aggregate ~cells=2304
   apply ~cells=2304
     subsample ~cells=2304
       scan raw ~cells=2304 ~chunks=36""",
