@@ -28,7 +28,7 @@ from ..core.ops import register_operator
 from ..core.schema import ArraySchema, define_array
 from ..history.versions import Version
 from ..provenance.log import ProvenanceEngine
-from ..storage.loader import BulkLoader, LoadRecord, LoadReport
+from ..storage.loader import LoadRecord, LoadReport, load_stream
 from ..storage.manager import StorageManager
 from ..storage.quarantine import QuarantineStore
 
@@ -133,16 +133,10 @@ def load_stage(
     """
     manager = StorageManager(Path(directory))
     target = manager.ensure_array(name, schema)
-    loader = BulkLoader(
-        {0: target},
-        batch_size=batch_size,
-        load_epoch=load_epoch,
-        tolerant=tolerant,
-        quarantine=quarantine,
+    report = load_stream(
+        target, stream, batch_size, load_epoch, tolerant, quarantine
     )
-    with loader:
-        loader.load(stream)
-    return target.to_sciarray(name), loader.report()
+    return target.to_sciarray(name), report
 
 
 # -- step constructors -------------------------------------------------------------

@@ -22,6 +22,7 @@ same chunks are what the storage manager spills to disk as "buckets"
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Mapping
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -42,7 +43,7 @@ Coords = tuple[int, ...]
 CellValue = Union[Cell, tuple, dict, Any]
 
 
-def _blank_plane(shape: tuple[int, ...], attr: Attribute) -> np.ndarray:
+def blank_plane(shape: tuple[int, ...], attr: Attribute) -> np.ndarray:
     """An unwritten value plane: zeros in the attribute's native dtype, or
     ``None`` objects where numpy cannot represent the type."""
     if attr.is_native:
@@ -50,13 +51,61 @@ def _blank_plane(shape: tuple[int, ...], attr: Attribute) -> np.ndarray:
     return np.empty(shape, dtype=object)
 
 
-class Chunk:
-    """One rectangular tile of an array.
+def block_cells(
+    origin: Coords,
+    planes: Mapping[str, np.ndarray],
+    state: np.ndarray,
+    names: Sequence[str],
+    window: Optional[tuple[Coords, Coords]] = None,
+) -> Iterator[tuple[Coords, Optional[Cell]]]:
+    """The occupied cells of one ``(origin, planes, state)`` block in
+    coordinate order, restricted to *window* (inclusive) if given — the
+    one place planes become ``(coords, Cell)`` pairs; NULL cells yield
+    ``(coords, None)``.
 
-    ``origin`` is the 1-based coordinate of the chunk's first cell; the
-    chunk covers ``origin[d] .. origin[d] + shape[d] - 1`` on each dimension.
-    ``state`` is a uint8 mask over :class:`~repro.core.cells.CellState`
-    values; ``data`` maps attribute name to a numpy array of ``shape``.
+    The planes are sliced down to the window's intersection first, so a
+    small window over a large block pays for the cells it returns.
+    """
+    if window is not None:
+        lo, hi = window
+        start = tuple(max(0, l - o) for l, o in zip(lo, origin))
+        cut = tuple(
+            slice(a, min(s, h - o + 1))
+            for a, h, o, s in zip(start, hi, origin, state.shape)
+        )
+        if any(c.start >= c.stop for c in cut):
+            return
+        state = state[cut]
+        origin = tuple(o + a for o, a in zip(origin, start))
+        planes = {n: planes[n][cut] for n in names}
+    occupied = np.argwhere(state != CellState.EMPTY)
+    if occupied.size == 0:
+        return
+    # One fancy index + tolist() per plane converts every occupied value
+    # at C speed (native scalars become Python ones, objects stay as they
+    # are); argwhere's offsets are already in row-major order.
+    idx = tuple(occupied.T)
+    nulls = (state[idx] == CellState.NULL).tolist()
+    columns = [planes[n][idx].tolist() for n in names]
+    rows = zip(*columns) if columns else itertools.repeat(())
+    names = tuple(names)
+    for coords, is_null, values in zip(
+        (occupied + np.asarray(origin)).tolist(), nulls, rows
+    ):
+        yield tuple(coords), None if is_null else Cell(names, values)
+
+
+class Chunk:
+    """One rectangular block of an array: the unit of storage, exchange
+    and processing.
+
+    ``origin`` is the 1-based coordinate of the block's first cell; the
+    block covers ``origin[d] .. origin[d] + shape[d] - 1`` on each
+    dimension.  ``state`` is a uint8 mask over
+    :class:`~repro.core.cells.CellState` values; ``data`` maps attribute
+    name to a numpy plane of ``shape``.  An array's chunks are these, and
+    so is a storage bucket (:class:`repro.storage.bucket.Bucket` adds the
+    byte image).
     """
 
     __slots__ = ("origin", "shape", "state", "data")
@@ -65,41 +114,49 @@ class Chunk:
         self,
         origin: Coords,
         shape: tuple[int, ...],
-        attributes: Sequence[Attribute],
+        state: np.ndarray,
+        data: dict[str, np.ndarray],
     ) -> None:
         self.origin = origin
         self.shape = shape
-        self.state = np.zeros(shape, dtype=np.uint8)
-        self.data: dict[str, np.ndarray] = {
-            attr.name: _blank_plane(shape, attr) for attr in attributes
-        }
+        self.state = state
+        self.data = data
 
     @property
     def present_count(self) -> int:
         return int(np.count_nonzero(self.state == CellState.PRESENT))
 
     @property
-    def occupied_count(self) -> int:
+    def cell_count(self) -> int:
         """Cells that are PRESENT or NULL (i.e. not EMPTY)."""
         return int(np.count_nonzero(self.state != CellState.EMPTY))
 
-    def nbytes(self) -> int:
-        import sys
+    @property
+    def volume(self) -> int:
+        return int(np.prod(self.shape))
 
+    @property
+    def occupancy(self) -> float:
+        return self.cell_count / self.volume if self.volume else 0.0
+
+    @property
+    def nbytes(self) -> int:
+        """Decoded size in memory: the planes, plus what the occupied
+        slots of an object plane point at."""
         total = self.state.nbytes
-        for arr in self.data.values():
-            if arr.dtype == object:
-                total += arr.size * 8  # one pointer per slot
-                occupied = self.state != CellState.EMPTY
-                for v in arr[occupied]:
-                    if v is not None:
-                        total += sys.getsizeof(v)
-            else:
-                total += arr.nbytes
+        for plane in self.data.values():
+            total += plane.nbytes
+            if plane.dtype == object:
+                total += sum(
+                    sys.getsizeof(v)
+                    for v in plane[self.state != CellState.EMPTY]
+                    if v is not None
+                )
         return total
 
-    def bounding_box(self) -> tuple[Coords, Coords]:
-        """1-based (low, high) corners of this chunk's coverage."""
+    @property
+    def box(self) -> tuple[Coords, Coords]:
+        """1-based (low, high) corners of this block's coverage."""
         high = tuple(o + s - 1 for o, s in zip(self.origin, self.shape))
         return self.origin, high
 
@@ -187,10 +244,10 @@ class SciArray:
         return sum(c.present_count for c in self._chunks.values())
 
     def count_occupied(self) -> int:
-        return sum(c.occupied_count for c in self._chunks.values())
+        return sum(c.cell_count for c in self._chunks.values())
 
     def nbytes(self) -> int:
-        return sum(c.nbytes() for c in self._chunks.values())
+        return sum(c.nbytes for c in self._chunks.values())
 
     def chunk_count(self) -> int:
         return len(self._chunks)
@@ -264,7 +321,11 @@ class SciArray:
 
     def _new_chunk(self, key: Coords) -> Chunk:
         origin = tuple(k * s + 1 for k, s in zip(key, self.chunk_shape))
-        chunk = Chunk(origin, self.chunk_shape, self.schema.attributes)
+        shape = self.chunk_shape
+        chunk = Chunk(
+            origin, shape, np.zeros(shape, dtype=np.uint8),
+            {a.name: blank_plane(shape, a) for a in self.schema.attributes},
+        )
         self._chunks[key] = chunk
         return chunk
 
@@ -609,7 +670,7 @@ class SciArray:
         shape = tuple(max(h - l + 1, 0) for l, h in zip(lo, hi))
         state = np.zeros(shape, dtype=np.uint8)
         out = {
-            name: _blank_plane(shape, self.schema.attribute(name))
+            name: blank_plane(shape, self.schema.attribute(name))
             for name in (self.attr_names if attrs is None else attrs)
         }
         for key, chunk_sel, out_sel in self.chunk_overlaps(lo, hi):
@@ -691,21 +752,14 @@ class SciArray:
 
         NULL cells yield ``(coords, None)`` unless *include_null* is false.
         """
+        names = self.attr_names
         for key in sorted(self._chunks):
             chunk = self._chunks[key]
-            occupied = np.argwhere(chunk.state != CellState.EMPTY)
-            # argwhere returns offsets in row-major (sorted) order already.
-            for off in map(tuple, occupied):
-                coords = tuple(int(o + i) for o, i in zip(chunk.origin, off))
-                if chunk.state[off] == CellState.NULL:
-                    if include_null:
-                        yield coords, None
-                    continue
-                values = [
-                    self._load_value(chunk.data[a.name][off], a)
-                    for a in self.schema.attributes
-                ]
-                yield coords, Cell(self.attr_names, values)
+            for coords, cell in block_cells(
+                chunk.origin, chunk.data, chunk.state, names
+            ):
+                if cell is not None or include_null:
+                    yield coords, cell
 
     def coords_present(self) -> Iterator[Coords]:
         for coords, cell in self.cells(include_null=False):

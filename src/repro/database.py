@@ -45,7 +45,7 @@ from .query.ast import Node
 from .query.executor import ExecutionResult, Executor
 from .query.planner import Planner, PlannerConfig
 from .storage.insitu import InSituArray, open_in_situ
-from .storage.loader import BulkLoader, LoadRecord, LoadReport
+from .storage.loader import LoadRecord, LoadReport, load_stream
 from .storage.manager import StorageManager
 from .storage.quarantine import QuarantineStore
 from .storage.wal import WriteAheadLog
@@ -534,17 +534,10 @@ class SciDB:
             target = self.storage.get_array(name)
         else:
             target = self.storage.ensure_array(name, schema)
-        loader = BulkLoader(
-            {0: target},
-            batch_size=batch_size,
-            load_epoch=load_epoch,
-            tolerant=tolerant,
-            quarantine=quarantine,
-            max_retries=max_retries,
+        report = load_stream(
+            target, stream, batch_size, load_epoch, tolerant, quarantine,
+            max_retries,
         )
-        with loader:
-            loader.load(stream)
-        report = loader.report()
         self.executor.arrays[name] = target.to_sciarray(name)
         if report.quarantine is not None:
             self._quarantines[name] = report.quarantine

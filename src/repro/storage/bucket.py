@@ -1,37 +1,38 @@
 """The rectangular bucket: the unit of on-disk storage (Section 2.8).
 
 "Within a node an array partition is divided into variable size rectangular
-buckets."  A bucket covers an axis-aligned box of cells; it stores a dense
-state mask plus one value plane per attribute, each independently
-compressed by a chosen codec.  Buckets serialise to a small self-describing
-binary image (magic + pickled header + codec payloads) written to one file
-each by the storage manager.
+buckets."  A bucket is the core block (:class:`~repro.core.array.Chunk`: an
+axis-aligned box of cells as a dense state mask plus one value plane per
+attribute) with the one thing storage adds: its byte image, a one-entry
+container (:mod:`repro.storage.format`) written to one file each by the
+storage manager.
 """
 
 from __future__ import annotations
 
-import pickle
-import struct
-from typing import Any, Iterator, Optional, Sequence
+import io
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..core.array import Chunk
+from ..core.array import Chunk, blank_plane, block_cells
 from ..core.cells import Cell, CellState
-from ..core.datatypes import ScalarType
 from ..core.errors import StorageError
 from ..core.schema import ArraySchema
-from .compression import Codec, best_codec, get_codec
+from .compression import Codec
+from .format import DECODE_ERRORS, decode_block, encode_block, frame, read_header
 
 __all__ = ["Bucket"]
 
 Coords = tuple[int, ...]
 
-_MAGIC = b"SBKT1\n"
+_MAGIC = b"SBKT2\n"
 
 
-class Bucket:
-    """A compressed rectangular slab of one array's cells."""
+class Bucket(Chunk):
+    """A rectangular slab of one array's cells and its compressed image."""
+
+    __slots__ = ("schema",)
 
     def __init__(
         self,
@@ -41,13 +42,8 @@ class Bucket:
         state: np.ndarray,
         data: dict[str, np.ndarray],
     ) -> None:
+        super().__init__(origin, shape, state, data)
         self.schema = schema
-        self.origin = tuple(int(c) for c in origin)
-        self.shape = tuple(int(s) for s in shape)
-        self.state = state
-        self.data = data
-
-    # -- construction -----------------------------------------------------------
 
     @classmethod
     def from_cells(
@@ -63,187 +59,75 @@ class Bucket:
         if not cells:
             raise StorageError("cannot build a bucket from no cells")
         ndim = len(cells[0][0])
-        lo = tuple(min(c[d] for c, _ in cells) for d in range(ndim))
-        hi = tuple(max(c[d] for c, _ in cells) for d in range(ndim))
+        lo = tuple(int(min(c[d] for c, _ in cells)) for d in range(ndim))
+        hi = tuple(int(max(c[d] for c, _ in cells)) for d in range(ndim))
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         state = np.zeros(shape, dtype=np.uint8)
-        data: dict[str, np.ndarray] = {}
-        for attr in schema.attributes:
-            if isinstance(attr.type, ScalarType) and attr.type.numpy_dtype != object:
-                data[attr.name] = np.zeros(shape, dtype=attr.type.numpy_dtype)
-            else:
-                data[attr.name] = np.empty(shape, dtype=object)
+        planes = [blank_plane(shape, attr) for attr in schema.attributes]
         for coords, values in cells:
             off = tuple(c - l for c, l in zip(coords, lo))
             if values is None:
                 state[off] = CellState.NULL
                 continue
             state[off] = CellState.PRESENT
-            for attr, v in zip(schema.attributes, values):
-                data[attr.name][off] = v
-        return cls(schema, lo, shape, state, data)
-
-    # -- geometry / stats ---------------------------------------------------------
-
-    @property
-    def box(self) -> tuple[Coords, Coords]:
-        hi = tuple(o + s - 1 for o, s in zip(self.origin, self.shape))
-        return self.origin, hi
-
-    @property
-    def cell_count(self) -> int:
-        return int(np.count_nonzero(self.state != CellState.EMPTY))
-
-    @property
-    def volume(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
-    def occupancy(self) -> float:
-        return self.cell_count / self.volume if self.volume else 0.0
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate decoded size in memory (cache accounting)."""
-        return int(self.state.nbytes) + sum(
-            int(plane.nbytes) for plane in self.data.values()
-        )
+            for plane, v in zip(planes, values):
+                plane[off] = v
+        return cls(schema, lo, shape, state, dict(zip(schema.attr_names, planes)))
 
     def cells(
         self, window: Optional[tuple[Coords, Coords]] = None
     ) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        """Iterate stored cells, restricted to *window* (inclusive) if given.
-
-        The window path slices the state/value planes down to the
-        intersection box with numpy before the per-cell loop, so a small
-        window over a large bucket pays for the cells it returns, not the
-        whole slab.
-        """
-        names = self.schema.attr_names
-        state = self.state
-        origin = self.origin
-        data = self.data
-        if window is not None:
-            lo, hi = window
-            start = tuple(max(0, l - o) for l, o in zip(lo, origin))
-            stop = tuple(
-                min(s - 1, h - o)
-                for h, o, s in zip(hi, origin, self.shape)
-            )
-            if any(a > b for a, b in zip(start, stop)):
-                return
-            slices = tuple(slice(a, b + 1) for a, b in zip(start, stop))
-            state = state[slices]
-            origin = tuple(o + a for o, a in zip(origin, start))
-            data = {n: data[n][slices] for n in names}
-        occupied = np.argwhere(state != CellState.EMPTY)
-        if occupied.size == 0:
-            return
-        # Bulk extraction: one fancy-index + tolist() per plane converts
-        # every occupied value at C speed, instead of a per-cell, per-
-        # attribute .item() loop (the old read path's hottest line).
-        coords_list = (occupied + np.asarray(origin)).tolist()
-        idx = tuple(occupied[:, d] for d in range(occupied.shape[1]))
-        nulls = (state[idx] == CellState.NULL).tolist()
-        columns = [data[n][idx].tolist() for n in names]
-        value_rows = (
-            zip(*columns) if columns else iter(() for _ in coords_list)
+        """Iterate stored cells, restricted to *window* (inclusive) if given."""
+        return block_cells(
+            self.origin, self.data, self.state, self.schema.attr_names, window
         )
-        for coords, is_null, values in zip(
-            coords_list, nulls, value_rows
-        ):
-            coords = tuple(coords)
-            if is_null:
-                yield coords, None
-            else:
-                yield coords, Cell(names, values)
 
     def merge(self, other: "Bucket") -> "Bucket":
         """Combine two buckets of the same array into one covering both
-        (the Vertica-style background-merge primitive)."""
+        (the Vertica-style background-merge primitive); where both hold a
+        cell, *other*'s wins.  A tombstone lives in the manager's live
+        set, not here, so a merge carries every stored cell across."""
         if other.schema.attr_names != self.schema.attr_names:
             raise StorageError("cannot merge buckets of different schemas")
-        cells = list(self.cells()) + list(other.cells())
-        flat = [
+        return Bucket.from_cells(self.schema, [
             (coords, None if cell is None else cell.values)
-            for coords, cell in cells
-        ]
-        return Bucket.from_cells(self.schema, flat)
+            for bucket in (self, other) for coords, cell in bucket.cells()
+        ])
 
-    # -- serialisation --------------------------------------------------------------
+    # -- the byte image -------------------------------------------------------------
 
     def to_bytes(self, codec: "str | Codec" = "auto") -> bytes:
         """Serialise; ``codec='auto'`` picks per-attribute via best_codec."""
-        planes: list[bytes] = []
-        plane_meta: list[dict[str, Any]] = []
-
-        def encode_plane(name: str, arr: np.ndarray) -> None:
-            if codec == "auto":
-                chosen = best_codec(arr)
-            elif isinstance(codec, Codec):
-                chosen = codec
-            else:
-                chosen = get_codec(codec)
-            payload = chosen.encode(arr)
-            planes.append(payload)
-            plane_meta.append(
-                {
-                    "name": name,
-                    "codec": chosen.name,
-                    "dtype": "object" if arr.dtype == object else arr.dtype.str,
-                    "nbytes": len(payload),
-                }
-            )
-
-        encode_plane("__state__", self.state)
-        for attr in self.schema.attributes:
-            encode_plane(attr.name, self.data[attr.name])
-
-        header = pickle.dumps(
-            {
-                "origin": self.origin,
-                "shape": self.shape,
-                "attrs": [a.name for a in self.schema.attributes],
-                "planes": plane_meta,
-            },
-            protocol=4,
+        entry, payload = encode_block(
+            self.origin, self.data, self.state, self.schema.attr_names, codec
         )
-        out = bytearray()
-        out += _MAGIC
-        out += struct.pack("<I", len(header))
-        out += header
-        for p in planes:
-            out += p
-        return bytes(out)
+        return frame(_MAGIC, entry) + payload
+
+    @staticmethod
+    def _decode(payload: bytes, values: bool):
+        image = io.BytesIO(payload)
+        try:
+            entry = read_header(image, _MAGIC)
+            if entry is None:
+                raise StorageError("not a bucket image (bad magic)")
+            return decode_block(entry, image.read(), values)
+        except DECODE_ERRORS as exc:
+            raise StorageError(f"corrupt bucket image: {exc!r}") from exc
 
     @classmethod
     def from_bytes(cls, schema: ArraySchema, payload: bytes) -> "Bucket":
-        if payload[: len(_MAGIC)] != _MAGIC:
-            raise StorageError("not a bucket image (bad magic)")
-        off = len(_MAGIC)
-        (hlen,) = struct.unpack_from("<I", payload, off)
-        off += 4
-        header = pickle.loads(payload[off : off + hlen])
-        off += hlen
-        shape = tuple(header["shape"])
-        state: Optional[np.ndarray] = None
-        data: dict[str, np.ndarray] = {}
-        for meta in header["planes"]:
-            blob = payload[off : off + meta["nbytes"]]
-            off += meta["nbytes"]
-            codec = get_codec(meta["codec"])
-            dtype = np.dtype(object) if meta["dtype"] == "object" else np.dtype(meta["dtype"])
-            plane = codec.decode(blob, dtype, shape)
-            if meta["name"] == "__state__":
-                state = plane.astype(np.uint8)
-            else:
-                data[meta["name"]] = plane
-        if state is None:
-            raise StorageError("bucket image missing state plane")
-        missing = set(schema.attr_names) - set(data)
+        origin, data, state = cls._decode(payload, True)
+        missing = [name for name in schema.attr_names if name not in data]
         if missing:
-            raise StorageError(f"bucket image missing attributes {sorted(missing)}")
-        return cls(schema, tuple(header["origin"]), shape, state, data)
+            raise StorageError(f"bucket image missing attributes {missing}")
+        return cls(schema, origin, state.shape, state, data)
+
+    @classmethod
+    def footprint(cls, payload: bytes) -> Chunk:
+        """An image's block without its value planes (none is decoded):
+        what re-opening a directory needs to index a bucket."""
+        origin, data, state = cls._decode(payload, False)
+        return Chunk(origin, state.shape, state, data)
 
     def __repr__(self) -> str:
         return (

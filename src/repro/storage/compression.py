@@ -63,7 +63,10 @@ class Codec:
     @staticmethod
     def _from_bytes(payload: bytes, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
         if dtype == object:
-            flat = pickle.loads(payload)
+            try:
+                flat = pickle.loads(payload)
+            except Exception as exc:  # a torn pickle can raise anything
+                raise ValueError(f"undecodable object plane: {exc!r}") from exc
             out = np.empty(int(np.prod(shape)) if shape else 1, dtype=object)
             out[:] = flat
             return out.reshape(shape)

@@ -4,7 +4,10 @@
 then write adaptors to various popular external formats."  This module is
 that format: a single file holding one array — a JSON header describing
 dimensions, attributes and a chunk directory, followed by independently
-compressed chunk payloads.  It is structured the way HDF5/NetCDF are
+compressed chunk payloads.  A chunk entry and its payload are the byte
+image of one ``(origin, planes, state)`` block (:func:`encode_block` /
+:func:`decode_block`); a storage bucket file is the same image on its own
+(:mod:`repro.storage.bucket`).  It is structured the way HDF5/NetCDF are
 (header + named datasets + chunk directory) so the in-situ adaptor layer
 (:mod:`repro.storage.insitu`) can treat all three uniformly.
 
@@ -16,32 +19,111 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, BinaryIO, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..core.array import SciArray
-from ..core.cells import CellState
 from ..core.errors import InSituError
 from ..core.schema import ArraySchema, Attribute, Dimension
 from ..core.datatypes import ScalarType, get_type
-from .compression import get_codec
+from .compression import Codec, best_codec, get_codec
 
-__all__ = ["write_container", "read_container", "ContainerReader", "MAGIC"]
+__all__ = [
+    "write_container", "read_container", "ContainerReader", "MAGIC",
+    "encode_block", "decode_block", "DECODE_ERRORS",
+]
 
 MAGIC = b"SCIDB1\n"
+_VERSION = 2  # 1 kept one codec per file and an offset per plane
 
-_TYPE_NAMES = {
-    "int8": "int8",
-    "int16": "int16",
-    "int32": "int32",
-    "int64": "int64",
-    "float32": "float32",
-    "float64": "float64",
-    "bool": "bool",
-    "string": "string",
-}
+_STATE = "__state__"
+
+#: what a torn header, directory or payload surfaces from the parsing
+#: internals; every reader of the format maps these to its typed error
+DECODE_ERRORS = (
+    KeyError, IndexError, ValueError, TypeError,
+    struct.error, zlib.error, json.JSONDecodeError, OSError, EOFError,
+)
+
+Coords = tuple[int, ...]
+
+
+# -- one block, one byte image ------------------------------------------------------
+
+
+def encode_block(
+    origin: Coords,
+    planes: Mapping[str, np.ndarray],
+    state: np.ndarray,
+    names: Sequence[str],
+    codec: "str | Codec",
+) -> tuple[dict[str, Any], bytes]:
+    """The byte image of one ``(origin, planes, state)`` block: a JSON-able
+    entry (origin, shape and, per plane, name/codec/dtype/nbytes) and the
+    payload it describes — the state plane, then *names* in order, each
+    compressed on its own.  ``codec='auto'`` picks per plane."""
+    blobs, metas = [], []
+    for name, plane in [(_STATE, state)] + [(n, planes[n]) for n in names]:
+        if codec == "auto":
+            chosen = best_codec(plane)
+        else:
+            chosen = codec if isinstance(codec, Codec) else get_codec(codec)
+        blobs.append(chosen.encode(plane))
+        metas.append({
+            "name": name,
+            "codec": chosen.name,
+            "dtype": plane.dtype.str,
+            "nbytes": len(blobs[-1]),
+        })
+    entry = {
+        "origin": [int(c) for c in origin],
+        "shape": list(state.shape),
+        "planes": metas,
+    }
+    return entry, b"".join(blobs)
+
+
+def decode_block(
+    entry: Mapping[str, Any], payload: bytes, values: bool = True
+) -> tuple[Coords, dict[str, np.ndarray], np.ndarray]:
+    """Invert :func:`encode_block`; with ``values=False`` only the state
+    plane is decoded.  A torn entry or payload raises one of
+    :data:`DECODE_ERRORS` for the caller to type."""
+    shape = tuple(entry["shape"])
+    planes: dict[str, np.ndarray] = {}
+    at = 0
+    for meta in entry["planes"]:
+        blob = payload[at : at + meta["nbytes"]]
+        at += meta["nbytes"]
+        if len(blob) != meta["nbytes"]:
+            raise ValueError(f"payload ends inside plane {meta['name']!r}")
+        if values or meta["name"] == _STATE:
+            planes[meta["name"]] = get_codec(meta["codec"]).decode(
+                blob, np.dtype(meta["dtype"]), shape
+            )
+    state = np.asarray(planes.pop(_STATE), dtype=np.uint8)
+    return tuple(entry["origin"]), planes, state
+
+
+def frame(magic: bytes, header: Mapping[str, Any]) -> bytes:
+    """``magic``, a little-endian u32 length, the header as JSON."""
+    body = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return magic + struct.pack("<I", len(body)) + body
+
+
+def read_header(f: BinaryIO, magic: bytes) -> Optional[dict[str, Any]]:
+    """Read what :func:`frame` wrote, leaving *f* at the first payload
+    byte; ``None`` if *f* does not start with *magic*."""
+    if f.read(len(magic)) != magic:
+        return None
+    (length,) = struct.unpack("<I", f.read(4))
+    return json.loads(f.read(length).decode("utf-8"))
+
+
+# -- the container: one array, many blocks ------------------------------------------
 
 
 def _attr_type_name(attr: Attribute) -> str:
@@ -63,62 +145,39 @@ def write_container(
     Every non-empty chunk of the array becomes one compressed chunk entry.
     Object-dtype attributes are stored via the codec's object path.
     """
-    path = Path(path)
+    attributes = [  # first: a nested array is refused before it is encoded
+        {"name": a.name, "type": _attr_type_name(a)}
+        for a in array.schema.attributes
+    ]
     chunk_entries: list[dict[str, Any]] = []
     blobs: list[bytes] = []
     offset = 0
-    codec_obj = get_codec(codec)
-    for chunk in array.chunks():
-        if chunk.occupied_count == 0:
+    for origin, planes, state in array.blocks():
+        if not state.any():
             continue
-        planes = [("__state__", chunk.state)]
-        planes += [(a.name, chunk.data[a.name]) for a in array.schema.attributes]
-        plane_meta = []
-        for name, plane in planes:
-            payload = codec_obj.encode(plane)
-            blobs.append(payload)
-            plane_meta.append(
-                {
-                    "name": name,
-                    "offset": offset,
-                    "nbytes": len(payload),
-                    "dtype": "object" if plane.dtype == object else plane.dtype.str,
-                }
-            )
-            offset += len(payload)
-        chunk_entries.append(
-            {
-                "origin": list(chunk.origin),
-                "shape": list(chunk.shape),
-                "planes": plane_meta,
-            }
-        )
+        entry, blob = encode_block(origin, planes, state, array.attr_names, codec)
+        entry["offset"] = offset
+        offset += len(blob)
+        chunk_entries.append(entry)
+        blobs.append(blob)
 
-    header = {
+    head = frame(MAGIC, {
         "format": "scidb-container",
-        "version": 1,
-        "codec": codec,
+        "version": _VERSION,
         "array": {
             "name": array.name,
             "dimensions": [
                 {"name": d.name, "size": d.size} for d in array.schema.dimensions
             ],
-            "attributes": [
-                {"name": a.name, "type": _attr_type_name(a)}
-                for a in array.schema.attributes
-            ],
+            "attributes": attributes,
             "high_water": list(array.bounds),
         },
         "chunks": chunk_entries,
-    }
-    header_bytes = json.dumps(header).encode("utf-8")
+    })
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(header_bytes)))
-        f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
-    return len(MAGIC) + 4 + len(header_bytes) + offset
+        f.write(head)
+        f.writelines(blobs)
+    return len(head) + offset
 
 
 class ContainerReader:
@@ -132,13 +191,15 @@ class ContainerReader:
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         with open(self.path, "rb") as f:
-            magic = f.read(len(MAGIC))
-            if magic != MAGIC:
-                raise InSituError(f"{self.path} is not a SciDB container")
-            (hlen,) = struct.unpack("<I", f.read(4))
-            self.header = json.loads(f.read(hlen).decode("utf-8"))
-            self._data_start = len(MAGIC) + 4 + hlen
-        self._codec = get_codec(self.header["codec"])
+            self.header = read_header(f, MAGIC)
+            self._data_start = f.tell()
+        if self.header is None:
+            raise InSituError(f"{self.path} is not a SciDB container")
+        if self.header["version"] != _VERSION:
+            raise InSituError(
+                f"{self.path} is container version {self.header['version']}; "
+                f"this reader knows version {_VERSION}"
+            )
         self.schema = self._build_schema()
 
     def _build_schema(self) -> ArraySchema:
@@ -163,48 +224,26 @@ class ContainerReader:
             boxes.append((lo, hi))
         return boxes
 
+    def read_block(
+        self, index: int
+    ) -> tuple[Coords, dict[str, np.ndarray], np.ndarray]:
+        """Decode chunk *index* as an ``(origin, planes, state)`` block."""
+        entry = self.header["chunks"][index]
+        with open(self.path, "rb") as f:
+            f.seek(self._data_start + entry["offset"])
+            payload = f.read(sum(m["nbytes"] for m in entry["planes"]))
+        return decode_block(entry, payload)
+
     def read_chunk(self, index: int) -> dict[str, np.ndarray]:
         """Decode chunk *index*; returns plane name -> ndarray."""
-        entry = self.header["chunks"][index]
-        shape = tuple(entry["shape"])
-        out: dict[str, np.ndarray] = {}
-        with open(self.path, "rb") as f:
-            for meta in entry["planes"]:
-                f.seek(self._data_start + meta["offset"])
-                payload = f.read(meta["nbytes"])
-                dtype = (
-                    np.dtype(object)
-                    if meta["dtype"] == "object"
-                    else np.dtype(meta["dtype"])
-                )
-                out[meta["name"]] = self._codec.decode(payload, dtype, shape)
-        return out
+        _, planes, state = self.read_block(index)
+        return {_STATE: state, **planes}
 
     def to_sciarray(self, name: Optional[str] = None) -> SciArray:
         """Materialise the full array (this *is* the load step)."""
         arr = SciArray(self.schema, name=name or self.schema.name)
-        for i, entry in enumerate(self.header["chunks"]):
-            planes = self.read_chunk(i)
-            state = planes["__state__"]
-            origin = tuple(entry["origin"])
-            present = state == CellState.PRESENT
-            if present.any():
-                block = {a.name: planes[a.name] for a in self.schema.attributes}
-                # Write present cells; fall back to cell writes to respect
-                # the mask exactly.
-                for off in map(tuple, np.argwhere(state != CellState.EMPTY)):
-                    coords = tuple(int(o + i2) for o, i2 in zip(origin, off))
-                    if state[off] == CellState.NULL:
-                        arr.set(coords, None)
-                    else:
-                        values = tuple(
-                            block[a.name][off] for a in self.schema.attributes
-                        )
-                        arr.set(coords, values)
-            else:
-                for off in map(tuple, np.argwhere(state == CellState.NULL)):
-                    coords = tuple(int(o + i2) for o, i2 in zip(origin, off))
-                    arr.set(coords, None)
+        for i in range(len(self.header["chunks"])):
+            arr.set_region(*self.read_block(i))
         return arr
 
 

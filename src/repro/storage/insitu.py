@@ -35,20 +35,17 @@ chunk directory).
 from __future__ import annotations
 
 import csv
-import json
-import struct
-import zlib
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..core.array import SciArray
-from ..core.cells import Cell, CellState
+from ..core.array import SciArray, block_cells
+from ..core.cells import Cell
 from ..core.errors import InSituError, InSituFormatError
 from ..core.schema import ArraySchema, define_array
-from .format import ContainerReader
-from .loader import BulkLoader, LoadRecord, LoadReport
+from .format import DECODE_ERRORS, ContainerReader
+from .loader import LoadRecord, LoadReport, load_stream
 from .quarantine import QuarantineStore
 
 __all__ = [
@@ -158,17 +155,10 @@ class InSituArray:
         of restarting.  With ``tolerant=True`` malformed-but-routable
         records land in the quarantine store instead of aborting.
         """
-        loader = BulkLoader(
-            {0: target},
-            batch_size=batch_size,
-            load_epoch=load_epoch,
-            tolerant=tolerant,
-            quarantine=quarantine,
-            max_retries=max_retries,
+        return load_stream(
+            target, self.records(), batch_size, load_epoch, tolerant,
+            quarantine, max_retries,
         )
-        with loader:
-            loader.load(self.records())
-        return loader.report()
 
     def count(self) -> int:
         return sum(1 for _ in self.cells())
@@ -339,13 +329,6 @@ class NpyAdaptor(InSituArray):
         return np.asarray(self._data[sel])
 
 
-#: parsing internals a corrupt container leaks without the typed wrapper
-_CONTAINER_ERRORS = (
-    KeyError, IndexError, ValueError, TypeError,
-    struct.error, zlib.error, json.JSONDecodeError, OSError, EOFError,
-)
-
-
 class SciDBContainerAdaptor(InSituArray):
     """The self-describing container format, read lazily chunk by chunk.
 
@@ -355,86 +338,45 @@ class SciDBContainerAdaptor(InSituArray):
     """
 
     def __init__(self, path: "str | Path") -> None:
-        try:
-            self._reader = ContainerReader(path)
-        except InSituError:
-            raise
-        except _CONTAINER_ERRORS as exc:
-            raise InSituFormatError(
-                Path(path), f"corrupt container header: {exc!r}",
-                offset="header",
-            ) from exc
-        super().__init__(self._reader.schema, Path(path))
+        self.path = Path(path)
+        self._reader = self._typed(
+            "corrupt container header", "header", ContainerReader, path
+        )
+        super().__init__(self._reader.schema, self.path)
 
-    def _chunk(self, index: int) -> dict[str, np.ndarray]:
+    def _typed(self, what: str, offset: str, read, *args):
         try:
-            planes = self._reader.read_chunk(index)
-            if "__state__" not in planes:
-                raise InSituFormatError(
-                    self.path, "chunk lacks a cell-state plane",
-                    offset=f"chunk {index}",
-                )
-            return planes
+            return read(*args)
         except InSituError:
             raise
-        except _CONTAINER_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise InSituFormatError(
-                self.path,
-                f"corrupt chunk directory or payload: {exc!r}",
-                offset=f"chunk {index}",
+                self.path, f"{what}: {exc!r}", offset=offset
             ) from exc
 
     def cells(self) -> Iterator[tuple[Coords, Optional[Cell]]]:
         names = self.schema.attr_names
-        try:
-            entries = list(self._reader.header["chunks"])
-        except _CONTAINER_ERRORS as exc:
-            raise InSituFormatError(
-                self.path, f"corrupt chunk directory: {exc!r}",
-                offset="header",
-            ) from exc
-        for i, entry in enumerate(entries):
-            planes = self._chunk(i)
-            state = planes["__state__"]
-            try:
-                origin = tuple(entry["origin"])
-            except _CONTAINER_ERRORS as exc:
-                raise InSituFormatError(
-                    self.path, f"chunk entry lacks an origin: {exc!r}",
-                    offset=f"chunk {i}",
-                ) from exc
-            for off in map(tuple, np.argwhere(state != CellState.EMPTY)):
-                coords = tuple(int(o + k) for o, k in zip(origin, off))
-                if state[off] == CellState.NULL:
-                    yield coords, None
-                    continue
-                values = tuple(
-                    planes[n][off].item()
-                    if isinstance(planes[n][off], np.generic)
-                    else planes[n][off]
-                    for n in names
-                )
-                yield coords, Cell(names, values)
+        count = self._typed(
+            "corrupt chunk directory", "header",
+            lambda: len(self._reader.header["chunks"]),
+        )
+        for i in range(count):
+            block = self._typed(
+                "corrupt chunk directory or payload", f"chunk {i}",
+                self._reader.read_block, i,
+            )
+            yield from block_cells(*block, names)
 
     def chunk_boxes(self):
-        try:
-            return self._reader.chunk_boxes()
-        except _CONTAINER_ERRORS as exc:
-            raise InSituFormatError(
-                self.path, f"corrupt chunk directory: {exc!r}",
-                offset="header",
-            ) from exc
+        return self._typed(
+            "corrupt chunk directory", "header", self._reader.chunk_boxes
+        )
 
     def load(self, name: Optional[str] = None) -> SciArray:
-        try:
-            return self._reader.to_sciarray(name=name or self.name)
-        except InSituError:
-            raise
-        except _CONTAINER_ERRORS as exc:
-            raise InSituFormatError(
-                self.path, f"corrupt container payload: {exc!r}",
-                offset="load",
-            ) from exc
+        return self._typed(
+            "corrupt container payload", "load",
+            self._reader.to_sciarray, name or self.name,
+        )
 
 
 def _safe_name(stem: str) -> str:

@@ -56,7 +56,7 @@ from ..obs import tracing
 from ..obs.recorder import emit as _flight_emit
 from .quarantine import QuarantineStore
 
-__all__ = ["LoadRecord", "LoadReport", "BulkLoader"]
+__all__ = ["LoadRecord", "LoadReport", "BulkLoader", "load_stream"]
 
 Coords = tuple[int, ...]
 
@@ -442,3 +442,29 @@ class BulkLoader:
         if mean == 0:
             return 0.0
         return max(counts) / mean
+
+
+def load_stream(
+    target: object,
+    stream: Iterable[LoadRecord],
+    batch_size: int,
+    load_epoch: int,
+    tolerant: bool,
+    quarantine: Optional[QuarantineStore],
+    max_retries: int = 3,
+) -> LoadReport:
+    """One checkpointed load of *stream* into the single sink *target*:
+    the wiring behind ``SciDB.ingest``, ``cooking.load_stage`` and
+    ``InSituArray.load_into``.  Buffers are flushed on both the success
+    and the error path."""
+    loader = BulkLoader(
+        {0: target},
+        batch_size=batch_size,
+        load_epoch=load_epoch,
+        tolerant=tolerant,
+        quarantine=quarantine,
+        max_retries=max_retries,
+    )
+    with loader:
+        loader.load(stream)
+    return loader.report()

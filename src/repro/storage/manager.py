@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
 from ..core.array import SciArray
 from ..core.cells import Cell
 from ..core.errors import StorageError
@@ -262,6 +264,32 @@ class PersistentArray:
         # storage backs several replica chains).  Survives process restart
         # via an atomically replaced JSON file in the directory.
         self._load_cursors: dict[str, int] = self._read_load_cursors()
+        self._reopen()
+
+    def _reopen(self) -> None:
+        """Index the bucket files an earlier instance left in the directory.
+
+        Each image's JSON entry gives the R-tree its box and its state
+        plane the live coordinates; no value plane is decoded and no
+        statistics are rebuilt (a bucket without them "cannot prune").
+        Ids continue past the highest on disk, so a leftover merge source
+        loses to its merged bucket as any older bucket does.
+        """
+        for path in sorted(self.directory.glob("bucket_*.bkt")):
+            bucket_id = int(path.stem.rpartition("_")[2])
+            block = self._typed(path, Bucket.footprint, path.read_bytes())
+            self._rtree.insert(block.box, bucket_id)
+            self._live_coords.update(
+                map(tuple, (np.argwhere(block.state) + block.origin).tolist())
+            )
+            self._next_bucket = bucket_id + 1
+
+    @staticmethod
+    def _typed(path: Path, decode, *args):
+        try:
+            return decode(*args)
+        except StorageError as exc:
+            raise StorageError(f"{path}: {exc}") from exc
 
     # -- write path -----------------------------------------------------------
 
@@ -288,9 +316,12 @@ class PersistentArray:
 
         Spilled bucket files are immutable, so deletion is a tombstone in
         ``_live_coords``: :meth:`scan` and :meth:`get` filter against the
-        live set and the bytes get dropped for real at the next merge
-        rewrite.  Rebalance cutover (cluster/rebalance.py) uses this to
-        retire a partition's stale replica copies without rewriting disk.
+        live set.  The bytes stay — a merge carries them across — and the
+        tombstone itself is memory only: re-opening the directory brings
+        the cell back unless a WAL replays the delete
+        (:meth:`repro.cluster.node.Node.replay_wal`).  Rebalance cutover
+        (cluster/rebalance.py) uses this to retire a partition's stale
+        replica copies without rewriting disk.
         """
         with self._lock:
             coords = tuple(int(c) for c in coords)
@@ -355,13 +386,17 @@ class PersistentArray:
             )
             os.replace(tmp, self._cursor_path)
 
-    def _spill_locked(self) -> None:
+    def _buffered_buckets(self) -> Iterator[Bucket]:
+        """The write buffer as stride-aligned buckets."""
         groups: dict[Coords, list[tuple[Coords, Optional[tuple]]]] = {}
         for coords, values in self._buffer.items():
             key = tuple((c - 1) // s for c, s in zip(coords, self.stride))
             groups.setdefault(key, []).append((coords, values))
         for cells in groups.values():
-            bucket = Bucket.from_cells(self.schema, cells)
+            yield Bucket.from_cells(self.schema, cells)
+
+    def _spill_locked(self) -> None:
+        for bucket in self._buffered_buckets():
             self._write_bucket(bucket)
         self._buffer.clear()
         self._buffer_bytes = 0
@@ -399,7 +434,7 @@ class PersistentArray:
         path = self._bucket_path(bucket_id)
         payload = path.read_bytes()
         t0 = time.perf_counter()
-        bucket = Bucket.from_bytes(self.schema, payload)
+        bucket = self._typed(path, Bucket.from_bytes, self.schema, payload)
         codec_ms = (time.perf_counter() - t0) * 1e3
         with self._lock:
             self.stats.bytes_read += len(payload)
@@ -587,8 +622,17 @@ class PersistentArray:
     def to_sciarray(self, name: Optional[str] = None) -> SciArray:
         """Materialise the whole persistent array in memory."""
         arr = SciArray(self.schema, name=name or self.schema.name)
-        for coords, cell in self.scan():
-            arr.set(coords, cell)
+        with self._lock:  # one file set from first bucket to last
+            ids = sorted(bucket_id for _, bucket_id in self._rtree.all_entries())
+            blocks = [self._load_bucket(bucket_id) for bucket_id in ids]
+            # Oldest first, the buffer last: a rewritten cell's newest
+            # version is the one left standing.
+            for block in blocks + list(self._buffered_buckets()):
+                arr.set_region(block.origin, block.data, block.state)
+            if arr.count_occupied() != len(self._live_coords):
+                for coords in [c for c, _ in arr.cells()]:
+                    if coords not in self._live_coords:
+                        arr.delete(coords)  # tombstoned by delete()
         return arr
 
     # -- merge optimisation ----------------------------------------------------------
@@ -626,14 +670,17 @@ class PersistentArray:
                     continue
                 merged: Optional[Bucket] = None
                 group.sort(key=lambda e: e[1])  # oldest first; newer wins
-                for box, bucket_id in group:
+                for _, bucket_id in group:
                     bucket = self._read_bucket(bucket_id)
                     merged = bucket if merged is None else merged.merge(bucket)
+                assert merged is not None
+                # Write, then unlink: a crash in between leaves sources a
+                # re-open ranks below the merged bucket, never a gap.
+                self._write_bucket(merged)
+                for box, bucket_id in group:
                     self._rtree.delete(box, bucket_id)
                     self._bucket_stats.pop(bucket_id, None)
                     os.unlink(self._bucket_path(bucket_id))
-                assert merged is not None
-                self._write_bucket(merged)
                 merges += 1
             self.stats.merges += merges
             if merges and self._cache is not None:
@@ -732,7 +779,7 @@ class StorageManager:
 
         The resumable-ingest entry point: after a crash a fresh process
         re-opens the same directory and the new :class:`PersistentArray`
-        picks its load cursors back up from disk.
+        picks its buckets and load cursors back up from disk.
         """
         with self._lock:
             if name in self._arrays:

@@ -132,12 +132,6 @@ class TestPipeline:
             0.01 * (frame[3, 3].counts - 100.0)
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a PersistentArray re-opened over its directory restores its "
-        "load cursors but not its bucket index, so the resumed call skips "
-        "committed batches whose cells it can no longer see (ROADMAP item 7)",
-    )
     def test_load_stage_resumes_a_feed_that_died(self, tmp_path):
         frame, records = self.raw_downlink()
         schema = frame.schema.bind([8, 8])

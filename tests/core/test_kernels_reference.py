@@ -29,6 +29,9 @@ from hypothesis import strategies as st
 
 from repro import SciArray, SciDB, UserAggregate, define_array
 from repro.core import ops
+from repro.storage.bucket import Bucket
+from repro.storage.format import read_container, write_container
+from repro.storage.insitu import open_in_situ
 from repro.query import Executor, array as q, attr
 from repro.query.ast import AttrPairsEqual, AttrPredicate, PredicateConjunction
 
@@ -173,6 +176,20 @@ def as_model(array):
     }
 
 
+def walk(cells):
+    """``(coords, record)`` pairs in the order given, made comparable:
+    NaN by name, a nested array by its own cells."""
+    def plain(v):
+        if isinstance(v, SciArray):
+            return ("array", walk(v.cells()))
+        return "nan" if isinstance(v, float) and math.isnan(v) else v
+
+    return [
+        (c, None if cell is None else tuple(map(plain, cell.values)))
+        for c, cell in cells
+    ]
+
+
 def assert_same_cells(array, expected):
     got = as_model(array)
     assert set(got) == set(expected), "occupied (PRESENT or NULL) cells differ"
@@ -234,7 +251,13 @@ class Case:
         # Quarter-valued numbers: sums are exact in any order.
         rec = []
         for t in self.types:
-            if t == "float":
+            if t == "string":
+                rec.append("tag" * int(rng.integers(0, 3)))
+            elif t is NESTED:
+                inner = NESTED.create("inner", [3])
+                inner[int(rng.integers(1, 4))] = int(rng.integers(-9, 9))
+                rec.append(inner)
+            elif t == "float":
                 if nan and rng.random() < 0.05:
                     rec.append(math.nan)
                 else:
@@ -244,13 +267,18 @@ class Case:
         return tuple(rec)
 
 
+NESTED = define_array("Inner", {"item": "int64"}, ["rank"])
+
+
 @st.composite
-def cases(draw):
+def cases(draw, object_types=()):
     ndim = draw(st.integers(1, 3))
     extents = draw(st.lists(st.integers(1, 7), min_size=ndim, max_size=ndim))
     chunk = draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim))
-    types = draw(st.lists(st.sampled_from(["float", "int32", "int64"]),
-                          min_size=1, max_size=2))
+    types = draw(st.lists(
+        st.sampled_from(["float", "int32", "int64", *object_types]),
+        min_size=1, max_size=2,
+    ))
     return dict(
         extents=tuple(extents), chunk=tuple(chunk), types=tuple(types),
         unbounded=draw(st.booleans()), seed=draw(st.integers(0, 2**16)),
@@ -473,6 +501,37 @@ class TestKernelsMatchTheReference:
         assert_same_cells(opaque.array, expected)
         present = sum(rec is not None for rec in case.cells.values())
         assert compiled.cells_examined == opaque.cells_examined == present
+
+    @given(params=cases(object_types=("string", NESTED)))
+    @settings(max_examples=60, deadline=None)
+    def test_one_walk_from_planes_to_cells(self, params, tmp_path_factory):
+        """An array, its blocks through the bucket image and its container
+        all hand back the same cells in the same order."""
+        arr = build(params).array
+        want = walk(arr.cells())
+        assert walk(arr.cells(include_null=False)) == [
+            (c, rec) for c, rec in want if rec is not None
+        ]
+        # A nested array does not pickle (its types hold closures), so
+        # neither byte image can carry one: its blocks are walked as built.
+        scalar = NESTED not in params["types"]
+        stored = []
+        for origin, planes, state in arr.blocks():
+            block = Bucket(arr.schema, origin, state.shape, state, planes)
+            if scalar:
+                block = Bucket.from_bytes(arr.schema, block.to_bytes("auto"))
+                assert block.origin == origin and block.shape == state.shape
+            stored += block.cells()
+        assert walk(stored) == want
+        if not scalar:
+            return
+        path = tmp_path_factory.mktemp("walk") / "a.scidb"
+        write_container(path, arr)
+        assert walk(open_in_situ(path).cells()) == want
+        loaded = read_container(path).to_sciarray()
+        assert dict(walk(loaded.cells())) == dict(want)
+        if all("nan" not in (rec or ()) for _, rec in want):
+            assert loaded.content_equal(arr)  # which says NaN != NaN
 
     def test_an_array_with_no_cells(self):
         schema = define_array("E", {"e0": "float"}, ["x", "y"])

@@ -173,6 +173,22 @@ class TestStorageThroughFacade:
         again = db.ingest("feed", adaptor, schema=schema, batch_size=4)
         assert (again.records_loaded, again.records_skipped) == (0, 16)
 
+    def test_ingest_resumes_in_a_new_process(self, tmp_path):
+        schema = self.dirty_feed(tmp_path / "feed.csv")
+        db = SciDB(tmp_path / "db")
+        records = list(db.attach(tmp_path / "feed.csv", dims=["x", "y"]).records())
+
+        def feed_that_hiccups():
+            yield from records[:10]
+            raise ConnectionError("feed hiccup")
+
+        with pytest.raises(ConnectionError):
+            db.ingest("feed", feed_that_hiccups(), schema=schema, batch_size=4)
+        db = SciDB(tmp_path / "db")  # re-opened: it sees its own buckets
+        resumed = db.ingest("feed", records, schema=schema, batch_size=4)
+        assert (resumed.records_skipped, resumed.records_loaded) == (6, 10)
+        assert db.lookup("feed").count_present() == 16
+
 
 class TestCrashRecovery:
     def test_updatable_arrays_survive_crash(self, tmp_path):
