@@ -41,7 +41,7 @@ def query_node():
 
 
 def fresh_executor(pushdown: bool):
-    ex = Executor(planner=Planner(enable_pushdown=pushdown))
+    ex = Executor(planner=Planner(PlannerConfig(enable_pushdown=pushdown)))
     ex.register("A", dense_2d(SIDE, seed=0))
     return ex
 

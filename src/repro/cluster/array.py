@@ -46,6 +46,8 @@ class PartitionedArray:
                 f"{len(grid.nodes)} nodes"
             )
         self.grid = grid
+        #: the grid's identity as the planner's descriptions carry it
+        self.grid_id = id(grid)
         self.name = name
         self.schema = schema
         self.partitioner = partitioner

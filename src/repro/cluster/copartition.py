@@ -8,18 +8,21 @@ not require data movement."
 :func:`copartition` creates a family of distributed arrays under one
 partitioner after checking they genuinely share a coordinate system
 (same dimension count; compatible bounds).  :func:`is_copartitioned` is the
-predicate the join planner uses to take the zero-shuffle path — experiment
-E7 measures the difference.
+predicate the join planner (:func:`repro.query.cost.grid_route`) and the
+grid join itself use to take the zero-shuffle path — experiment E7
+measures the difference.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..core.errors import PartitioningError
 from ..core.schema import ArraySchema
-from .grid import DistributedArray, Grid
 from .partitioning import Partitioner
+
+if TYPE_CHECKING:  # pragma: no cover - the grid's operators import this module
+    from .grid import DistributedArray, Grid
 
 __all__ = ["copartition", "is_copartitioned"]
 
@@ -67,10 +70,12 @@ def copartition(
     ]
 
 
-def is_copartitioned(a: DistributedArray, b: DistributedArray) -> bool:
+def is_copartitioned(a: Any, b: Any) -> bool:
     """Whether joins between *a* and *b* can run with zero data movement.
 
     True when both live on the same grid under structurally equal
-    partitioners (see :meth:`Partitioner.descriptor`).
+    partitioners (see :meth:`Partitioner.descriptor`).  *a* and *b* are
+    grid arrays or the planner's descriptions of them — anything with a
+    ``grid_id`` and a ``partitioner`` (the object or its descriptor).
     """
-    return a.grid is b.grid and a.partitioner == b.partitioner
+    return a.grid_id == b.grid_id and a.partitioner == b.partitioner

@@ -578,7 +578,7 @@ class Grid:
         # queries stop detouring past it for a stale cooldown.
         self.breakers[node_id].record_success()
         report = RebuildReport(
-            node_id=node_id,
+            node_id,
             cells_from_wal=from_wal,
             cells_from_replicas=from_replicas,
             bytes_moved=self.ledger.total_bytes("rebuild") - before,

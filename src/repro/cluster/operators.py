@@ -42,6 +42,7 @@ from ..core.ops import content as content_ops
 from ..core.ops import structural as structural_ops
 from ..core.schema import ArraySchema, Dimension, define_array
 from ..core.udf import UserAggregate, get_aggregate
+from .copartition import is_copartitioned
 from .ledger import COORDINATOR
 from .node import Node
 from .partitioning import Partitioner
@@ -54,17 +55,6 @@ __all__ = ["DistributedArray"]
 
 Coords = tuple[int, ...]
 Missing = list[tuple[str, int]]
-
-#: Merge functions for algebraic built-in aggregates (state x state -> state).
-_ALGEBRAIC_MERGES: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "count": lambda a, b: a + b,
-    "avg": lambda a, b: (a[0] + b[0], a[1] + b[1]),
-    "min": lambda a, b: b if a is None else (a if b is None else min(a, b)),
-    "max": lambda a, b: b if a is None else (a if b is None else max(a, b)),
-    "stdev": lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-}
-
 
 def _unavailable_mode(degraded: bool, on_unavailable: str) -> tuple[bool, bool]:
     """``(partial, tolerate_deadline)`` for an operator's *degraded* /
@@ -201,7 +191,7 @@ class DistributedArray(WritableArray):
         What crosses to the coordinator is metered as *reason*.
         """
         attr_name = attr or self.schema.attr_names[0]
-        merge = _ALGEBRAIC_MERGES.get(aggregate_fn.name)
+        merge = aggregate_fn.merge
         record = self.grid.ledger.record
         states: dict[Coords, Any] = {}
         if merge is not None:
@@ -285,7 +275,7 @@ class DistributedArray(WritableArray):
         ``"regrid"``.
         """
         aggregate_fn = agg if isinstance(agg, UserAggregate) else get_aggregate(agg)
-        if aggregate_fn.name not in _ALGEBRAIC_MERGES:
+        if aggregate_fn.merge is None:
             raise SchemaError(
                 f"distributed regrid needs an algebraic aggregate, "
                 f"not {aggregate_fn.name!r}"
@@ -317,8 +307,8 @@ class DistributedArray(WritableArray):
     ) -> "SciArray | DegradedResult":
         """Structured join of two distributed arrays on all dimensions.
 
-        Co-partitioned operands (equal partitioners — see
-        :func:`repro.cluster.copartition.is_copartitioned`) join locally
+        Co-partitioned operands
+        (:func:`~repro.cluster.copartition.is_copartitioned`) join locally
         with **zero** shuffle; otherwise the right operand's cells are first
         repartitioned to the left's scheme (metered as ``"join_shuffle"``).
         Either side failing over to a replica keeps the join running; a
@@ -332,7 +322,7 @@ class DistributedArray(WritableArray):
                 "distributed sjoin joins all dimensions pairwise; use a "
                 "local sjoin for partial-dimension joins"
             )
-        copartitioned = self.partitioner == other.partitioner
+        copartitioned = is_copartitioned(self, other)
         record = self.grid.ledger.record
 
         # Read every left partition in parallel (no per-cell metering: the

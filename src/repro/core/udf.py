@@ -117,13 +117,17 @@ class UserAggregate:
     Defined by an initial state, a transition function folding one value
     into the state, and a final function mapping state to result.  The
     engine's Aggregate operator (Section 2.2.2) accepts any registered
-    aggregate by name.
+    aggregate by name.  ``merge`` combines two partial states; an
+    aggregate that has one is *algebraic* and the grid folds it where
+    the data is, one without (``None``) is holistic and sees every value
+    at the coordinator.
     """
 
     name: str
     initial: Callable[[], Any]
     transition: Callable[[Any, Any], Any]
     final: Callable[[Any], Any] = field(default=lambda s: s)
+    merge: Optional[Callable[[Any, Any], Any]] = None
 
     def compute(self, values: Iterable[Any]) -> Any:
         state = self.initial()
@@ -211,6 +215,11 @@ def _agg_minmax(initial_cmp):
     return transition
 
 
+def _merge_minmax(pick):
+    """A partition that saw no value hands over the state ``None``."""
+    return lambda a, b: b if a is None else (a if b is None else pick(a, b))
+
+
 def _std_final(state: tuple[float, float, int]) -> Optional[float]:
     total, total_sq, count = state
     if count == 0:
@@ -222,21 +231,23 @@ def _std_final(state: tuple[float, float, int]) -> Optional[float]:
 
 #: The aggregates every engine installation ships with.
 BUILTIN_AGGREGATES: tuple[UserAggregate, ...] = (
-    UserAggregate("sum", lambda: 0, lambda s, v: s + v),
-    UserAggregate("count", lambda: 0, lambda s, v: s + 1),
+    UserAggregate("sum", lambda: 0, lambda s, v: s + v, merge=lambda a, b: a + b),
+    UserAggregate("count", lambda: 0, lambda s, v: s + 1, merge=lambda a, b: a + b),
     UserAggregate(
         "avg",
         lambda: (0.0, 0),
         lambda s, v: (s[0] + v, s[1] + 1),
         _agg_mean_final,
+        merge=lambda a, b: (a[0] + b[0], a[1] + b[1]),
     ),
-    UserAggregate("min", lambda: None, _agg_minmax(min)),
-    UserAggregate("max", lambda: None, _agg_minmax(max)),
+    UserAggregate("min", lambda: None, _agg_minmax(min), merge=_merge_minmax(min)),
+    UserAggregate("max", lambda: None, _agg_minmax(max), merge=_merge_minmax(max)),
     UserAggregate(
         "stdev",
         lambda: (0.0, 0.0, 0),
         lambda s, v: (s[0] + v, s[1] + v * v, s[2] + 1),
         _std_final,
+        merge=lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
     ),
 )
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .cluster.faults import FaultInjector
-from .cluster.grid import Grid
+from .cluster.grid import DistributedArray, Grid
 from .cluster.resilience import Deadline, ResiliencePolicy, deadline_scope
 from .core.array import SciArray
 from .core.errors import PlanError, ProvenanceError, SchemaError, VersionError
@@ -29,7 +29,7 @@ from .core.schema import ArraySchema
 from .history.transactions import UpdatableArray
 from .history.versions import Version, VersionTree
 from .obs import tracing
-from .obs.explain import ExplainReport, profile_operators
+from .obs.explain import ExplainReport
 from .obs.export import events_jsonl, prometheus_text, status_text
 from .obs.health import HealthModel, HealthReport
 from .obs.recorder import (
@@ -43,7 +43,7 @@ from .provenance.log import ProvenanceEngine
 from .provenance.trace import Item, trace_backward, trace_forward
 from .query.ast import Node
 from .query.executor import ExecutionResult, Executor
-from .query.planner import Planner, PlannerConfig
+from .query.planner import PhysicalOp, Planner, PlannerConfig
 from .storage.insitu import InSituArray, open_in_situ
 from .storage.loader import LoadRecord, LoadReport, load_stream
 from .storage.manager import StorageManager
@@ -123,7 +123,7 @@ class SciDB:
         if slow_query_ms is not None:
             get_flight_recorder().slow_query_ms = slow_query_ms
         self.executor = Executor(
-            planner=Planner(enable_pushdown=enable_pushdown),
+            planner=Planner(PlannerConfig(enable_pushdown=enable_pushdown)),
             provenance=self.provenance,
         )
         self.storage: Optional[StorageManager] = None
@@ -199,7 +199,8 @@ class SciDB:
         planner: Optional[PlannerConfig] = None,
     ) -> ExplainReport:
         """Execute *statement* under tracing and return the plan tree
-        annotated with actual measurements.
+        annotated with actual measurements — the record the executor
+        filled while it ran, plus the ledger delta and the grid's status.
 
         Every operator node carries its wall time, cells scanned, chunks
         touched, nodes visited and bytes moved — plus resilience counters
@@ -222,9 +223,8 @@ class SciDB:
         grids = self._observed_grids()
         before = _ledger_totals(grids)
         # EXPLAIN traces whether or not the recorder is on; the executor
-        # nests under this span, so the plan it ran — the exact tree the
-        # operator spans are matched to by identity — comes back on the
-        # result.
+        # nests under this span, and the plan it ran — every operator
+        # measured as its span closed — comes back on the result.
         with get_flight_recorder().statement(
             text, name="explain", force=True
         ), deadline_scope(
@@ -233,10 +233,14 @@ class SciDB:
             span = tracing.current_span()
             result = self.executor.run(statement, config=planner)
         after = _ledger_totals(grids)
+        root = result.planned.physical
+        for leaf in root.walk() if root is not None else ():
+            if leaf.op == "scan":
+                self._describe_scan(leaf)
         return ExplainReport(
             statement=text,
             rewrites=list(result.rewrites),
-            root=profile_operators(result.planned, span, self._describe_ref),
+            root=root,
             total_ms=span.duration_ms,
             ledger_delta={
                 reason: after[reason] - before.get(reason, 0)
@@ -368,19 +372,15 @@ class SciDB:
     def _observed_grids(self) -> list[Grid]:
         """Named grids plus any grid reachable through a registered
         distributed array (deduplicated by identity)."""
-        from .cluster.grid import DistributedArray
-
         seen: dict[int, Grid] = {id(g): g for g in self._grids.values()}
         for arr in self.executor.arrays.values():
             if isinstance(arr, DistributedArray):
                 seen.setdefault(id(arr.grid), arr.grid)
         return list(seen.values())
 
-    def _describe_ref(self, name: str) -> dict[str, Any]:
-        """Catalog annotations for a scan leaf in an explain report."""
-        from .cluster.grid import DistributedArray
-
-        arr = self.executor.arrays.get(name)
+    def _describe_scan(self, leaf: PhysicalOp) -> None:
+        """Catalog annotations for a scan leaf of an explain report."""
+        arr = self.executor.arrays.get(leaf.scan.array)
         if isinstance(arr, DistributedArray):
             # Logical cell count: the union of live partitions' stored
             # addresses (in-memory snapshots, no reads metered), so
@@ -390,14 +390,11 @@ class SciDB:
             for node in arr.grid.nodes:
                 if node.alive:
                     seen.update(node.partition(arr.name).live_coords())
-            return {
-                "cells": len(seen),
-                "nodes": len(arr.grid.nodes),
-                "distributed": True,
-            }
-        if isinstance(arr, SciArray):
-            return {"cells": arr.count_occupied()}
-        return {}
+            leaf.cells_out = len(seen)
+            leaf.nodes_visited = len(arr.grid.nodes)
+            leaf.distributed = True
+        elif isinstance(arr, SciArray):
+            leaf.cells_out = arr.count_occupied()
 
     # -- catalog ---------------------------------------------------------------------
 

@@ -32,7 +32,7 @@ the exporters read those two.
   dumps, and the one-screen ``db.status()`` report.
 """
 
-from .explain import ExplainReport, OperatorProfile, profile_operators
+from .explain import ExplainReport
 from .export import events_jsonl, prometheus_text, status_text
 from .health import HealthModel, HealthReport, NodeHealth
 from .recorder import (
@@ -63,8 +63,6 @@ from .tracing import (
 
 __all__ = [
     "ExplainReport",
-    "OperatorProfile",
-    "profile_operators",
     "events_jsonl",
     "prometheus_text",
     "status_text",

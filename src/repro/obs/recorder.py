@@ -19,10 +19,10 @@ beyond a single call.  Three bounded stores, composed by one
 * :class:`QueryProfileStore` — the last N statements, each a
   :class:`QueryProfile`: the statement's span tree from the moment it
   entered the engine (parse → plan → execute, self-times summing to its
-  wall time), the operator tree
-  (:class:`~repro.obs.explain.OperatorProfile`) with per-op time /
-  cells / bytes / parallelism / failovers and the cache hit ratio, and
-  an ``estimated`` summary of the planner's predictions —
+  wall time), and the physical plan that ran
+  (:class:`~repro.query.planner.PhysicalOp`) carrying per-op time /
+  cells / bytes / parallelism / failovers, the cache hit ratio and the
+  planner's predictions (``estimated`` is their flat summary) —
   ``db.profiles()`` / ``db.profile(id)`` replay any recent query's
   explain after the fact.  Statements at or over ``slow_query_ms`` are
   also held in a second, smaller ring (``db.slow_queries()``); the
@@ -52,13 +52,13 @@ import time
 import weakref
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, TYPE_CHECKING
 
 from . import tracing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .explain import OperatorProfile
+    from ..query.planner import PhysicalOp
 
 __all__ = [
     "RecordedEvent",
@@ -220,13 +220,14 @@ class QueryProfile:
     (:meth:`FlightRecorder.statement`) and stored when its root span
     closes.  ``span`` is that root — parse, plan, execute and the
     operator spans beneath it, whose ``self_ms`` sum to ``total_ms``.
-    ``root`` is the same per-operator tree ``EXPLAIN ANALYZE`` renders
-    (time / cells / bytes / parallelism / failovers / cache hits per
-    operator) — :meth:`render` replays the explain after the fact.
-    ``estimated`` carries the planner's flattened predictions (cells,
-    ms, chunks to read, chunks to prune, strategy choices) so every
-    retained profile supports estimated-vs-actual comparison; it is
-    ``None`` only when the statement had no physical plan (DDL).
+    ``root`` is the physical plan the executor ran — the tree
+    ``EXPLAIN ANALYZE`` renders (time / cells / bytes / parallelism /
+    failovers / cache hits per operator) — so :meth:`render` replays the
+    explain after the fact.  ``estimated`` is a view of it: the
+    planner's flattened predictions (cells, ms, chunks to read, chunks
+    to prune, routes), so every retained profile supports
+    estimated-vs-actual comparison; it is ``None`` only when the
+    statement had no physical plan (DDL).
     """
 
     query_id: str
@@ -234,14 +235,17 @@ class QueryProfile:
     started_at: float
     total_ms: float = 0.0
     rewrites: list[str] = field(default_factory=list)
-    root: "Optional[OperatorProfile]" = None
+    root: Optional[PhysicalOp] = None
     cells_examined: int = 0
     error: Optional[str] = None
-    #: the planner's predictions for this statement (cells/ms/chunks/
-    #: chunks_pruned/strategies); None when nothing was planned (DDL)
-    estimated: Optional[dict[str, Any]] = None
     #: the statement's root span (None on a hand-built profile)
     span: Optional[tracing.Span] = None
+
+    @property
+    def estimated(self) -> Optional[dict[str, Any]]:
+        """The planner's predictions for this statement (cells/ms/chunks/
+        chunks_pruned/strategies); None when nothing was planned (DDL)."""
+        return self.root.estimated() if self.root is not None else None
 
     def _sum(self, attr: str) -> float:
         if self.root is None:
@@ -278,7 +282,7 @@ class QueryProfile:
         for rw in self.rewrites:
             lines.append(f"  rewrite: {rw}")
         if self.root is not None:
-            lines.append(self.root.render(1))
+            lines.append(self.root.render_measured(1))
         if self.span is not None:
             phases = ", ".join(
                 f"{sp.name} {sp.duration_ms:.3f} ms"
@@ -287,9 +291,10 @@ class QueryProfile:
             )
             if phases:
                 lines.append(f"  phases: {phases}")
+        estimated = self.estimated
         lines.append(
             f"  total: {self.total_ms:.3f} ms, {self.bytes_moved} bytes moved"
-            + (f", estimated: {self.estimated}" if self.estimated else "")
+            + (f", estimated: {estimated}" if estimated else "")
         )
         if self.error:
             lines.append(f"  ERROR: {self.error}")
@@ -305,7 +310,7 @@ class QueryProfile:
                 "cells_examined", "error", "estimated",
             )
         }
-        out["operators"] = asdict(self.root) if self.root is not None else None
+        out["operators"] = self.root.to_dict() if self.root is not None else None
         out["rendered"] = self.render()
         return out
 

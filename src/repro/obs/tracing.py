@@ -32,7 +32,7 @@ import threading
 import time
 from contextlib import contextmanager
 from threading import get_ident as _get_ident
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 __all__ = [
     "Span",
@@ -215,12 +215,16 @@ NULL_SPAN = _NullSpan()
 class _SpanContext:
     """Context manager that opens/closes one span on a thread's stack."""
 
-    __slots__ = ("stack", "name", "attrs", "span")
+    __slots__ = ("stack", "name", "attrs", "span", "on_close")
 
-    def __init__(self, stack: "list[Span]", name: str, attrs: dict) -> None:
+    def __init__(
+        self, stack: "list[Span]", name: str, attrs: dict,
+        on_close: "Optional[Callable[[Span], None]]" = None,
+    ) -> None:
         self.stack = stack
         self.name = name
         self.attrs = attrs
+        self.on_close = on_close
         self.span: Optional[Span] = None
 
     def __enter__(self) -> Span:
@@ -236,6 +240,8 @@ class _SpanContext:
         assert sp is not None
         _pop(self.stack, sp)
         sp.close(error=None if exc is None else f"{exc_type.__name__}: {exc}")
+        if self.on_close is not None:
+            self.on_close(sp)
         return False
 
 
@@ -267,10 +273,14 @@ def root(name: str, **attrs: Any) -> _SpanContext:
     return _SpanContext(_stack(), name, attrs)
 
 
-def span(name: str, **attrs: Any) -> "_SpanContext | _NullSpan":
-    """Open a child of the current span (the null span if there is none)."""
+def span(
+    name: str, on_close: "Optional[Callable[[Span], None]]" = None, **attrs: Any
+) -> "_SpanContext | _NullSpan":
+    """Open a child of the current span (the null span if there is none).
+    *on_close* is handed the span once it has closed — timed, its error
+    recorded — and is never called for the null span."""
     stack = getattr(_local, "stack", None)
-    return _SpanContext(stack, name, attrs) if stack else NULL_SPAN
+    return _SpanContext(stack, name, attrs, on_close) if stack else NULL_SPAN
 
 
 def current_span() -> Optional[Span]:

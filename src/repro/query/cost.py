@@ -9,16 +9,17 @@ self-calibrates as the workload runs; :meth:`CostModel.from_profiles`
 warm-starts one from the recorder's retained history.
 
 Route choice is :func:`grid_route`: the one predicate that says where an
-operator over grid-resident operands runs.  The planner labels EXPLAIN
-with it and the executor dispatches on it, so a printed strategy is the
-route that ran:
+operator over grid-resident operands runs.  The planner asks it once per
+operator and writes the answer on the physical plan; the executor runs
+the plan, so a printed strategy is the route that ran:
 
-* **aggregate** — algebraic aggregates (sum/count/avg/min/max/stdev)
-  decompose into per-node partials merged at the coordinator; holistic
-  ones (median, arbitrary callables) cannot, so the plan gathers.
-* **sjoin** — arrays co-located on the same grid join node-locally;
-  otherwise the smaller side would have to move, which this engine
-  realizes as a gather.
+* **aggregate** / **regrid** — an algebraic aggregate (one with a
+  ``merge``: the built-in sum/count/avg/min/max/stdev) decomposes into
+  per-node partials merged at the coordinator; a holistic one (median,
+  any user aggregate — whatever its name) cannot, so the plan gathers.
+* **sjoin** — co-partitioned arrays join node-locally; arrays on one
+  grid under different partitioners shuffle the right operand to the
+  left's scheme; arrays on different grids are gathered.
 
 Seeding defaults were measured once on single-core CPython; they only
 matter until the first few queries overwrite them.
@@ -30,17 +31,12 @@ import math
 import threading
 from typing import Any, Iterable, Optional, Sequence
 
-from ..core.errors import PlanError, SchemaError
+from ..cluster.copartition import is_copartitioned
+from ..core.errors import PlanError, SchemaError, UnknownFunctionError
+from ..core.udf import get_aggregate
 from .ast import OpNode, PredicateConjunction
 
-__all__ = [
-    "CostModel", "ALGEBRAIC_AGGREGATES", "DEFAULT_MS_PER_CELL",
-    "grid_route", "predicate_window",
-]
-
-#: Aggregates with a partial/merge decomposition (mirrors the operator
-#: layer's ``_ALGEBRAIC_MERGES`` in :mod:`repro.cluster.operators`).
-ALGEBRAIC_AGGREGATES = frozenset({"sum", "count", "avg", "min", "max", "stdev"})
+__all__ = ["CostModel", "DEFAULT_MS_PER_CELL", "grid_route", "predicate_window"]
 
 #: Seed rates (ms per cell handled) until observations arrive.
 DEFAULT_MS_PER_CELL: dict[str, float] = {
@@ -73,11 +69,11 @@ class CostModel:
     # -- calibration ----------------------------------------------------
 
     def observe(self, profile: Any) -> int:
-        """Fold one executed operator tree (an ``OperatorProfile``-shaped
-        object: ``op``/``time_ms``/``cells_scanned``/``cells_out``/
+        """Fold one executed plan (a
+        :class:`~repro.query.planner.PhysicalOp`, or anything with its
+        ``op``/``time_ms``/``cells_scanned``/``cells_out``/``error``/
         ``children``) into the per-op rates.  Returns how many operator
-        samples were absorbed.  Duck-typed so callers need not import
-        the observability layer.
+        samples were absorbed.
         """
         absorbed = 0
         stack = [profile]
@@ -190,14 +186,14 @@ def grid_route(node: OpNode, operands: Sequence[Optional[Any]]) -> str:
 
     *operands* holds, per argument, an
     :class:`~repro.query.stats.ArrayDescription`-shaped object
-    (``distributed``, ``dims``, ``grid_id``) for a catalog array, or
-    ``None`` for a computed subtree.  The answer is ``""`` when no
-    argument is a bare grid array (the local operator, nothing moves),
-    the native grid route — ``"window"``, ``"partial-aggregate"``,
-    ``"partial-regrid"``, ``"copartitioned"`` — or ``"gather"``: every
-    grid argument is materialized at the coordinator and the local
-    operator runs there.  A statement no route can run raises before a
-    byte moves.
+    (``distributed``, ``dims``, ``grid_id``, ``partitioner``) for a
+    catalog array, or ``None`` for a computed subtree.  The answer is
+    ``""`` when no argument is a bare grid array (the local operator,
+    nothing moves), the native grid route — ``"window"``,
+    ``"partial-aggregate"``, ``"partial-regrid"``, ``"copartitioned"``,
+    ``"shuffle"`` — or ``"gather"``: every grid argument is materialized
+    at the coordinator and the local operator runs there.  A statement
+    no route can run raises before a byte moves.
     """
     grids = [d for d in operands if d is not None and d.distributed]
     if not grids:
@@ -214,7 +210,12 @@ def grid_route(node: OpNode, operands: Sequence[Optional[Any]]) -> str:
                     f"got {len(node.option('factors'))}"
                 )
             agg = node.option("agg")
-            if getattr(agg, "name", agg) in ALGEBRAIC_AGGREGATES:
+            if isinstance(agg, str):
+                try:
+                    agg = get_aggregate(agg)
+                except UnknownFunctionError:
+                    agg = None  # gathered: the local operator reports it
+            if getattr(agg, "merge", None) is not None:
                 return "partial-" + op
     elif op == "sjoin" and len(grids) == len(operands) == 2:
         second = operands[1]
@@ -224,5 +225,5 @@ def grid_route(node: OpNode, operands: Sequence[Optional[Any]]) -> str:
             first.grid_id == second.grid_id
             and joined == len(first.dims) == len(second.dims)
         ):
-            return "copartitioned"
+            return "copartitioned" if is_copartitioned(first, second) else "shuffle"
     return "gather"

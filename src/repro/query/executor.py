@@ -4,7 +4,10 @@ The executor is the single consumer of parse trees: every binding —
 textual or Python — funnels through here.  It holds a schema catalog
 (``define`` results) and an array catalog (``create`` results and query
 outputs), plans each query through the :class:`~repro.query.planner.Planner`,
-and dispatches operator nodes to the user-extendable operator catalog.
+and runs the physical plan it gets back: the parse tree and the plan are
+walked in step, each operator on the route its
+:class:`~repro.query.planner.PhysicalOp` names, its measurements landing
+on that node.
 
 Pass a :class:`~repro.provenance.log.ProvenanceEngine` to have every
 derivation logged (and its arrays registered) for lineage tracing; the
@@ -18,6 +21,7 @@ from typing import Any, Optional
 
 import itertools
 
+from ..cluster.operators import DistributedArray
 from ..cluster.resilience import check_deadline
 from ..core.array import SciArray
 from ..core.enhance import enhance as attach_enhancement
@@ -37,28 +41,10 @@ from .ast import (
     PredicateConjunction,
     SelectNode,
 )
-from .cost import CostModel, grid_route, predicate_window
+from .cost import CostModel
 from .parser import parse_statement
 from .planner import PhysicalOp, PlannedQuery, Planner, PlannerConfig
 from .stats import ArrayDescription, ArrayStats
-
-
-def _distributed_type():
-    """The DistributedArray class, imported lazily (grid is optional)."""
-    from ..cluster.grid import DistributedArray
-
-    return DistributedArray
-
-
-def _describe_grid_array(name: str, arr: Any, **estimates: Any) -> ArrayDescription:
-    """What :func:`~repro.query.cost.grid_route` asks of a grid array —
-    written once, so the planner's catalog and the dispatch agree."""
-    return ArrayDescription(
-        name, "distributed", grid_id=id(arr.grid),
-        dims=tuple((d.name, d.size) for d in arr.schema.dimensions),
-        **estimates,
-    )
-
 
 try:  # Provenance is optional wiring, not a hard dependency.
     from ..provenance.log import ProvenanceEngine
@@ -96,18 +82,13 @@ class Executor:
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        if planner is None:
-            planner = Planner(
-                catalog=self._describe_for_planner,
-                cost_model=self.cost_model,
-            )
-        else:
-            # A caller-supplied planner keeps its own switches but gains
-            # the executor's catalog/cost model unless it brought its own.
-            if planner.catalog is None:
-                planner.catalog = self._describe_for_planner
-            if planner.cost_model is None:
-                planner.cost_model = self.cost_model
+        # A caller-supplied planner keeps its own switches (and cost model,
+        # if it brought one) but plans over this executor's arrays: what
+        # runs is the plan, so the plan must describe what is here.
+        planner = planner if planner is not None else Planner()
+        planner.catalog = self._describe
+        if planner.cost_model is None:
+            planner.cost_model = self.cost_model
         self.planner = planner
         self.provenance = provenance
         self.schemas: dict[str, ArraySchema] = {}
@@ -136,22 +117,35 @@ class Executor:
         except KeyError:
             raise PlanError(f"no array named {name!r} in the catalog") from None
 
-    def _describe_for_planner(self, name: str):
-        """Catalog callback the planner estimates from.
+    def _describe(self, name: str) -> Optional[ArrayDescription]:
+        """The planner's catalog: one description per array reference
+        (``None`` for unknown names).
 
-        For a grid-resident array the per-node bucket statistics are
-        merged across alive nodes (an in-memory walk of stats catalogs —
-        no bucket I/O, nothing metered) and the stored totals normalized
-        by the replica factor to *logical* counts, which is what one
-        exactly-once read touches.  Returns ``None`` for unknown names;
-        any failure inside is swallowed by the planner (stats must never
-        fail a query).
+        What a route is decided on — kind, dimensions, grid, partitioner
+        — is read straight off the array.  The estimates are best-effort
+        and must never fail the query: for a grid-resident array the
+        per-node bucket statistics are merged across alive nodes (an
+        in-memory walk of stats catalogs — no bucket I/O, nothing
+        metered) and the stored totals normalized by the replica factor
+        to *logical* counts, which is what one exactly-once read touches.
         """
         arr = self.arrays.get(name)
-        if arr is None:
+        if not isinstance(arr, (DistributedArray, SciArray)):
             return None
-        DistributedArray = _distributed_type()
+        desc = ArrayDescription(
+            name, "local",
+            dims=tuple((d.name, d.size) for d in arr.schema.dimensions),
+        )
         if isinstance(arr, DistributedArray):
+            desc.kind = "distributed"
+            desc.grid_id = arr.grid_id
+            desc.partitioner = arr.partitioner.descriptor()
+            desc.nodes = len(arr.grid.nodes)
+            desc.replication = max(1, arr.replication)
+        try:
+            if isinstance(arr, SciArray):
+                desc.cells, desc.chunks = arr.count_occupied(), arr.chunk_count()
+                return desc
             parts = []
             for node in arr.grid.nodes:
                 if not node.alive or node.retired:
@@ -161,25 +155,12 @@ class Executor:
                 except Exception:
                     continue  # no partition on this node / racing failure
             merged = ArrayStats.merged(parts)
-            k = max(1, arr.replication)
-            return _describe_grid_array(
-                name, arr,
-                cells=merged.cell_count // k,
-                chunks=-(-merged.chunk_count // k),
-                nodes=len(arr.grid.nodes),
-                replication=k,
-                partitioner=type(arr.partitioner).__name__,
-                stats=merged,
-            )
-        if isinstance(arr, SciArray):
-            return ArrayDescription(
-                name=name,
-                kind="local",
-                cells=arr.count_occupied(),
-                chunks=arr.chunk_count(),
-                dims=tuple((d.name, d.size) for d in arr.schema.dimensions),
-            )
-        return None
+            desc.cells = merged.cell_count // desc.replication
+            desc.chunks = -(-merged.chunk_count // desc.replication)
+            desc.stats = merged
+        except Exception:
+            pass  # the plan goes without estimates
+        return desc
 
     # -- entry points ---------------------------------------------------------------
 
@@ -211,26 +192,23 @@ class Executor:
             result = ExecutionResult(
                 None, rewrites=list(planned.rewrites), planned=planned
             )
-            ok = False
+            if record is not None:
+                # The plan is the record's operator tree: each operator
+                # fills its own node in as its span closes.
+                record.root = planned.physical
+                record.rewrites = list(planned.rewrites)
             try:
-                with tracing.span("execute") as sp:
-                    result.value = self._execute(planned.node, result)
-                ok = True
+                with tracing.span("execute"):
+                    result.value = self._execute(
+                        planned.node, planned.physical, result
+                    )
+                # Close the calibration loop: measured per-operator
+                # times feed the cost model that estimated them.
+                if record is not None:
+                    self.cost_model.observe(planned.physical)
             finally:
                 if record is not None:
-                    # Imported here: obs.explain imports the AST module,
-                    # so a module-level import would close a cycle through
-                    # query.__init__ while obs.__init__ is still loading.
-                    from ..obs.explain import profile_operators
-
-                    record.root = profile_operators(planned, sp)
-                    # Close the calibration loop: measured per-operator
-                    # times feed the cost model that estimated them.
-                    if ok and self.cost_model is not None:
-                        self.cost_model.observe(record.root)
-                    record.rewrites = list(result.rewrites)
                     record.cells_examined = result.cells_examined
-                    record.estimated = _estimated_summary(planned.physical)
             return result
 
     def run_script(
@@ -242,7 +220,9 @@ class Executor:
 
     # -- statement dispatch ------------------------------------------------------------
 
-    def _execute(self, node: Node, result: ExecutionResult) -> Any:
+    def _execute(
+        self, node: Node, phys: Optional[PhysicalOp], result: ExecutionResult
+    ) -> Any:
         if isinstance(node, DefineNode):
             schema = define_array(
                 node.name,
@@ -264,14 +244,14 @@ class Executor:
             array = self.lookup(node.array)
             return attach_enhancement(array, node.function)
         if isinstance(node, SelectNode):
-            value = self._eval(node.expr, result, output_name=node.into)
+            value = self._eval(node.expr, phys, result, output_name=node.into)
             if node.into is not None:
                 if isinstance(value, SciArray):
                     value.name = node.into
                 self.arrays[node.into] = value
             return value
         if isinstance(node, (OpNode, ArrayRef)):
-            return self._eval(node, result)
+            return self._eval(node, phys, result)
         raise PlanError(f"cannot execute node type {type(node).__name__}")
 
     # -- expression evaluation -----------------------------------------------------------
@@ -279,9 +259,12 @@ class Executor:
     def _eval(
         self,
         node: Node,
+        phys: PhysicalOp,
         result: ExecutionResult,
         output_name: Optional[str] = None,
     ) -> Any:
+        """Evaluate *node* as *phys* — its plan, whose children pair with
+        ``node.args`` — says."""
         if isinstance(node, ArrayRef):
             return self.lookup(node.name)
         if not isinstance(node, OpNode):
@@ -290,21 +273,36 @@ class Executor:
         # Resolve inputs BEFORE opening this operator's span: nested
         # expressions execute under their own spans, keeping every
         # span's time and counters exclusive to its operator.
+        inputs = list(zip(node.args, phys.children))
         log_as = None
-        if self.provenance is not None and not self._has_distributed_args(node):
-            names = [self._name_of(a, result) for a in node.args]
+        if self.provenance is not None and not phys.on_grid:
+            # The provenance engine understands local arrays only.
+            names = [self._name_of(a, p, result) for a, p in inputs]
             args = [self.provenance.catalog[n] for n in names]
             log_as = names, output_name or f"__q{next(self._temp_counter)}"
         else:
-            args = [self._eval(a, result) for a in node.args]
+            args = [self._eval(a, p, result) for a, p in inputs]
         # Operator boundary: cooperative cancellation under a deadline.
         check_deadline(f"operator {node.op}")
-        with tracing.span("op:" + node.op, op=node.op, node_id=id(node)) as sp:
-            value = self._apply_op(node, args, kwargs, sp, result, log_as)
+        with tracing.span("op:" + node.op, on_close=phys.measure, op=node.op) as sp:
+            if phys.strategy:
+                # The scheduler re-annotates on entry, but a gather never
+                # enters it — record the configured fan-out either way so
+                # explain shows per-op parallelism consistently.
+                sp.annotate(
+                    distributed=True, parallelism=next(
+                        a for a in args if isinstance(a, DistributedArray)
+                    ).grid.parallelism,
+                )
+                value = _GRID_ROUTES[phys.strategy](
+                    self, node, phys, args, kwargs, result
+                )
+            else:
+                value = self._apply_local(node, args, kwargs, result, log_as)
             self._annotate_local(sp, args, value)
         return value
 
-    def _name_of(self, node: Node, result: ExecutionResult) -> str:
+    def _name_of(self, node: Node, phys: PhysicalOp, result: ExecutionResult) -> str:
         """Resolve an argument to a provenance catalog name."""
         if isinstance(node, ArrayRef):
             if node.name not in self.provenance.catalog:
@@ -314,120 +312,21 @@ class Executor:
             return node.name
         # Nested expression: evaluated through provenance, which names the
         # result after the temp name it is logged under.
-        return self._eval(node, result).name
+        return self._eval(node, phys, result).name
 
-    # -- distributed dispatch ----------------------------------------------------
-
-    def _has_distributed_args(self, node: OpNode) -> bool:
-        """Whether any ArrayRef in the subtree is grid-resident.
-
-        Checked over the whole subtree, not just direct arguments: a
-        nested tree like ``filter(subsample(D))`` (which the planner's
-        pushdown rewrite produces routinely) must reach the distributed
-        dispatch for its inner scan, and the provenance engine only
-        understands local :class:`~repro.core.array.SciArray` inputs.
-        """
-        DistributedArray = _distributed_type()
-        stack = list(node.args)
-        while stack:
-            a = stack.pop()
-            if isinstance(a, OpNode):
-                stack.extend(a.args)
-            elif isinstance(a, ArrayRef) and isinstance(
-                self.arrays.get(a.name), DistributedArray
-            ):
-                return True
-        return False
-
-    def _apply_op(
-        self, node: OpNode, args: list, kwargs: dict, sp,
+    def _apply_local(
+        self, node: OpNode, args: list, kwargs: dict,
         result: ExecutionResult, log_as: Optional[tuple] = None,
     ) -> Any:
-        """Run *node*'s operator on resolved inputs — through the
-        provenance engine, under the ``(input names, output name)`` of
-        *log_as*, when the derivation is logged."""
-        DistributedArray = _distributed_type()
-        if any(isinstance(a, DistributedArray) for a in args):
-            return self._dispatch_distributed(node, args, kwargs, sp, result)
+        """Run *node*'s operator on coordinator-resident inputs — through
+        the provenance engine, under the ``(input names, output name)``
+        of *log_as*, when the derivation is logged."""
         if node.op == "filter":
             # Its predicate, compiled or opaque, tests each PRESENT cell once.
             result.cells_examined += args[0].count_present()
         if log_as is not None:
             return self.provenance.execute(node.op, *log_as, **kwargs)
         return get_operator(node.op)(*args, **kwargs)
-
-    def _dispatch_distributed(
-        self, node: OpNode, args: list, kwargs: dict, sp, result: ExecutionResult
-    ) -> Any:
-        """Run an operator over grid-resident inputs, on the route
-        :func:`~repro.query.cost.grid_route` names — decided from the
-        statement and its operands before any read, so a statement no
-        route can run fails without moving a byte.
-
-        Operators with a native distributed implementation (window
-        subsample, algebraic aggregate/regrid, co-partitioned sjoin) run
-        in place on the grid; anything else gathers the operands to the
-        coordinator (metered as movement) and runs the local operator.
-
-        The planner's chunk-skipping directive for this node (a
-        :class:`~repro.query.planner.ScanSpec`) applies when the read
-        feeding this operator is a direct grid scan of the spec's array:
-        the per-attribute value intervals are forwarded so every node's
-        storage manager can skip buckets whose statistics rule them out.
-        """
-        DistributedArray = _distributed_type()
-        # Found by node identity: `run` executes the very tree it planned.
-        planned = result.planned
-        phys = planned.physical_for(node) if planned is not None else None
-        scan_spec = phys.scan if phys is not None else None
-        operands = [
-            _describe_grid_array(a.name, a)
-            if isinstance(a, DistributedArray) else None
-            for a in args
-        ]
-        route = grid_route(node, operands)
-        # The scheduler re-annotates on entry, but a gather never enters
-        # it — record the configured fan-out either way so explain shows
-        # per-op parallelism consistently.
-        sp.annotate(
-            distributed=True,
-            parallelism=next(
-                a for a in args if isinstance(a, DistributedArray)
-            ).grid.parallelism,
-        )
-
-        def ranges_for(darr) -> Optional[dict]:
-            if scan_spec is None or scan_spec.array != darr.name:
-                return None
-            return scan_spec.attr_ranges or None
-
-        first = args[0]
-        if route == "window":
-            # The window is a pruned (R-tree), metered gather of just the
-            # slab; the local operator then applies the exact Subsample
-            # semantics (rebasing, source_index).
-            slab = first.subsample(
-                predicate_window(node.option("predicate"), operands[0]),
-                attr_ranges=ranges_for(first),
-            )
-            return get_operator(node.op)(slab, **kwargs)
-        if route == "partial-aggregate":
-            return first.aggregate(
-                kwargs["group_dims"], kwargs["agg"], kwargs.get("attr")
-            )
-        if route == "partial-regrid":
-            return first.regrid(
-                kwargs["factors"], kwargs["agg"], kwargs.get("attr")
-            )
-        if route == "copartitioned":
-            return first.sjoin(args[1], on=kwargs.get("on"))
-        local = [
-            a.materialize(attr_ranges=ranges_for(a))
-            if isinstance(a, DistributedArray)
-            else a
-            for a in args
-        ]
-        return self._apply_op(node, local, kwargs, sp, result)
 
     # -- span annotation ---------------------------------------------------------
 
@@ -499,39 +398,62 @@ class Executor:
         return dict(node.options)
 
 
-def _estimated_summary(physical: Optional[PhysicalOp]) -> Optional[dict]:
-    """Fold a physical plan into the flat dict a QueryProfile retains.
+# -- the grid routes -------------------------------------------------------------
+#
+# One function per route :func:`~repro.query.cost.grid_route` can name,
+# each ``(executor, node, phys, args, kwargs, result) -> value``; the table
+# below is where a new route is added.  The planner's read directive
+# (``phys.scan``) restricts the read of the operator's first operand: the
+# per-attribute value intervals go down with it, so every node's storage
+# manager can skip the buckets its statistics rule out.
 
-    This is the slot PR 8 reserved (``estimated=None``): enough to
-    compare against the profile's actuals after the fact — predicted
-    cells/ms at the root, total chunks the scans expected to touch, and
-    how many of those the planner expected to prune — without keeping
-    the whole plan object alive in the profile ring.
-    """
-    if physical is None:
-        return None
-    out: dict[str, Any] = {}
-    if physical.est_cells is not None:
-        out["cells"] = int(physical.est_cells)
-    if physical.est_ms is not None:
-        out["ms"] = round(float(physical.est_ms), 3)
-    chunks = 0
-    pruned = 0
-    have_chunks = False
-    for p in physical.walk():
-        if p.op == "scan" and p.est_chunks is not None:
-            have_chunks = True
-            chunks += p.est_chunks
-            pruned += p.est_chunks_pruned or 0
-    if have_chunks:
-        out["chunks"] = chunks
-        out["chunks_pruned"] = pruned
-    strategies = {
-        p.op: p.strategy for p in physical.walk() if p.strategy
-    }
-    if strategies:
-        out["strategies"] = strategies
-    return out or None
+
+def _window(ex, node, phys, args, kwargs, result):
+    # A pruned (R-tree), metered gather of just the slab; the local
+    # operator then applies the exact Subsample semantics (rebasing,
+    # source_index).
+    slab = args[0].subsample(
+        phys.scan.window, attr_ranges=phys.attr_ranges or None
+    )
+    return get_operator(node.op)(slab, **kwargs)
+
+
+def _partial_aggregate(ex, node, phys, args, kwargs, result):
+    return args[0].aggregate(
+        kwargs["group_dims"], kwargs["agg"], kwargs.get("attr")
+    )
+
+
+def _partial_regrid(ex, node, phys, args, kwargs, result):
+    return args[0].regrid(kwargs["factors"], kwargs["agg"], kwargs.get("attr"))
+
+
+def _grid_sjoin(ex, node, phys, args, kwargs, result):
+    # Node-local joins; a right operand under another partitioner is
+    # shuffled to the left's scheme first.
+    return args[0].sjoin(args[1], on=kwargs.get("on"))
+
+
+def _gather(ex, node, phys, args, kwargs, result):
+    # Every grid operand is materialized at the coordinator (metered as
+    # movement) and the local operator runs there.
+    ranges = phys.attr_ranges or None
+    local = [
+        a.materialize(attr_ranges=ranges if i == 0 else None)
+        if isinstance(a, DistributedArray) else a
+        for i, a in enumerate(args)
+    ]
+    return ex._apply_local(node, local, kwargs, result)
+
+
+_GRID_ROUTES = {
+    "window": _window,
+    "partial-aggregate": _partial_aggregate,
+    "partial-regrid": _partial_regrid,
+    "copartitioned": _grid_sjoin,
+    "shuffle": _grid_sjoin,
+    "gather": _gather,
+}
 
 
 def _as_dim_mapping(pred: Any) -> dict:

@@ -318,21 +318,25 @@ class ArrayStats:
 class ArrayDescription:
     """What the planner knows about one catalog array.
 
-    The executor builds these on demand (its catalog maps names to live
-    arrays); the planner consumes them for strategy choice and
-    estimation.  ``cells``/``chunks`` for a replicated distributed array
-    are normalized to *logical* counts (stored totals divided by the
-    replica factor), which is what one exactly-once read touches.
+    The executor builds one per array reference of a statement (its
+    catalog maps names to live arrays); the planner routes and estimates
+    from it.  What a route needs — ``kind``, ``dims``, ``grid_id`` and
+    ``partitioner``, the partitioner's
+    :meth:`~repro.cluster.partitioning.Partitioner.descriptor` — is read
+    straight off the array; the estimates are best-effort.
+    ``cells``/``chunks`` for a replicated distributed array are
+    normalized to *logical* counts (stored totals divided by the replica
+    factor), which is what one exactly-once read touches.
     """
 
     name: str
     kind: str  # "local" | "distributed"
-    cells: int = 0
-    chunks: int = 0
+    cells: Optional[int] = None  # None: no statistics were to be had
+    chunks: Optional[int] = None
     nodes: int = 1
     replication: int = 1
     grid_id: Optional[int] = None
-    partitioner: Optional[str] = None
+    partitioner: Any = None
     dims: tuple[tuple[str, Optional[int]], ...] = ()
     stats: Optional[ArrayStats] = None
 

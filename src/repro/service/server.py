@@ -500,7 +500,7 @@ class QueryService:
     @staticmethod
     def _planner_from(params: dict[str, str]) -> Optional[PlannerConfig]:
         flags = {}
-        for name in ("enable_pushdown", "enable_pruning", "enable_cost_model"):
+        for name in ("enable_pushdown", "enable_pruning"):
             if name in params:
                 flags[name] = params[name].lower() not in ("0", "false", "no")
         return PlannerConfig(**flags) if flags else None

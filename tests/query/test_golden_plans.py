@@ -118,11 +118,11 @@ QUERIES = {
 GOLDEN = {
     "Q1": """\
 aggregate ~cells=2304
-  subsample ~cells=2304
+  subsample [window] ~cells=2304
     scan raw ~cells=2304 ~chunks=36""",
     "Q2": """\
 regrid ~cells=2304
-  subsample ~cells=2304
+  subsample [window] ~cells=2304
     scan raw ~cells=2304 ~chunks=36""",
     "Q3": """\
 aggregate [partial-aggregate] ~cells=2304
@@ -130,21 +130,21 @@ aggregate [partial-aggregate] ~cells=2304
     "Q4": """\
 aggregate ~cells=2304
   apply ~cells=2304
-    subsample ~cells=2304
+    subsample [window] ~cells=2304
       scan raw ~cells=2304 ~chunks=36""",
     "Q5": """\
-filter prune{radiance∈(0.55, +inf)} ~cells=320 ~chunks=5(-7 pruned)
+filter [gather] prune{radiance∈(0.55, +inf)} ~cells=320 ~chunks=5(-7 pruned)
   scan cooked prune{radiance∈(0.55, +inf)} ~cells=320 ~chunks=5(-7 pruned)""",
     "Q6": """\
 regrid ~cells=320
-  filter prune{radiance∈(0.55, +inf)} ~cells=320 ~chunks=5(-7 pruned)
+  filter [gather] prune{radiance∈(0.55, +inf)} ~cells=320 ~chunks=5(-7 pruned)
     scan cooked prune{radiance∈(0.55, +inf)} ~cells=320 ~chunks=5(-7 pruned)""",
     "Q7": """\
 sjoin [copartitioned] ~cells=576
   scan e1 ~cells=576 ~chunks=9
   scan e2 ~cells=576 ~chunks=9""",
     "Q8": """\
-subsample ~cells=2304
+subsample [window] ~cells=2304
   scan raw ~cells=2304 ~chunks=36""",
     "Q9": """\
 aggregate [partial-aggregate] ~cells=2304
@@ -195,7 +195,7 @@ class TestPlannerBehaviorsPinned:
             planned.render_physical(),
             """\
 filter ~cells=320
-  subsample prune{radiance∈(0.55, +inf)} ~cells=320 ~chunks=5(-7 pruned)
+  subsample [window] prune{radiance∈(0.55, +inf)} ~cells=320 ~chunks=5(-7 pruned)
     scan cooked prune{radiance∈(0.55, +inf)} ~cells=320 ~chunks=5(-7 pruned)""",
             "pushdown",
         )
@@ -213,20 +213,19 @@ sjoin [gather] ~cells=576
             "cross-grid sjoin",
         )
 
-    def test_opt_out_strips_pruning_and_strategy(self):
+    def test_opt_out_strips_pruning(self):
         node = array("cooked").filter(attr("radiance") > 0.55).node
         planned = _planner().plan(
             node,
             config=PlannerConfig(
                 enable_pushdown=False,
                 enable_pruning=False,
-                enable_cost_model=False,
             ),
         )
         _assert_plan(
             planned.render_physical(),
             """\
-filter ~cells=768
+filter [gather] ~cells=768
   scan cooked ~cells=768 ~chunks=12""",
             "opt-out",
         )

@@ -1,22 +1,28 @@
 """The route a statement takes over a grid is decided once, before a read.
 
 ``repro.query.cost.grid_route`` is the one predicate behind both the
-label EXPLAIN prints and the executor's distributed dispatch.  Two
-defects it replaced are pinned here:
+label EXPLAIN prints and the executor's distributed dispatch: the planner
+asks it, the executor runs the plan.  The defects that replaced are
+pinned here:
 
 * the dispatch used to *try* the grid operator and fall back on
   ``SchemaError``, so a wrong statement (``regrid`` with too few factors)
   paid a full gather before the local operator raised the same error;
 * the planner labelled every algebraic ``aggregate`` ``partial-aggregate``
   from the aggregate's name alone, including ones that ran locally on a
-  gathered slab.
+  gathered slab;
+* a user aggregate registered under a built-in's name got the built-in's
+  *merge* on the grid (algebraic-ness was a table of names);
+* two arrays on one grid under different partitioners were labelled
+  ``copartitioned`` while the join shuffled.
 """
 
 import pytest
 
 from repro import SciDB, define_aggregate, define_array
-from repro.cluster import HashPartitioner
+from repro.cluster import HashPartitioner, RangePartitioner
 from repro.core.errors import SchemaError
+from repro.core.udf import functions
 from repro.storage.loader import LoadRecord
 
 pytestmark = pytest.mark.tier1
@@ -89,6 +95,46 @@ class TestExplainLabelIsTheRouteThatRan:
         moved_partials = "aggregate" in report.ledger_delta
         assert moved_partials == (label == "partial-aggregate")
         assert ("[strategy=partial-aggregate]" in report.render()) == moved_partials
+
+    @pytest.mark.parametrize(
+        "other, partitioner, label",
+        [
+            ("Same", HashPartitioner(4), "copartitioned"),
+            ("Ranged", RangePartitioner(4, 0, [4, 8, 12]), "shuffle"),
+        ],
+    )
+    def test_shuffle_label_iff_the_join_shuffled(self, db, other, partitioner, label):
+        grid = db.grid("g")
+        arr = grid.create_array(
+            other, db.lookup("A").schema, partitioner, stride=(8, 8)
+        )
+        arr.load(
+            LoadRecord((x, y), (float(x + y),))
+            for x in range(1, SIDE + 1)
+            for y in range(1, SIDE + 1)
+        )
+        db.register(other, arr)
+        report = db.explain(
+            f"select sjoin(A, {other}, A.x = {other}.x and A.y = {other}.y)"
+        )
+        assert strategy_of(report, "sjoin") == label
+        assert ("join_shuffle" in report.ledger_delta) == (label == "shuffle")
+        assert report.reconciles()
+
+    def test_user_aggregate_under_a_builtin_name_is_gathered(self, db, monkeypatch):
+        """Algebraic-ness belongs to the aggregate, not to its name: a
+        user's ``max`` has no merge, so the grid must not fold it with
+        the built-in's."""
+        # setitem puts the built-in back on teardown.
+        monkeypatch.setitem(functions._aggregates, "max", functions.get_aggregate("max"))
+        define_aggregate("max", lambda: 0.0, lambda s, v: s + abs(v), replace=True)
+        db.register("L", db.lookup("A").materialize())
+        statement = "select aggregate({}, {{x}}, max(v))"
+        report = db.explain(statement.format("A"))
+        assert strategy_of(report, "aggregate") == "gather"
+        on_grid = db.query(statement.format("A"))
+        local = db.query(statement.format("L"))
+        assert list(on_grid.cells()) == list(local.cells())
 
     def test_local_aggregate_prints_no_strategy(self):
         local = SciDB()

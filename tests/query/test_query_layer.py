@@ -17,6 +17,7 @@ from repro.query import (
     Executor,
     OpNode,
     Planner,
+    PlannerConfig,
     SelectNode,
     array,
     attr,
@@ -178,7 +179,7 @@ class TestPlanner:
 
     def test_pushdown_disabled(self):
         q = array("A").filter(attr("v") > 0).subsample(dim("x") >= 2).node
-        planned = Planner(enable_pushdown=False).plan(q)
+        planned = Planner(PlannerConfig(enable_pushdown=False)).plan(q)
         assert planned.node.op == "subsample"
         assert not planned.rewrites
 
@@ -237,7 +238,7 @@ class TestExecutor:
         optimized = ex.run(q)
         assert optimized.cells_examined == 8
 
-        ex2 = Executor(planner=Planner(enable_pushdown=False))
+        ex2 = Executor(planner=Planner(PlannerConfig(enable_pushdown=False)))
         ex2.register("A", make_2d(np.arange(1.0, 17.0).reshape(4, 4)))
         naive = ex2.run(q)
         assert naive.cells_examined == 16
