@@ -3,9 +3,9 @@
 
 A :class:`CookingStep` is a named engine operation; a
 :class:`CookingPipeline` runs a sequence of them through a
-:class:`~repro.provenance.log.ProvenanceEngine`, so "accurate provenance
-information" is recorded for every intermediate — the paper's argument for
-cooking *inside* the DBMS.
+:class:`~repro.provenance.log.ProvenanceEngine`'s ``execute``, so "accurate
+provenance information" is recorded for every (named, catalogued)
+intermediate — the paper's argument for cooking *inside* the DBMS.
 
 The compositing step implements the paper's named-version use case
 directly: a composite image is built from several satellite passes by
@@ -88,18 +88,11 @@ class CookingPipeline:
 
     def run(self, input_name: str, output_name: Optional[str] = None) -> SciArray:
         """Cook catalog array *input_name*; every step is logged."""
-        current = input_name
-        result: Optional[SciArray] = None
-        for i, step in enumerate(self.steps):
-            is_last = i == len(self.steps) - 1
-            out = (
-                output_name
-                if (is_last and output_name)
-                else step.output_name(input_name, i)
-            )
-            result = self.engine.execute(step.op, [current], out, **step.params)
-            current = out
-        assert result is not None
+        names = [s.output_name(input_name, i) for i, s in enumerate(self.steps)]
+        if output_name:
+            names[-1] = output_name
+        for step, source, out in zip(self.steps, [input_name] + names, names):
+            result = self.engine.execute(step.op, [source], out, **step.params)
         return result
 
 

@@ -260,7 +260,8 @@ class SciDB:
         chunk-cache hits/misses/evictions (each :class:`ChunkCache`),
         WAL appends/commits (each :class:`WriteAheadLog`), committed
         load batches and scheduler batches/tasks, summed over this
-        database's own store and every grid node.  ``histograms`` holds
+        database's own store and every grid node, and the derivation
+        log's length; ``gauges`` the catalog's size.  ``histograms`` holds
         the statement latency summary; ``grids`` each grid's ledger and
         per-node accounting; ``flight_recorder`` the event totals by
         kind (every discrete occurrence: kills, rejections, tears …).
@@ -269,7 +270,10 @@ class SciDB:
         latency = recorder.profile_store.latency()
         stores = [self.storage] if self.storage is not None else []
         wals = [self.wal] if self.wal is not None else []
-        counters = Counter({"query.statements": latency["count"]})
+        counters = Counter({
+            "query.statements": latency["count"],
+            "provenance.commands": len(self.provenance.log),
+        })
         for grid in self._grids.values():
             stores.extend(node.storage for node in grid.nodes)
             wals.extend(n.wal for n in grid.nodes if n.wal is not None)
@@ -293,6 +297,7 @@ class SciDB:
             counters["wal.commits"] += wal.commits
         return {
             "counters": dict(counters),
+            "gauges": {"catalog.arrays": len(self.executor.arrays)},
             "histograms": {"query.latency_ms": latency},
             "grids": {
                 name: grid.metrics_snapshot()
@@ -535,7 +540,7 @@ class SciDB:
             target, stream, batch_size, load_epoch, tolerant, quarantine,
             max_retries,
         )
-        self.executor.arrays[name] = target.to_sciarray(name)
+        self.register(name, target.to_sciarray(name))
         if report.quarantine is not None:
             self._quarantines[name] = report.quarantine
         return report
@@ -549,9 +554,7 @@ class SciDB:
         """Materialise a persisted array back into the catalog."""
         if self.storage is None:
             raise SchemaError("this SciDB instance has no storage directory")
-        arr = self.storage.get_array(name).to_sciarray(name)
-        self.executor.arrays[name] = arr
-        return arr
+        return self.register(name, self.storage.get_array(name).to_sciarray(name))
 
     # -- the shared-nothing grid (Section 2.7) ---------------------------------------------
 
@@ -645,8 +648,8 @@ class SciDB:
                 f"array name must be a string, got {type(array).__name__}"
             )
         if (
-            array not in self.provenance.catalog
-            and array not in self.executor.arrays
+            array not in self.executor.arrays
+            and self.provenance.log.command_producing(array) is None
         ):
             raise ProvenanceError(
                 f"no array named {array!r} in the catalog"

@@ -86,6 +86,8 @@ def prometheus_text(snapshot: dict[str, Any]) -> str:
 
     for name, value in snapshot.get("counters", {}).items():
         sample(name, "counter", value)
+    for name, value in snapshot.get("gauges", {}).items():
+        sample(name, "gauge", value)
     for name, summary in snapshot.get("histograms", {}).items():
         sample(name, "summary", summary["p50"], quantile="0.5")
         sample(name, "summary", summary["p95"], quantile="0.95")

@@ -20,10 +20,11 @@ Three designs are implemented, spanning the paper's space/time trade-off:
   paper's middle point — replayed results cached "in case the derivation
   is run again at a later time".
 
-:class:`~repro.provenance.log.ProvenanceEngine` is the executor that runs
-catalog operators while logging them (and, optionally, feeding the item
-store).  :mod:`repro.provenance.repository` holds the metadata for
-externally-derived arrays.
+:class:`~repro.provenance.log.ProvenanceEngine` is the log and the
+repository over one catalog of named arrays (the query executor's, when
+wired to one): it records the commands it is handed, feeding the item
+store when configured.  :mod:`repro.provenance.repository` holds the
+metadata for externally-derived arrays, each record ordered against the log.
 """
 
 from .log import CommandLog, LoggedCommand, ProvenanceEngine

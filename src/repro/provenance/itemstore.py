@@ -16,11 +16,9 @@ from typing import Sequence
 
 from ..core.array import SciArray
 from .log import LoggedCommand
+from .trace import Item, backward_rule
 
 __all__ = ["ItemLineageStore"]
-
-Coords = tuple[int, ...]
-Item = tuple[str, Coords]
 
 #: Wire/back-of-envelope size of one lineage edge: two items of
 #: (name pointer + coords), as Trio-style systems store them.
@@ -46,15 +44,13 @@ class ItemLineageStore:
         output: SciArray,
     ) -> int:
         """Record lineage edges for every output cell of *command*."""
-        from .trace import _BACKWARD, _conservative_backward
-
-        rule = _BACKWARD.get(command.op, _conservative_backward)
+        rule = backward_rule(command.op)
         recorded = 0
         for out_coords, _cell in output.cells():
             out_item: Item = (command.output, tuple(out_coords))
             contributors = [
                 (name, tuple(coords))
-                for name, coords in rule(command, inputs, output, tuple(out_coords))
+                for name, coords in rule(command, inputs, tuple(out_coords))
             ]
             self._backward.setdefault(out_item, []).extend(contributors)
             for c in contributors:
@@ -71,15 +67,7 @@ class ItemLineageStore:
 
     def backward_closure(self, item: Item) -> set[Item]:
         """All transitive contributors."""
-        out: set[Item] = set()
-        frontier = [(item[0], tuple(item[1]))]
-        while frontier:
-            current = frontier.pop()
-            for c in self._backward.get(current, []):
-                if c not in out:
-                    out.add(c)
-                    frontier.append(c)
-        return out
+        return _closure(self._backward, item)
 
     def forward(self, item: Item) -> list[Item]:
         """Directly derived items (one step downstream)."""
@@ -87,18 +75,21 @@ class ItemLineageStore:
 
     def forward_closure(self, item: Item) -> set[Item]:
         """Requirement 2 as a pure index walk: all downstream items."""
-        out: set[Item] = set()
-        frontier = [(item[0], tuple(item[1]))]
-        while frontier:
-            current = frontier.pop()
-            for d in self._forward.get(current, []):
-                if d not in out:
-                    out.add(d)
-                    frontier.append(d)
-        return out
+        return _closure(self._forward, item)
 
     # -- accounting ----------------------------------------------------------------
 
     def space_nbytes(self) -> int:
         """Estimated bytes of stored lineage (the Trio space cost)."""
         return self.edges * _EDGE_NBYTES
+
+
+def _closure(index: dict[Item, list[Item]], item: Item) -> set[Item]:
+    out: set[Item] = set()
+    frontier = [(item[0], tuple(item[1]))]
+    while frontier:
+        for reached in index.get(frontier.pop(), []):
+            if reached not in out:
+                out.add(reached)
+                frontier.append(reached)
+    return out

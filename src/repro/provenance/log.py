@@ -1,23 +1,24 @@
-"""The provenance command log and the logging executor (Section 2.12).
+"""The provenance command log and its engine (Section 2.12).
 
 "For a sequence of processing steps inside SciDB, one merely needs to
 record a log of the commands that were run to create A."
 
-:class:`ProvenanceEngine` is a small catalog-plus-executor: operators from
-the engine's user-extendable catalog (:mod:`repro.core.ops`) run against
-named arrays, and every execution appends a :class:`LoggedCommand`
-(operator, input names, output name, parameters).  The log is the minimal-
-space provenance representation; :mod:`repro.provenance.trace` re-derives
-item-level lineage from it on demand, and
-:mod:`repro.provenance.itemstore` optionally records it eagerly
-(Trio-style) as each command runs.
+:class:`ProvenanceEngine` is that log plus the metadata repository, over a
+catalog of named arrays — the query executor's own, when one is wired to
+it.  Whoever runs an operator hands the engine what ran, and it appends a
+:class:`LoggedCommand` (operator, input names, output name, parameters).
+The log is the minimal-space provenance representation;
+:mod:`repro.provenance.trace` re-derives item-level lineage — and any
+intermediate nobody kept — from it on demand, and
+:mod:`repro.provenance.itemstore` optionally records lineage eagerly
+(Trio-style) as each command is logged.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
+import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Sequence
 
 from ..core.array import SciArray
@@ -40,7 +41,6 @@ class LoggedCommand:
     inputs: tuple[str, ...]
     output: str
     params: Mapping[str, Any]
-    recorded_at: Optional[_dt.datetime] = None
 
     def describe(self) -> str:
         params = ", ".join(f"{k}={_short(v)}" for k, v in self.params.items())
@@ -89,63 +89,54 @@ class CommandLog:
 
 
 class ProvenanceEngine:
-    """A catalog of named arrays whose every derivation is logged.
+    """The derivation log and metadata repository over one array catalog.
 
     Parameters
     ----------
     itemstore:
         Optional :class:`~repro.provenance.itemstore.ItemLineageStore`;
-        when provided, item-level lineage is recorded eagerly at execution
-        time (the Trio design point).
+        when provided, item-level lineage is recorded eagerly as each
+        command is logged (the Trio design point).
     """
 
     def __init__(self, itemstore: "Optional[ItemLineageStore]" = None) -> None:
-        self.catalog: dict[str, SciArray] = {}
+        #: name -> array; a wired Executor's ``arrays`` is this very dict
+        self.catalog: dict[str, Any] = {}
         self.log = CommandLog()
         self.repository = MetadataRepository()
         self.itemstore = itemstore
-        self._seq = 0
+        self._anonymous = itertools.count()
         # Concurrent statements (the multi-tenant service, or two threads
-        # sharing one SciDB) register sources and commit derivations at
-        # the same time; the catalog check-and-insert and the seq/log
-        # append must each be one atomic step.  RLock: trace helpers call
-        # back into get() while holding it.
-        self._lock = threading.RLock()
+        # sharing one SciDB) bind names and commit derivations at the same
+        # time; the catalog check-and-insert and the seq/log append must
+        # each be one atomic step.
+        self._lock = threading.Lock()
 
     # -- catalog ------------------------------------------------------------------
 
     def register_external(
         self,
         name: str,
-        array: SciArray,
+        array: Any,
         program: str,
         parameters: Optional[Mapping[str, Any]] = None,
         inputs: Sequence[str] = (),
         description: str = "",
-    ) -> SciArray:
-        """Enter an externally-produced array plus its derivation record.
-
-        Re-registering the *same* array object under the same name is a
-        no-op rather than an error: two concurrent statements reading one
-        catalog source both find it unregistered and both try to enter
-        it — the loser of that race must not fail its query.
-        """
+    ) -> Any:
+        """Bind *name* to an externally-produced array, with its
+        derivation record (the same object again is a no-op).  Over a name
+        in use this *rebinds* it: the record carries the log's next
+        ``seq``, so a trace never takes the new array for the old."""
         with self._lock:
-            existing = self.catalog.get(name)
-            if existing is array:
-                return array
-            if existing is not None:
-                raise ProvenanceError(
-                    f"array {name!r} is already in the catalog"
+            if self.catalog.get(name) is not array:
+                self.catalog[name] = array
+                self.repository.record(
+                    name, program, parameters, inputs=inputs,
+                    description=description, seq=len(self.log),
                 )
-            self.catalog[name] = array
-            self.repository.record(
-                name, program, parameters, inputs=inputs,
-                description=description,
-            )
         return array
 
-    def get(self, name: str) -> SciArray:
+    def get(self, name: str) -> Any:
         try:
             return self.catalog[name]
         except KeyError:
@@ -154,7 +145,49 @@ class ProvenanceEngine:
     def names(self) -> list[str]:
         return sorted(self.catalog)
 
-    # -- execution ------------------------------------------------------------------
+    # -- the log --------------------------------------------------------------------
+
+    def record(
+        self,
+        op: str,
+        inputs: Sequence[str],
+        output: Optional[str],
+        params: Mapping[str, Any],
+        arrays: Sequence[SciArray],
+        result: Any,
+    ) -> SciArray:
+        """Append the command that derived *result* from *arrays*.
+
+        A named *output* enters the catalog, and never overwrites; ``None``
+        is an anonymous statement result, logged under the next ``__qN``
+        and left to whoever holds it (a trace re-derives it from this)."""
+        if not isinstance(result, SciArray):
+            raise ProvenanceError(
+                f"operator {op!r} did not return an array; only array-"
+                "producing commands belong in the derivation log"
+            )
+        with self._lock:
+            if output is None:
+                output = f"__q{next(self._anonymous)}"
+            elif output in self.catalog:
+                raise ProvenanceError(
+                    f"output {output!r} already exists; derivations never "
+                    "overwrite (create a new name or a named version)"
+                )
+            else:
+                self.catalog[output] = result
+            result.name = output
+            command = LoggedCommand(
+                seq=len(self.log),
+                op=op,
+                inputs=tuple(inputs),
+                output=output,
+                params=dict(params),
+            )
+            self.log.append(command)
+        if self.itemstore is not None:
+            self.itemstore.record_command(command, arrays, result)
+        return result
 
     def execute(
         self,
@@ -164,45 +197,16 @@ class ProvenanceEngine:
         /,
         **params: Any,
     ) -> SciArray:
-        """Run a catalog operator on named inputs, logging the command.
+        """Run a catalog operator on catalogued names, enter the result
+        under *output* and record the command.
 
         The operator is looked up in the user-extendable operator catalog;
-        inputs are passed positionally, *params* as keywords.  The result
-        is registered in the catalog under *output*.
+        inputs are passed positionally, *params* as keywords.  It runs
+        outside the engine's lock, so concurrent callers keep overlapping.
         """
-        with self._lock:
-            if output in self.catalog:
-                raise ProvenanceError(
-                    f"output {output!r} already exists; derivations never "
-                    "overwrite (create a new name or a named version)"
-                )
-            fn = get_operator(op)
-            arrays = [self.get(n) for n in inputs]
-        # The operator itself runs outside the lock: it can be arbitrarily
-        # slow and touches only its input arrays, so concurrent statements
-        # keep overlapping.  Output names are collision-checked above and
-        # unique per statement (the executor's temp counter is atomic).
-        result = fn(*arrays, **params)
-        if not isinstance(result, SciArray):
-            raise ProvenanceError(
-                f"operator {op!r} did not return an array; only array-"
-                "producing commands belong in the derivation log"
-            )
-        result.name = output
-        with self._lock:
-            self.catalog[output] = result
-            command = LoggedCommand(
-                seq=self._seq,
-                op=op,
-                inputs=tuple(inputs),
-                output=output,
-                params=dict(params),
-            )
-            self._seq += 1
-            self.log.append(command)
-        if self.itemstore is not None:
-            self.itemstore.record_command(command, arrays, result)
-        return result
+        arrays = [self.get(n) for n in inputs]
+        result = get_operator(op)(*arrays, **params)
+        return self.record(op, inputs, output, params, arrays, result)
 
     def rerun(self, command: LoggedCommand, output: Optional[str] = None) -> SciArray:
         """Re-derive a command's output (the repeatability requirement).

@@ -12,8 +12,7 @@ a human-readable derivation record rather than a dead end.
 
 from __future__ import annotations
 
-import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from ..core.errors import ProvenanceError
@@ -29,8 +28,9 @@ class ExternalDerivation:
     program: str
     parameters: tuple[tuple[str, Any], ...]
     inputs: tuple[str, ...] = ()
-    recorded_at: Optional[_dt.datetime] = None
     description: str = ""
+    #: the derivation log's length then: commands from ``seq`` on read this
+    seq: int = 0
 
     def describe(self) -> str:
         params = ", ".join(f"{k}={v!r}" for k, v in self.parameters)
@@ -50,16 +50,16 @@ class MetadataRepository:
         program: str,
         parameters: Optional[Mapping[str, Any]] = None,
         inputs: Sequence[str] = (),
-        recorded_at: Optional[_dt.datetime] = None,
         description: str = "",
+        seq: int = 0,
     ) -> ExternalDerivation:
         entry = ExternalDerivation(
             output=output,
             program=program,
             parameters=tuple(sorted((parameters or {}).items())),
             inputs=tuple(inputs),
-            recorded_at=recorded_at,
             description=description,
+            seq=seq,
         )
         self._by_output.setdefault(output, []).append(entry)
         return entry
@@ -77,6 +77,3 @@ class MetadataRepository:
 
     def is_external(self, output: str) -> bool:
         return output in self._by_output
-
-    def outputs(self) -> list[str]:
-        return sorted(self._by_output)

@@ -17,23 +17,25 @@ The paper's preferred minimal-space design:
   cache these named versions in case the derivation is run again"),
   the middle point between log replay and the Trio item store.
 
-Operators without a registered rule fall back to conservative lineage
-(every input cell may contribute) — sound, never minimal.
+Operators without a rule fall back to conservative lineage (every input
+cell may contribute, every output cell may be affected) — sound, never
+minimal.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional
 
 from ..core.array import SciArray
 from ..core.errors import ProvenanceError
+from ..core.ops import get_operator
 from ..core.ops.structural import _selected_indexes
 from .log import LoggedCommand, ProvenanceEngine
+from .repository import ExternalDerivation
 
 __all__ = [
     "Item",
     "BackwardStep",
-    "register_lineage_rule",
     "trace_backward",
     "trace_forward",
     "TraceCache",
@@ -44,36 +46,18 @@ Coords = tuple[int, ...]
 #: A data element: (array name, cell coordinates).
 Item = tuple[str, Coords]
 
-# rule signatures ------------------------------------------------------------
-# backward(cmd, inputs, output, out_coords) -> [(input_name, in_coords)]
-# forward(cmd, inputs, output, input_name, in_coords) -> [out_coords]
-BackwardRule = Callable[
-    [LoggedCommand, Sequence[SciArray], SciArray, Coords], list[Item]
-]
-ForwardRule = Callable[
-    [LoggedCommand, Sequence[SciArray], SciArray, str, Coords], list[Coords]
-]
-
-_BACKWARD: dict[str, BackwardRule] = {}
-_FORWARD: dict[str, ForwardRule] = {}
+# -- lineage rules -------------------------------------------------------------
+# backward(cmd, inputs, out_coords) -> [(input_name, in_coords)]
+# forward(cmd, inputs, input_name, in_coords) -> [out_coords]
+# A rule maps coordinates using the command and its inputs; none reads the
+# command's output, so a trace never has to produce one for a rule.
 
 
-def register_lineage_rule(
-    op: str, backward: BackwardRule, forward: ForwardRule
-) -> None:
-    """Extend lineage tracing to a user-registered operator."""
-    _BACKWARD[op.lower()] = backward
-    _FORWARD[op.lower()] = forward
-
-
-# -- built-in rules -------------------------------------------------------------
-
-
-def _identity_backward(cmd, inputs, output, out_coords):
+def _identity_backward(cmd, inputs, out_coords):
     return [(cmd.inputs[0], out_coords)]
 
 
-def _identity_forward(cmd, inputs, output, input_name, in_coords):
+def _identity_forward(cmd, inputs, input_name, in_coords):
     return [in_coords]
 
 
@@ -89,7 +73,7 @@ def _subsample_selections(cmd, source: SciArray) -> list[list[int]]:
     return selections
 
 
-def _subsample_backward(cmd, inputs, output, out_coords):
+def _subsample_backward(cmd, inputs, out_coords):
     selections = _subsample_selections(cmd, inputs[0])
     try:
         source = tuple(sel[c - 1] for sel, c in zip(selections, out_coords))
@@ -100,7 +84,7 @@ def _subsample_backward(cmd, inputs, output, out_coords):
     return [(cmd.inputs[0], source)]
 
 
-def _subsample_forward(cmd, inputs, output, input_name, in_coords):
+def _subsample_forward(cmd, inputs, input_name, in_coords):
     selections = _subsample_selections(cmd, inputs[0])
     out = []
     for sel, c in zip(selections, in_coords):
@@ -111,51 +95,43 @@ def _subsample_forward(cmd, inputs, output, input_name, in_coords):
     return [tuple(out)]
 
 
-def _aggregate_positions(cmd, source: SciArray) -> list[int]:
-    return [source.schema.dim_index(d) for d in cmd.params["group_dims"]]
+def _grouping(key_of):
+    """Both rules of an operator whose output cell is the present input
+    cells sharing a key; ``key_of(cmd, source)`` is coords → key."""
+
+    def backward(cmd, inputs, out_coords):
+        key = key_of(cmd, inputs[0])
+        return [
+            (cmd.inputs[0], coords)
+            for coords, _cell in inputs[0].cells(include_null=False)
+            if key(coords) == tuple(out_coords)
+        ]
+
+    def forward(cmd, inputs, input_name, in_coords):
+        return [key_of(cmd, inputs[0])(in_coords)]
+
+    return backward, forward
 
 
-def _aggregate_backward(cmd, inputs, output, out_coords):
-    source = inputs[0]
-    positions = _aggregate_positions(cmd, source)
-    items = []
-    for coords, _cell in source.cells(include_null=False):
-        if tuple(coords[p] for p in positions) == tuple(out_coords):
-            items.append((cmd.inputs[0], coords))
-    return items
+def _aggregate_key(cmd, source: SciArray):
+    positions = [source.schema.dim_index(d) for d in cmd.params["group_dims"]]
+    return lambda coords: tuple(coords[p] for p in positions)
 
 
-def _aggregate_forward(cmd, inputs, output, input_name, in_coords):
-    positions = _aggregate_positions(cmd, inputs[0])
-    return [tuple(in_coords[p] for p in positions)]
-
-
-def _regrid_backward(cmd, inputs, output, out_coords):
+def _regrid_key(cmd, source: SciArray):
     factors = cmd.params["factors"]
-    source = inputs[0]
-    items = []
-    for coords, _cell in source.cells(include_null=False):
-        if all((c - 1) // f + 1 == o for c, f, o in zip(coords, factors, out_coords)):
-            items.append((cmd.inputs[0], coords))
-    return items
+    return lambda coords: tuple((c - 1) // f + 1 for c, f in zip(coords, factors))
 
 
-def _regrid_forward(cmd, inputs, output, input_name, in_coords):
-    factors = cmd.params["factors"]
-    return [tuple((c - 1) // f + 1 for c, f in zip(in_coords, factors))]
-
-
-def _sjoin_geometry(cmd, left: SciArray, right: SciArray):
+def _sjoin_geometry(cmd, right: SciArray):
     on = cmd.params["on"]
-    left_join = [l for l, _ in on]
     right_join = [r for _, r in on]
-    right_keep = [d for d in right.dim_names if d not in right_join]
-    return on, left_join, right_join, right_keep
+    return on, [d for d in right.dim_names if d not in right_join]
 
 
-def _sjoin_backward(cmd, inputs, output, out_coords):
+def _sjoin_backward(cmd, inputs, out_coords):
     left, right = inputs
-    on, _lj, right_join, right_keep = _sjoin_geometry(cmd, left, right)
+    on, right_keep = _sjoin_geometry(cmd, right)
     m = left.ndim
     left_coords = tuple(out_coords[:m])
     # Reconstruct the right coords: join dims take the matched left values,
@@ -169,9 +145,9 @@ def _sjoin_backward(cmd, inputs, output, out_coords):
     return [(cmd.inputs[0], left_coords), (cmd.inputs[1], right_coords)]
 
 
-def _sjoin_forward(cmd, inputs, output, input_name, in_coords):
+def _sjoin_forward(cmd, inputs, input_name, in_coords):
     left, right = inputs
-    on, left_join, right_join, right_keep = _sjoin_geometry(cmd, left, right)
+    on, right_keep = _sjoin_geometry(cmd, right)
     right_keep_pos = [right.schema.dim_index(d) for d in right_keep]
     if input_name == cmd.inputs[0]:
         key = tuple(
@@ -192,7 +168,7 @@ def _sjoin_forward(cmd, inputs, output, input_name, in_coords):
     return out
 
 
-def _cjoin_backward(cmd, inputs, output, out_coords):
+def _cjoin_backward(cmd, inputs, out_coords):
     left, right = inputs
     m = left.ndim
     return [
@@ -201,7 +177,7 @@ def _cjoin_backward(cmd, inputs, output, out_coords):
     ]
 
 
-def _cjoin_forward(cmd, inputs, output, input_name, in_coords):
+def _cjoin_forward(cmd, inputs, input_name, in_coords):
     left, right = inputs
     if input_name == cmd.inputs[0]:
         return [
@@ -210,33 +186,75 @@ def _cjoin_forward(cmd, inputs, output, input_name, in_coords):
     return [tuple(coords) + tuple(in_coords) for coords, _ in left.cells()]
 
 
-def _conservative_backward(cmd, inputs, output, out_coords):
+def _conservative_backward(cmd, inputs, out_coords):
     items = []
     for name, arr in zip(cmd.inputs, inputs):
         items.extend((name, coords) for coords, _ in arr.cells())
     return items
 
 
-def _conservative_forward(cmd, inputs, output, input_name, in_coords):
-    return [coords for coords, _ in output.cells()]
+_IDENTITY = _identity_backward, _identity_forward
+
+#: op -> (backward, forward); any other operator gets conservative lineage
+_RULES = {
+    "filter": _IDENTITY, "apply": _IDENTITY, "project": _IDENTITY,
+    "subsample": (_subsample_backward, _subsample_forward),
+    "aggregate": _grouping(_aggregate_key),
+    "regrid": _grouping(_regrid_key),
+    "sjoin": (_sjoin_backward, _sjoin_forward),
+    "cjoin": (_cjoin_backward, _cjoin_forward),
+}
 
 
-for _op in ("filter", "apply", "project"):
-    _BACKWARD[_op] = _identity_backward
-    _FORWARD[_op] = _identity_forward
-_BACKWARD["subsample"] = _subsample_backward
-_FORWARD["subsample"] = _subsample_forward
-_BACKWARD["aggregate"] = _aggregate_backward
-_FORWARD["aggregate"] = _aggregate_forward
-_BACKWARD["regrid"] = _regrid_backward
-_FORWARD["regrid"] = _regrid_forward
-_BACKWARD["sjoin"] = _sjoin_backward
-_FORWARD["sjoin"] = _sjoin_forward
-_BACKWARD["cjoin"] = _cjoin_backward
-_FORWARD["cjoin"] = _cjoin_forward
+def backward_rule(op: str):
+    return _RULES[op][0] if op in _RULES else _conservative_backward
 
 
 # -- tracing -----------------------------------------------------------------------
+
+
+class _Replay:
+    """Name → array for one trace: the catalog's, or — an anonymous
+    statement result, which only its caller kept — re-derived once from
+    its logged command, the paper's "rerun the update".  A name rebound
+    after a command ran no longer holds what that command read or wrote:
+    asking for it raises, naming the rebind."""
+
+    def __init__(self, engine: ProvenanceEngine) -> None:
+        self.engine = engine
+        self._rerun: dict[str, SciArray] = {}
+
+    def rebound(self, name: str, seq: int) -> Optional[ExternalDerivation]:
+        """The repository record that rebound *name* after command #*seq*."""
+        repo = self.engine.repository
+        if repo.is_external(name) and repo.latest(name).seq > seq:
+            return repo.latest(name)
+        return None
+
+    def check(self, name: str, cmd: LoggedCommand) -> None:
+        rebind = self.rebound(name, cmd.seq)
+        if rebind is not None:
+            raise ProvenanceError(
+                f"array {name!r} was rebound at #{rebind.seq} "
+                f"({rebind.describe()}) after command #{cmd.seq} ran; "
+                "the trace stops at the rebind"
+            )
+
+    def array(self, name: str, cmd: LoggedCommand) -> SciArray:
+        """What *cmd* read or wrote as *name*."""
+        self.check(name, cmd)
+        array = self.engine.catalog.get(name, self._rerun.get(name))
+        if array is None:
+            producer = self.engine.log.command_producing(name)
+            if producer is None:
+                raise ProvenanceError(f"no array named {name!r} in the catalog")
+            array = self._rerun[name] = get_operator(producer.op)(
+                *self.inputs(producer), **producer.params
+            )
+        return array
+
+    def inputs(self, cmd: LoggedCommand) -> list[SciArray]:
+        return [self.array(name, cmd) for name in cmd.inputs]
 
 
 class BackwardStep:
@@ -261,6 +279,7 @@ def trace_backward(
     producing command.  Returns the steps in discovery (reverse
     chronological) order.
     """
+    replay = _Replay(engine)
     steps: list[BackwardStep] = []
     frontier = [item]
     seen: set[Item] = set()
@@ -274,15 +293,12 @@ def trace_backward(
             if (name, coords) in seen:
                 continue
             seen.add((name, coords))
-            if engine.repository.is_external(name):
-                continue  # terminates at the metadata repository
             cmd = engine.log.command_producing(name)
-            if cmd is None:
-                continue
-            inputs = [engine.get(n) for n in cmd.inputs]
-            output = engine.get(cmd.output)
-            rule = _BACKWARD.get(cmd.op, _conservative_backward)
-            contributors = rule(cmd, inputs, output, tuple(coords))
+            if cmd is None or replay.rebound(name, cmd.seq) is not None:
+                continue  # terminates at the metadata repository
+            contributors = backward_rule(cmd.op)(
+                cmd, replay.inputs(cmd), tuple(coords)
+            )
             steps.append(BackwardStep(cmd, contributors))
             next_frontier.extend(contributors)
         frontier = next_frontier
@@ -297,13 +313,17 @@ def trace_forward(
     Replays the log forward: every command reading an affected array is
     re-derived in qualified form (the lineage rule restricted to the
     affected cells), its affected outputs join the frontier, and the
-    process iterates "until there is no further activity".
+    process iterates "until there is no further activity".  Commands that
+    read the item's name before it was bound to this array do not count.
     """
+    replay = _Replay(engine)
     affected: set[Item] = set()
     frontier: dict[str, set[Coords]] = {item[0]: {tuple(item[1])}}
-    produced_seq = {}
     cmd0 = engine.log.command_producing(item[0])
     start_seq = cmd0.seq if cmd0 else -1
+    rebind = replay.rebound(item[0], start_seq)
+    if rebind is not None:  # registered since: earlier readers read another
+        start_seq = rebind.seq - 1
     depth = 0
     while frontier:
         depth += 1
@@ -311,18 +331,27 @@ def trace_forward(
             raise ProvenanceError("forward trace exceeded max_depth")
         next_frontier: dict[str, set[Coords]] = {}
         for name, cells in frontier.items():
-            for cmd in engine.log.commands_reading(name):
-                inputs = [engine.get(n) for n in cmd.inputs]
-                output = engine.get(cmd.output)
-                rule = _FORWARD.get(cmd.op, _conservative_forward)
-                for coords in cells:
-                    for out_coords in rule(cmd, inputs, output, name, coords):
-                        out_item = (cmd.output, tuple(out_coords))
-                        if out_item not in affected:
-                            affected.add(out_item)
-                            next_frontier.setdefault(cmd.output, set()).add(
-                                tuple(out_coords)
-                            )
+            after_seq = start_seq if name == item[0] else -1
+            for cmd in engine.log.commands_reading(name, after_seq):
+                replay.check(cmd.output, cmd)
+                inputs = replay.inputs(cmd)
+                if cmd.op in _RULES:
+                    forward = _RULES[cmd.op][1]
+                    outs = {
+                        tuple(out)
+                        for coords in cells
+                        for out in forward(cmd, inputs, name, coords)
+                    }
+                else:  # conservative: any cell of the output, so read it
+                    outs = {
+                        c for c, _ in replay.array(cmd.output, cmd).cells()
+                    }
+                new = {(cmd.output, out) for out in outs} - affected
+                affected |= new
+                if new:
+                    next_frontier.setdefault(cmd.output, set()).update(
+                        out for _, out in new
+                    )
         frontier = next_frontier
     return affected
 

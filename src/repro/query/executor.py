@@ -10,16 +10,15 @@ walked in step, each operator on the route its
 on that node.
 
 Pass a :class:`~repro.provenance.log.ProvenanceEngine` to have every
-derivation logged (and its arrays registered) for lineage tracing; the
-executor then satisfies both Section 2.4 and Section 2.12 at once.
+derivation logged for lineage tracing: the engine's catalog *is* the array
+catalog then, and the engine is told what the executor ran — Section 2.4
+and Section 2.12 at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-import itertools
 
 from ..cluster.operators import DistributedArray
 from ..cluster.resilience import check_deadline
@@ -30,6 +29,7 @@ from ..core.ops import get_operator
 from ..core.schema import ArraySchema, define_array
 from ..obs import tracing
 from ..obs.recorder import get_flight_recorder
+from ..provenance.log import ProvenanceEngine
 from .ast import (
     ArrayRef,
     AttrPairsEqual,
@@ -45,11 +45,6 @@ from .cost import CostModel
 from .parser import parse_statement
 from .planner import PhysicalOp, PlannedQuery, Planner, PlannerConfig
 from .stats import ArrayDescription, ArrayStats
-
-try:  # Provenance is optional wiring, not a hard dependency.
-    from ..provenance.log import ProvenanceEngine
-except ImportError:  # pragma: no cover
-    ProvenanceEngine = None  # type: ignore[assignment]
 
 __all__ = ["ExecutionResult", "Executor"]
 
@@ -78,7 +73,7 @@ class Executor:
     def __init__(
         self,
         planner: Optional[Planner] = None,
-        provenance: "Optional[ProvenanceEngine]" = None,
+        provenance: Optional[ProvenanceEngine] = None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.cost_model = cost_model if cost_model is not None else CostModel()
@@ -92,26 +87,23 @@ class Executor:
         self.planner = planner
         self.provenance = provenance
         self.schemas: dict[str, ArraySchema] = {}
-        self.arrays: dict[str, Any] = {}
-        self._temp_counter = itertools.count()
+        #: one catalog: with provenance wired, the engine's own dict
+        self.arrays: dict[str, Any] = {} if provenance is None else provenance.catalog
 
     # -- catalog -----------------------------------------------------------------
 
     def register(self, name: str, array: Any) -> Any:
         """Enter an existing array into the catalog (e.g. a loaded file,
-        or a grid-resident :class:`~repro.cluster.grid.DistributedArray`)."""
-        self.arrays[name] = array
-        if (
-            self.provenance is not None
-            and isinstance(array, SciArray)
-            and name not in self.provenance.catalog
-        ):
-            self.provenance.register_external(
+        or a grid-resident :class:`~repro.cluster.grid.DistributedArray`),
+        replacing whatever the name was bound to."""
+        if self.provenance is not None:
+            return self.provenance.register_external(
                 name, array, program="executor.register"
             )
+        self.arrays[name] = array
         return array
 
-    def lookup(self, name: str) -> SciArray:
+    def lookup(self, name: str) -> Any:
         try:
             return self.arrays[name]
         except KeyError:
@@ -245,10 +237,11 @@ class Executor:
             return attach_enhancement(array, node.function)
         if isinstance(node, SelectNode):
             value = self._eval(node.expr, phys, result, output_name=node.into)
-            if node.into is not None:
+            if node.into is not None and self.arrays.get(node.into) is not value:
+                # Not a logged derivation (those are entered as recorded).
                 if isinstance(value, SciArray):
                     value.name = node.into
-                self.arrays[node.into] = value
+                self.register(node.into, value)
             return value
         if isinstance(node, (OpNode, ArrayRef)):
             return self._eval(node, phys, result)
@@ -273,15 +266,7 @@ class Executor:
         # Resolve inputs BEFORE opening this operator's span: nested
         # expressions execute under their own spans, keeping every
         # span's time and counters exclusive to its operator.
-        inputs = list(zip(node.args, phys.children))
-        log_as = None
-        if self.provenance is not None and not phys.on_grid:
-            # The provenance engine understands local arrays only.
-            names = [self._name_of(a, p, result) for a, p in inputs]
-            args = [self.provenance.catalog[n] for n in names]
-            log_as = names, output_name or f"__q{next(self._temp_counter)}"
-        else:
-            args = [self._eval(a, p, result) for a, p in inputs]
+        args = [self._eval(a, p, result) for a, p in zip(node.args, phys.children)]
         # Operator boundary: cooperative cancellation under a deadline.
         check_deadline(f"operator {node.op}")
         with tracing.span("op:" + node.op, on_close=phys.measure, op=node.op) as sp:
@@ -298,34 +283,27 @@ class Executor:
                     self, node, phys, args, kwargs, result
                 )
             else:
-                value = self._apply_local(node, args, kwargs, result, log_as)
+                value = self._apply_local(node, args, kwargs, result)
+                if self.provenance is not None and not phys.on_grid:
+                    # Local arrays only: an operand under its catalog name,
+                    # a nested result under the name it was logged as.
+                    names = [
+                        a.name if isinstance(a, ArrayRef) else v.name
+                        for a, v in zip(node.args, args)
+                    ]
+                    self.provenance.record(
+                        node.op, names, output_name, kwargs, args, value
+                    )
             self._annotate_local(sp, args, value)
         return value
 
-    def _name_of(self, node: Node, phys: PhysicalOp, result: ExecutionResult) -> str:
-        """Resolve an argument to a provenance catalog name."""
-        if isinstance(node, ArrayRef):
-            if node.name not in self.provenance.catalog:
-                self.provenance.register_external(
-                    node.name, self.lookup(node.name), program="executor.catalog"
-                )
-            return node.name
-        # Nested expression: evaluated through provenance, which names the
-        # result after the temp name it is logged under.
-        return self._eval(node, phys, result).name
-
     def _apply_local(
-        self, node: OpNode, args: list, kwargs: dict,
-        result: ExecutionResult, log_as: Optional[tuple] = None,
+        self, node: OpNode, args: list, kwargs: dict, result: ExecutionResult
     ) -> Any:
-        """Run *node*'s operator on coordinator-resident inputs — through
-        the provenance engine, under the ``(input names, output name)``
-        of *log_as*, when the derivation is logged."""
+        """Run *node*'s operator on coordinator-resident inputs."""
         if node.op == "filter":
             # Its predicate, compiled or opaque, tests each PRESENT cell once.
             result.cells_examined += args[0].count_present()
-        if log_as is not None:
-            return self.provenance.execute(node.op, *log_as, **kwargs)
         return get_operator(node.op)(*args, **kwargs)
 
     # -- span annotation ---------------------------------------------------------
