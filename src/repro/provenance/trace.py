@@ -227,9 +227,8 @@ class _Replay:
     def rebound(self, name: str, seq: int) -> Optional[ExternalDerivation]:
         """The repository record that rebound *name* after command #*seq*."""
         repo = self.engine.repository
-        if repo.is_external(name) and repo.latest(name).seq > seq:
-            return repo.latest(name)
-        return None
+        latest = repo.latest(name) if repo.is_external(name) else None
+        return latest if latest is not None and latest.seq > seq else None
 
     def check(self, name: str, cmd: LoggedCommand) -> None:
         rebind = self.rebound(name, cmd.seq)
