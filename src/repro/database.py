@@ -427,14 +427,9 @@ class SciDB:
             raise SchemaError(f"updatable array {arr.name!r} already exists")
         self._updatable[arr.name] = arr
         if self.wal is not None:
-            self.wal.log_create_updatable(arr)
+            self.wal.log_create(arr)
             self.wal.commit()
-
-            def durable_commit(array, history, writes, _wal=self.wal):
-                _wal.log_commit(array.name, history, writes)
-                _wal.commit()
-
-            arr.on_commit = durable_commit
+            arr.on_commit = self._log_commit
         return arr
 
     def recover(self) -> list[str]:
@@ -442,21 +437,22 @@ class SciDB:
         contrast: loaded data gets recovery; in-situ data does not).
 
         Reconstructs every WAL-logged updatable array — full history,
-        deletion flags, and all — re-arms their durability hooks, and
-        returns the recovered names.
+        deletion flags and commit times — re-arms their durability hooks,
+        and returns the recovered names.  Versions are not logged and do
+        not survive.
         """
         if self.wal is None:
             raise SchemaError("this SciDB instance has no storage directory")
         recovered = self.wal.recover_updatable()
         for name, arr in recovered.items():
             self._updatable[name] = arr
-
-            def durable_commit(array, history, writes, _wal=self.wal):
-                _wal.log_commit(array.name, history, writes)
-                _wal.commit()
-
-            arr.on_commit = durable_commit
+            arr.on_commit = self._log_commit
         return sorted(recovered)
+
+    def _log_commit(self, array, history, writes, when) -> None:
+        """Every updatable array's durability hook (one WAL record)."""
+        self.wal.log_commit(array.name, history, writes, when)
+        self.wal.commit()
 
     def updatable(self, name: str) -> UpdatableArray:
         try:

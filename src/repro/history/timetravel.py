@@ -8,29 +8,18 @@ through the history dimension's clock enhancement.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Iterator, Optional
+from dataclasses import replace
+from typing import Any, Optional
+
+import numpy as np
 
 from ..core.array import SciArray
-from ..core.errors import TransactionError
-from ..core.schema import ArraySchema
-from .transactions import UpdatableArray
+from ..core.cells import CellState
+from .transactions import UpdatableArray, visible_blocks
 
 __all__ = ["snapshot", "snapshot_at_time", "cell_history", "history_sizes"]
 
 Coords = tuple[int, ...]
-
-
-def _snapshot_schema(array: UpdatableArray) -> ArraySchema:
-    """The non-history schema of a snapshot."""
-    dims = array.schema.dimensions[:-1]
-    from dataclasses import replace
-
-    return replace(
-        array.schema,
-        name=f"{array.schema.name}_snapshot",
-        dimensions=dims,
-        updatable=False,
-    )
 
 
 def snapshot(array: UpdatableArray, as_of: Optional[int] = None) -> SciArray:
@@ -39,12 +28,16 @@ def snapshot(array: UpdatableArray, as_of: Optional[int] = None) -> SciArray:
     ``as_of=None`` means the latest state.  Deleted cells are absent;
     NULL deltas remain NULL.
     """
+    schema = replace(
+        array.schema,
+        name=f"{array.schema.name}_snapshot",
+        dimensions=array.schema.dimensions[:-1],
+        updatable=False,
+    )
     horizon = array.current_history if as_of is None else as_of
-    if horizon < 0:
-        raise TransactionError(f"invalid history horizon {as_of}")
-    out = SciArray(_snapshot_schema(array), name=f"{array.name}@{horizon}")
-    for coords, cell in array.latest_cells(as_of=horizon):
-        out.set(coords, cell)
+    out = SciArray(schema, name=f"{array.name}@{horizon}")
+    for origin, planes, state in visible_blocks(array, as_of):
+        out.set_region(origin, planes, state)
     return out
 
 
@@ -62,9 +55,11 @@ def cell_history(array: UpdatableArray, coords: Coords) -> list[tuple[int, Any]]
 def history_sizes(array: UpdatableArray) -> dict[int, int]:
     """Deltas recorded per history value — the write-amplification shape
     reported by experiment E3."""
-    sizes: dict[int, int] = {h: 0 for h in range(1, array.current_history + 1)}
-    for coords, _ in array.store.cells():
-        sizes[coords[-1]] = sizes.get(coords[-1], 0) + 1
-    for _, h in array._tombstones:
-        sizes[h] = sizes.get(h, 0) + 1
+    sizes = dict.fromkeys(range(1, array.current_history + 1), 0)
+    for origin, _, state in array.store.blocks(attrs=()):
+        per_h = np.count_nonzero(
+            state != CellState.EMPTY, axis=tuple(range(state.ndim - 1))
+        )
+        for h, n in enumerate(per_h.tolist(), start=origin[-1]):
+            sizes[h] += n
     return sizes

@@ -10,15 +10,15 @@ The paper's scheme, implemented literally:
   adds new array values for the next value of the history dimension";
 * "A delete operation removes a cell from an array and in the obvious
   implementation based on deltas, one would insert a deletion-flag as the
-  delta" — :data:`DELETED` is that flag;
+  delta" — :data:`DELETED` is that flag, stored in the store as a NULL
+  delta marked on a flag plane over the store's own grid;
 * the history dimension can be enhanced with a wall-clock mapping
   (:class:`~repro.core.enhance.WallClockEnhancement`), so arrays are
   addressable by conventional time.
 
-Reads default to the latest state; ``as_of=h`` reads the state as of any
-earlier history value, and :meth:`UpdatableArray.cell_history` walks a
-cell's full change record — the paper's "travels along the history
-dimension".
+Every read goes through one rule, :func:`_visible`: per cell, the newest
+delta at or before the horizon, unless it is a deletion flag — over the
+store's blocks, one cell's column, or a named version's layers.
 """
 
 from __future__ import annotations
@@ -26,35 +26,119 @@ from __future__ import annotations
 import datetime as _dt
 from typing import Any, Iterator, Optional
 
-from ..core.array import SciArray
-from ..core.cells import Cell
+import numpy as np
+
+from ..core.array import SciArray, block_cells
+from ..core.cells import Cell, CellState
+from ..core.datatypes import get_type
 from ..core.enhance import WallClockEnhancement
 from ..core.errors import EmptyCellError, TransactionError
-from ..core.schema import ArraySchema, HISTORY_DIMENSION
+from ..core.schema import ArraySchema, Attribute, HISTORY_DIMENSION
 
 __all__ = ["DELETED", "Transaction", "UpdatableArray"]
 
 Coords = tuple[int, ...]
+EMPTY, NULL = CellState.EMPTY, CellState.NULL
 
 
 class _DeletedFlag:
-    """Singleton deletion flag stored as a delta (Section 2.5)."""
-
-    _instance: Optional["_DeletedFlag"] = None
-
-    def __new__(cls) -> "_DeletedFlag":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The deletion flag stored as a delta (Section 2.5); one instance."""
 
     def __repr__(self) -> str:
         return "<DELETED>"
+
+    def __reduce__(self) -> str:
+        return "DELETED"  # copies and unpickles are the one instance
 
 
 DELETED = _DeletedFlag()
 
 
-class UpdatableArray:
+def _visible(layers: list) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The as-of rule, written once: per cell, the newest delta of the
+    newest layer that has one, unless that delta is a deletion flag.
+
+    *layers* are ``(origin, planes, state, flags)`` boxes over one block
+    of cells, oldest first, history the last axis (the state cut at the
+    horizon); *flags*, the array of the box's deletion flags, is read only
+    where the newest delta is NULL.  Returns the block's ``(planes,
+    state)``, deleted cells EMPTY.  Cost follows the boxes that exist.
+    """
+    picks = []
+    for lo, planes, state, flags in layers:
+        cells, n = state.shape[:-1], state.shape[-1]
+        flat = state.reshape(-1, n)
+        at = (np.arange(len(flat)), n - 1 - flat[:, ::-1].astype(bool).argmax(axis=1))
+        newest = flat[at].reshape(cells)  # EMPTY where the box holds no delta
+        seen = newest != EMPTY  # a deletion is a delta: it hides older layers
+        if flags.chunk_count() and (newest == NULL).any():  # no flags, no read
+            hi = tuple(l + k - 1 for l, k in zip(lo, state.shape))
+            flagged = flags.planes(lo, hi, ())[1].reshape(-1, n)[at]
+            newest[flagged.reshape(cells) != EMPTY] = EMPTY
+        picks.append((
+            {
+                name: p.reshape(-1, p.shape[-1])[at].reshape(cells)
+                for name, p in planes.items()
+            },
+            newest,
+            seen,
+        ))
+    if len(picks) == 1:
+        return picks[0][:2]
+    # Newer layers win wherever they hold a delta; boxes of one block may
+    # be trimmed to different extents, so each fills its own corner.
+    shape = tuple(map(max, zip(*(seen.shape for _, _, seen in picks))))
+    planes = {}
+    state = np.zeros(shape, dtype=np.uint8)
+    for values, newest, seen in picks:
+        cut = tuple(map(slice, seen.shape))
+        np.copyto(state[cut], newest, where=seen)
+        for name, plane in values.items():
+            out = planes.setdefault(name, np.zeros(shape, dtype=plane.dtype))
+            np.copyto(out[cut], plane, where=seen)
+    return planes, state
+
+
+def visible_blocks(source: Any, as_of: Optional[int] = None):
+    """The visible state of an :class:`UpdatableArray` or a
+    :class:`~repro.history.versions.Version`, as ``(origin, planes,
+    state)`` blocks in chunk order."""
+    for origin, layers in sorted(source._layers(as_of).items()):
+        yield (origin, *_visible(layers))
+
+
+def read(source: Any, cell: Coords, as_of: Optional[int] = None) -> Optional[Cell]:
+    """One cell through :func:`_visible`: a :class:`Cell`, ``None`` for
+    NULL; deleted and never-written cells raise :class:`EmptyCellError`."""
+    for boxes in source._layers(as_of, cell).values():
+        planes, state = _visible(boxes)
+        code = state.item()
+        if code == NULL:
+            return None
+        if code != EMPTY:
+            return Cell(tuple(planes), [p.item() for p in planes.values()])
+    raise EmptyCellError(f"cell {cell} of {source.name!r} is empty as of {as_of}")
+
+
+class _Reads:
+    """``get_or_none`` and ``exists`` over ``get``: an array's, which takes
+    ``as_of``, and a version's."""
+
+    def get_or_none(self, *coords: int, **as_of: Optional[int]) -> Optional[Cell]:
+        try:
+            return self.get(*coords, **as_of)
+        except EmptyCellError:
+            return None
+
+    def exists(self, *coords: int, **as_of: Optional[int]) -> bool:
+        try:
+            self.get(*coords, **as_of)
+        except EmptyCellError:
+            return False
+        return True
+
+
+class UpdatableArray(_Reads):
     """A no-overwrite, time-travelled array.
 
     Parameters
@@ -86,17 +170,22 @@ class UpdatableArray:
             raise TransactionError("the history dimension must come last")
         self.schema = schema
         self.name = name or schema.name
+        #: Every delta, at (cell coords, history): a value, a NULL, or — a
+        #: NULL flagged in :attr:`deleted` — a deletion.
         self.store = SciArray(schema, name=self.name)
-        #: Deletion flags: (cell coords, history) tuples.
-        self._tombstones: set[tuple[Coords, int]] = set()
+        #: The deletion flags, on the store's grid.
+        self.deleted = SciArray(
+            schema.with_attributes([Attribute("deleted", get_type("bool"))]),
+            name=f"{self.name}__deleted",
+        )
         self.current_history = 0
         self._open_txn: Optional[Transaction] = None
         self.wallclock = WallClockEnhancement(self.store)
         self.store.enhancements.append(self.wallclock)
         #: Optional durability hook: called after every commit with
-        #: (array, history_value, writes_dict) — writes map cell coords to
-        #: a value tuple, ``None`` (NULL), or :data:`DELETED`.  The SciDB
-        #: facade uses it to write-ahead-log commits.
+        #: (array, history_value, writes_dict, timestamp) — writes map cell
+        #: coords to a value tuple, ``None`` (NULL), or :data:`DELETED`.
+        #: The SciDB facade uses it to write-ahead-log commits.
         self.on_commit: Optional[Any] = None
 
     # -- dimensional bookkeeping -----------------------------------------------
@@ -106,7 +195,10 @@ class UpdatableArray:
         """Dimensions excluding history."""
         return self.schema.ndim - 1
 
-    def _check_cell_coords(self, coords: Coords) -> Coords:
+    def _check_cell_coords(self, coords: tuple) -> Coords:
+        """Cell coords given as ``(x, y)`` or as ``((x, y),)``."""
+        if len(coords) == 1 and isinstance(coords[0], tuple):
+            coords = coords[0]
         if len(coords) != self.cell_ndim:
             raise TransactionError(
                 f"cell address needs {self.cell_ndim} coordinates "
@@ -130,38 +222,34 @@ class UpdatableArray:
 
     # -- reads ------------------------------------------------------------------------
 
+    def _layers(
+        self, as_of: Optional[int] = None, cell: Optional[Coords] = None
+    ) -> dict[Coords, list]:
+        """The store's deltas at or before *as_of*, as :func:`_visible`
+        reads them: per chunk of cells, its history blocks oldest first —
+        or, for one *cell*, its column ``1..as_of``."""
+        if as_of is not None and as_of < 0:
+            raise TransactionError(f"invalid history horizon {as_of}")
+        top = self.current_history
+        if as_of is not None:
+            top = min(as_of, top)
+        if cell is not None:
+            if not top:
+                return {}
+            lo = cell + (1,)
+            planes, state = self.store.planes(lo, cell + (top,))
+            return {cell: [(lo, planes, state, self.deleted)]}
+        out: dict[Coords, list] = {}
+        for origin, planes, state in self.store.blocks():
+            if origin[-1] <= top:
+                out.setdefault(origin[:-1], []).append(
+                    (origin, planes, state[..., : top - origin[-1] + 1], self.deleted)
+                )
+        return out
+
     def get(self, *coords: int, as_of: Optional[int] = None) -> Optional[Cell]:
         """Latest (or as-of) value of a cell; EMPTY/deleted cells raise."""
-        cell_coords = self._check_cell_coords(
-            coords[0] if len(coords) == 1 and isinstance(coords[0], tuple)
-            else tuple(coords)
-        )
-        horizon = self.current_history if as_of is None else as_of
-        if horizon < 1:
-            raise EmptyCellError(f"no history at or before {as_of}")
-        for h in range(min(horizon, self.current_history), 0, -1):
-            if (cell_coords, h) in self._tombstones:
-                raise EmptyCellError(
-                    f"cell {cell_coords} of {self.name!r} deleted at history {h}"
-                )
-            if self.store.exists(cell_coords + (h,)):
-                return self.store.get(cell_coords + (h,))
-        raise EmptyCellError(
-            f"cell {cell_coords} of {self.name!r} empty as of history {horizon}"
-        )
-
-    def get_or_none(self, *coords: int, as_of: Optional[int] = None) -> Optional[Cell]:
-        try:
-            return self.get(*coords, as_of=as_of)
-        except EmptyCellError:
-            return None
-
-    def exists(self, *coords: int, as_of: Optional[int] = None) -> bool:
-        try:
-            self.get(*coords, as_of=as_of)
-        except EmptyCellError:
-            return False
-        return True
+        return read(self, self._check_cell_coords(coords), as_of)
 
     def get_as_of_time(self, coords: Coords, when: _dt.datetime) -> Optional[Cell]:
         """Wall-clock as-of read (Section 2.5's enhancement in action)."""
@@ -172,37 +260,27 @@ class UpdatableArray:
 
         Values are :class:`Cell` records, ``None`` for NULL deltas, or
         :data:`DELETED` for deletion flags — "the history of activity to
-        the cell".
+        the cell".  Each is the cell as of its own history value.
         """
-        cell_coords = self._check_cell_coords(tuple(coords))
-        for h in range(1, self.current_history + 1):
-            if (cell_coords, h) in self._tombstones:
+        cell = self._check_cell_coords(tuple(coords))
+        _, state = self.store.planes(cell + (1,), cell + (self.current_history,), ())
+        for h in (np.flatnonzero(state) + 1).tolist():
+            try:
+                yield h, read(self, cell, h)
+            except EmptyCellError:
                 yield h, DELETED
-            elif self.store.exists(cell_coords + (h,)):
-                yield h, self.store.get(cell_coords + (h,))
 
     def latest_cells(
         self, as_of: Optional[int] = None
     ) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        """Iterate the visible (non-deleted) state as of a history value."""
-        horizon = self.current_history if as_of is None else as_of
-        best: dict[Coords, int] = {}
-        for coords, _cell in self.store.cells():
-            cell_coords, h = coords[:-1], coords[-1]
-            if h <= horizon and h > best.get(cell_coords, 0):
-                best[cell_coords] = h
-        for (cell_coords, h) in self._tombstones:
-            if h <= horizon and h > best.get(cell_coords, 0):
-                best[cell_coords] = -h  # negative marks deletion as newest
-        for cell_coords in sorted(best):
-            h = best[cell_coords]
-            if h < 0:
-                continue
-            yield cell_coords, self.store.get(cell_coords + (h,))
+        """Iterate the visible (non-deleted) state as of a history value,
+        in chunk order."""
+        for origin, planes, state in visible_blocks(self, as_of):
+            yield from block_cells(origin, planes, state, self.schema.attr_names)
 
     def delta_count(self) -> int:
         """Stored deltas across all history (the no-overwrite space cost)."""
-        return self.store.count_occupied() + len(self._tombstones)
+        return self.store.count_occupied()
 
     def __repr__(self) -> str:
         return (
@@ -233,32 +311,37 @@ class Transaction:
 
     def delete(self, coords: Coords) -> None:
         """Record a deletion flag for this cell."""
-        self._ensure_open()
-        self._writes[self.array._check_cell_coords(tuple(coords))] = DELETED
+        self.set(coords, DELETED)
 
     def commit(self, timestamp: Optional[_dt.datetime] = None) -> int:
-        """Apply the batch at the next history value; returns it."""
+        """Apply the batch at the next history value; returns it.  What
+        can fail (the batch, a value, the timestamp) fails before the
+        array changes, and finishes the transaction all the same."""
         self._ensure_open()
-        if not self._writes:
-            raise TransactionError("refusing to commit an empty transaction")
         arr = self.array
         h = arr.current_history + 1
-        normalized: dict[Coords, Any] = {}
-        for coords, values in self._writes.items():
-            if isinstance(values, Cell):
-                values = values.values
-            normalized[coords] = values
-            if values is DELETED:
-                arr._tombstones.add((coords, h))
-            else:
-                arr.store.set(coords + (h,), values)
-        arr.current_history = h
-        arr.wallclock.record_commit(
-            timestamp if timestamp is not None else _synthetic_time(h)
-        )
+        try:
+            if not self._writes:
+                raise TransactionError("refusing to commit an empty transaction")
+            staged = SciArray(arr.schema, chunk_shape=arr.store.chunk_shape[:-1] + (1,))
+            for coords, values in self._writes.items():
+                staged.set(coords + (h,), None if values is DELETED else values)
+            when = _synthetic_time(h) if timestamp is None else timestamp
+            arr.wallclock.record_commit(when)  # the last check; the first change
+            for origin, planes, state in staged.blocks():
+                arr.store.set_region(origin, planes, state)
+            for coords, values in self._writes.items():
+                if values is DELETED:
+                    arr.deleted.set(coords + (h,), True)
+            arr.current_history = h
+        finally:
+            self._finish()
         if arr.on_commit is not None:
-            arr.on_commit(arr, h, normalized)
-        self._finish()
+            writes = {
+                c: v.values if isinstance(v, Cell) else v
+                for c, v in self._writes.items()
+            }
+            arr.on_commit(arr, h, writes, when)
         return h
 
     def abort(self) -> None:

@@ -15,19 +15,20 @@ cloud-cover compositing algorithm over their study area.  The mechanism:
 * "Hanging off any base array is a tree of named versions."
 
 :class:`Version` pins the parent as of the creation history value T by
-default (so later base commits don't silently change the version — the
-snapshot reading of "at time T, V is identical to A"); pass
-``follow_parent="latest"`` for the literal most-recent-value reading.
+default, whether the parent is the base or another version (so later
+parent commits don't silently change the version — the snapshot reading
+of "at time T, V is identical to A"); pass ``follow_parent="latest"`` for
+the literal most-recent-value reading.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
+from ..core.array import block_cells
 from ..core.cells import Cell
-from ..core.errors import EmptyCellError, VersionError
-from ..core.schema import ArraySchema
-from .transactions import DELETED, Transaction, UpdatableArray
+from ..core.errors import VersionError
+from .transactions import Transaction, UpdatableArray, _Reads, read, visible_blocks
 
 __all__ = ["Version", "VersionTree"]
 
@@ -35,7 +36,7 @@ Coords = tuple[int, ...]
 Parent = Union[UpdatableArray, "Version"]
 
 
-class Version:
+class Version(_Reads):
     """A named delta off a parent array (or another version).
 
     Do not construct directly; use :meth:`VersionTree.create` (which wires
@@ -61,7 +62,8 @@ class Version:
         self.follow_parent = follow_parent
         #: The delta: its own updatable array, initially empty.
         self.delta = UpdatableArray(
-            _delta_schema(parent), name=f"{name}__delta"
+            (parent.delta if isinstance(parent, Version) else parent).schema,
+            name=f"{name}__delta",
         )
         self.children: list["Version"] = []
 
@@ -84,65 +86,30 @@ class Version:
 
     # -- reads ------------------------------------------------------------------------
 
+    def _layers(
+        self, as_of: Optional[int] = None, cell: Optional[Coords] = None
+    ) -> dict[Coords, list]:
+        """The parent's layers as of :attr:`created_at` (its latest with
+        ``follow_parent="latest"``), then the delta's: "look in the delta
+        ... then in A", at every level, as one oldest-first order."""
+        own = self.delta._layers(as_of, cell)
+        if cell is not None and any(box[2].any() for box in own.get(cell, ())):
+            return own  # the delta holds this cell: its parents cannot matter
+        out = self.parent._layers(
+            None if self.follow_parent == "latest" else self.created_at, cell
+        )
+        for origin, boxes in own.items():
+            out.setdefault(origin, []).extend(boxes)
+        return out
+
     def get(self, *coords: int) -> Optional[Cell]:
         """Read through the delta chain: delta first, then the parent."""
-        cell_coords = (
-            coords[0]
-            if len(coords) == 1 and isinstance(coords[0], tuple)
-            else tuple(coords)
-        )
-        # 1. Most recent value along the delta's history dimension.
-        last: Any = _NOTHING
-        for _h, value in self.delta.cell_history(cell_coords):
-            last = value
-        if last is DELETED:
-            raise EmptyCellError(
-                f"cell {cell_coords} deleted in version {self.name!r}"
-            )
-        if last is not _NOTHING:
-            return last
-        # 2. Fall through to the parent (recursively to the base array).
-        if isinstance(self.parent, Version):
-            return self.parent.get(cell_coords)
-        as_of = None if self.follow_parent == "latest" else self.created_at
-        return self.parent.get(cell_coords, as_of=as_of)
-
-    def get_or_none(self, *coords: int) -> Optional[Cell]:
-        try:
-            return self.get(*coords)
-        except EmptyCellError:
-            return None
-
-    def exists(self, *coords: int) -> bool:
-        try:
-            self.get(*coords)
-        except EmptyCellError:
-            return False
-        return True
+        return read(self, self.delta._check_cell_coords(coords))
 
     def cells(self) -> Iterator[tuple[Coords, Optional[Cell]]]:
         """The version's full visible state (delta over parent)."""
-        own: dict[Coords, Any] = {}
-        for coords, _ in self.delta.latest_cells():
-            own[coords] = True
-        deleted = {
-            c for (c, _h) in self.delta._tombstones
-        }
-        emitted: set[Coords] = set()
-        for coords in sorted(own):
-            emitted.add(coords)
-            yield coords, self.get(coords)
-        parent_cells: Iterator[tuple[Coords, Optional[Cell]]]
-        if isinstance(self.parent, Version):
-            parent_cells = self.parent.cells()
-        else:
-            as_of = None if self.follow_parent == "latest" else self.created_at
-            parent_cells = self.parent.latest_cells(as_of=as_of)
-        for coords, cell in parent_cells:
-            if coords in emitted or coords in deleted:
-                continue
-            emitted.add(coords)
-            yield coords, cell
+        for origin, planes, state in visible_blocks(self):
+            yield from block_cells(origin, planes, state, self.delta.schema.attr_names)
 
     # -- accounting --------------------------------------------------------------------
 
@@ -152,33 +119,17 @@ class Version:
         return self.delta.delta_count()
 
     def chain_depth(self) -> int:
-        depth = 1
-        node: Parent = self.parent
-        while isinstance(node, Version):
-            depth += 1
-            node = node.parent
-        return depth
+        parent = self.parent
+        return 1 + (parent.chain_depth() if isinstance(parent, Version) else 0)
 
     def base(self) -> UpdatableArray:
-        node: Parent = self.parent
-        while isinstance(node, Version):
-            node = node.parent
-        return node
+        return self.parent.base() if isinstance(self.parent, Version) else self.parent
 
     def __repr__(self) -> str:
         return (
             f"<Version {self.name!r} off {getattr(self.parent, 'name', '?')!r} "
             f"at T={self.created_at}, {self.delta_count()} delta cells>"
         )
-
-
-_NOTHING = object()
-
-
-def _delta_schema(parent: Parent) -> ArraySchema:
-    if isinstance(parent, Version):
-        return parent.delta.schema
-    return parent.schema
 
 
 class VersionTree:

@@ -18,6 +18,7 @@ every committed record after the bad line.
 
 from __future__ import annotations
 
+import datetime as _dt
 import json
 import os
 import threading
@@ -43,6 +44,26 @@ def _jsonable(obj: Any) -> Any:
     raise TypeError(f"WAL record value {obj!r} is not JSON-serializable")
 
 
+def _schema(record: dict[str, Any]) -> ArraySchema:
+    """The schema a ``create``/``create_updatable`` record logged."""
+    name = record["array"]
+    return define_array(
+        name if name.isidentifier() else "recovered",
+        values=[(a["name"], a["type"]) for a in record["attrs"]],
+        dims=[(d["name"], d["size"]) for d in record["dims"]],
+        updatable=record["op"] == "create_updatable",
+    )
+
+
+def _verified(line: str) -> dict[str, Any]:
+    """Parse one logged line, checking its CRC; ``ValueError`` if bad."""
+    record = json.loads(line)
+    crc = record.pop("crc", None)
+    if crc is not None and zlib.crc32(json.dumps(record).encode("utf-8")) != crc:
+        raise ValueError("checksum mismatch")
+    return record
+
+
 class WriteAheadLog:
     """An append-only redo log covering one directory of arrays."""
 
@@ -59,21 +80,24 @@ class WriteAheadLog:
 
     # -- logging ----------------------------------------------------------------
 
-    def log_create(self, array: SciArray) -> None:
-        self._append(
-            {
-                "op": "create",
-                "array": array.name,
-                "dims": [
-                    {"name": d.name, "size": d.size}
-                    for d in array.schema.dimensions
-                ],
-                "attrs": [
-                    {"name": a.name, "type": getattr(a.type, "name", "float64")}
-                    for a in array.schema.attributes
-                ],
-            }
-        )
+    def log_create(self, array: Any) -> None:
+        """Record an array's schema: a loaded :class:`SciArray`
+        (``create``) or an updatable array (``create_updatable``,
+        Section 2.5)."""
+        updatable = not isinstance(array, SciArray)
+        self._append({
+            "op": "create_updatable" if updatable else "create",
+            "array": array.name,
+            "dims": [
+                {"name": d.name, "size": d.size}
+                # the implicit history dimension is re-added on replay
+                for d in array.schema.dimensions[: -1 if updatable else None]
+            ],
+            "attrs": [
+                {"name": a.name, "type": getattr(a.type, "name", "float64")}
+                for a in array.schema.attributes
+            ],
+        })
 
     def log_write(
         self, array_name: str, coords: tuple, values: Optional[tuple]
@@ -107,103 +131,32 @@ class WriteAheadLog:
 
     # -- updatable (no-overwrite) arrays -----------------------------------------
 
-    def log_create_updatable(self, array: "Any") -> None:
-        """Record the schema of an updatable array (Section 2.5)."""
-        schema = array.schema
-        self._append(
-            {
-                "op": "create_updatable",
-                "array": array.name,
-                "dims": [
-                    {"name": d.name, "size": d.size}
-                    # the implicit history dimension is re-added on replay
-                    for d in schema.dimensions
-                    if d.name != "history"
-                ],
-                "attrs": [
-                    {"name": a.name, "type": getattr(a.type, "name", "float64")}
-                    for a in schema.attributes
-                ],
-            }
-        )
-
-    def log_commit(self, array_name: str, history: int, writes: dict) -> None:
-        """Record one no-overwrite transaction commit.
-
-        ``writes`` maps cell coords to a value tuple, ``None`` (NULL), or
-        the deletion flag (anything whose repr is ``<DELETED>``).
-        """
+    def log_commit(
+        self, array_name: str, history: int, writes: dict, when: _dt.datetime
+    ) -> None:
+        """Record one no-overwrite commit and its wall-clock time; *writes*
+        maps cell coords to a value tuple, ``None`` (NULL) or the deletion
+        flag."""
         from ..history.transactions import DELETED
 
         encoded = []
         for coords, values in writes.items():
             if values is DELETED:
                 encoded.append({"coords": list(coords), "deleted": True})
-            else:
-                if values is not None and not isinstance(values, tuple):
-                    values = (values,)  # bare scalar on a 1-attribute array
-                encoded.append(
-                    {
-                        "coords": list(coords),
-                        "values": None if values is None else list(values),
-                    }
-                )
-        self._append(
-            {
-                "op": "commit",
-                "array": array_name,
-                "history": history,
-                "writes": encoded,
-            }
-        )
-
-    def recover_updatable(self) -> "dict[str, Any]":
-        """Replay create_updatable/commit records into UpdatableArrays."""
-        from ..history.transactions import UpdatableArray
-
-        arrays: dict[str, UpdatableArray] = {}
-        for record in self.entries():
-            op = record["op"]
-            if op == "create_updatable":
-                schema = define_array(
-                    record["array"]
-                    if record["array"].isidentifier()
-                    else "recovered",
-                    values=[(a["name"], a["type"]) for a in record["attrs"]],
-                    dims=[(d["name"], d["size"]) for d in record["dims"]],
-                    updatable=True,
-                )
-                arrays[record["array"]] = UpdatableArray(
-                    schema,
-                    bounds=[d["size"] if d["size"] else "*"
-                            for d in record["dims"]] + ["*"],
-                    name=record["array"],
-                )
-            elif op == "commit":
-                try:
-                    arr = arrays[record["array"]]
-                except KeyError:
-                    raise StorageError(
-                        f"WAL commit for {record['array']!r} before its "
-                        "create_updatable record"
-                    ) from None
-                txn = arr.begin()
-                for w in record["writes"]:
-                    coords = tuple(w["coords"])
-                    if w.get("deleted"):
-                        txn.delete(coords)
-                    elif w["values"] is None:
-                        txn.set_null(coords)
-                    else:
-                        txn.set(coords, tuple(w["values"]))
-                replayed = txn.commit()
-                if replayed != record["history"]:
-                    raise StorageError(
-                        f"replay drift on {record['array']!r}: commit "
-                        f"{record['history']} landed at {replayed}"
-                    )
-            # plain create/write/delete records belong to recover()
-        return arrays
+                continue
+            if values is not None and not isinstance(values, tuple):
+                values = (values,)  # bare scalar on a 1-attribute array
+            encoded.append({
+                "coords": list(coords),
+                "values": None if values is None else list(values),
+            })
+        self._append({
+            "op": "commit",
+            "array": array_name,
+            "history": history,
+            "timestamp": when.isoformat(),
+            "writes": encoded,
+        })
 
     def commit(self) -> None:
         """Durability point: flush (and optionally fsync) the log."""
@@ -249,12 +202,7 @@ class WriteAheadLog:
             ]
         for pos, (lineno, line) in enumerate(lines):
             try:
-                record = json.loads(line)
-                crc = record.pop("crc", None)
-                if crc is not None and zlib.crc32(
-                    json.dumps(record).encode("utf-8")
-                ) != crc:
-                    raise ValueError("checksum mismatch")
+                record = _verified(line)
             except ValueError as exc:  # JSONDecodeError is a ValueError
                 if pos == len(lines) - 1:
                     return  # torn final record from a crash: legal
@@ -283,12 +231,7 @@ class WriteAheadLog:
                 kept -= 1
                 continue
             try:
-                record = json.loads(last)
-                crc = record.pop("crc", None)
-                if crc is not None and zlib.crc32(
-                    json.dumps(record).encode("utf-8")
-                ) != crc:
-                    raise ValueError("checksum mismatch")
+                _verified(last)
             except ValueError:
                 kept -= 1
             break
@@ -307,36 +250,61 @@ class WriteAheadLog:
 
     def recover(self) -> dict[str, SciArray]:
         """Replay the log, returning the reconstructed arrays by name."""
-        arrays: dict[str, SciArray] = {}
+        return self._replay()[0]
+
+    def recover_updatable(self) -> "dict[str, Any]":
+        """Replay the log's updatable arrays, every commit at its logged
+        wall-clock time (a record without one gets an untimed commit's)."""
+        return self._replay()[1]
+
+    def _replay(self) -> "tuple[dict[str, SciArray], dict[str, Any]]":
+        from ..history.transactions import DELETED, UpdatableArray
+
+        loaded: dict[str, SciArray] = {}
+        updatable: dict[str, UpdatableArray] = {}
         for record in self.entries():
             op = record["op"]
             if op == "create":
-                schema = define_array(
-                    record["array"] if record["array"].isidentifier() else "recovered",
-                    values=[(a["name"], a["type"]) for a in record["attrs"]],
-                    dims=[(d["name"], d["size"]) for d in record["dims"]],
+                loaded[record["array"]] = SciArray(
+                    _schema(record), name=record["array"]
                 )
-                arrays[record["array"]] = SciArray(schema, name=record["array"])
+            elif op == "create_updatable":
+                updatable[record["array"]] = UpdatableArray(
+                    _schema(record), name=record["array"]
+                )
             elif op == "write":
-                arr = self._target(arrays, record)
                 values = record["values"]
-                arr.set(tuple(record["coords"]),
-                        None if values is None else tuple(values))
+                self._target(loaded, record).set(
+                    tuple(record["coords"]), None if values is None else tuple(values)
+                )
             elif op == "delete":
-                arr = self._target(arrays, record)
-                arr.delete(tuple(record["coords"]))
-            elif op in ("create_updatable", "commit", "load_commit"):
-                continue  # replayed by recover_updatable() / node replay
-            else:
+                self._target(loaded, record).delete(tuple(record["coords"]))
+            elif op == "commit":
+                txn = self._target(updatable, record).begin()
+                for w in record["writes"]:
+                    values = DELETED if w.get("deleted") else w["values"]
+                    if isinstance(values, list):
+                        values = tuple(values)
+                    txn.set(w["coords"], values)
+                when = record.get("timestamp")
+                replayed = txn.commit(
+                    None if when is None else _dt.datetime.fromisoformat(when)
+                )
+                if replayed != record["history"]:
+                    raise StorageError(
+                        f"replay drift on {record['array']!r}: commit "
+                        f"{record['history']} landed at {replayed}"
+                    )
+            elif op != "load_commit":  # load cursors are the node's to replay
                 raise StorageError(f"unknown WAL op {op!r}")
-        return arrays
+        return loaded, updatable
 
     @staticmethod
-    def _target(arrays: dict[str, SciArray], record: dict[str, Any]) -> SciArray:
+    def _target(arrays: dict[str, Any], record: dict[str, Any]) -> Any:
         try:
             return arrays[record["array"]]
         except KeyError:
             raise StorageError(
-                f"WAL write to array {record['array']!r} before its create "
-                "record"
+                f"WAL {record['op']} to array {record['array']!r} before its "
+                "create record"
             ) from None
