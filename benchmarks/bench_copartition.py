@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import PositionUncertainty, define_array
-from repro.cluster import BlockPartitioner, Grid, HashPartitioner, copartition
+from repro.cluster import BlockPartitioner, Grid, HashPartitioner
 from repro.storage.loader import LoadRecord
 
 N_NODES = 4
@@ -43,11 +43,9 @@ def block_scheme():
 class TestJoinMovement:
     def test_copartitioned_join(self, benchmark, tmp_path):
         grid = Grid(N_NODES, tmp_path / "co")
-        a, b = copartition(
-            grid,
-            [("sky", schema("Sky", "flux")), ("cat", schema("Cat", "mag"))],
-            block_scheme(),
-        )
+        scheme = block_scheme()  # one partitioner: co-partitioned
+        a = grid.create_array("sky", schema("Sky", "flux"), scheme)
+        b = grid.create_array("cat", schema("Cat", "mag"), scheme)
         recs = records(0)
         a.load(recs)
         b.load([LoadRecord(r.coords, (2.0,)) for r in recs])
@@ -102,11 +100,9 @@ class TestUncertainJoin:
         """Section 2.13: redundant placement near partition boundaries means
         uncertain spatial joins run without data movement."""
         grid = Grid(N_NODES, tmp_path / "unc")
-        a, b = copartition(
-            grid,
-            [("obs", schema("Obs", "flux")), ("ref", schema("Ref", "mag"))],
-            block_scheme(),
-        )
+        scheme = block_scheme()
+        a = grid.create_array("obs", schema("Obs", "flux"), scheme)
+        b = grid.create_array("ref", schema("Ref", "mag"), scheme)
         rng = np.random.default_rng(2)
         pu = PositionUncertainty((1.0, 1.0))
         # Observations hugging the x=50/51 block boundary.

@@ -18,7 +18,6 @@ from repro.cluster import (
     Grid,
     HashPartitioner,
     WorkloadQuery,
-    copartition,
 )
 from repro.workloads import SkySurvey
 
@@ -42,9 +41,9 @@ def main() -> None:
         "Catalog", {"ref_mag": "float", "unused": "float"}, ["x", "y"]
     ).bind([SKY, SKY])
     scheme = BlockPartitioner(NODES, bounds=[SKY, SKY], blocks=[2, 2])
-    observations, catalog = copartition(
-        grid, [("obs", obs_schema), ("catalog", cat_schema)], scheme
-    )
+    # One partitioner for both arrays: they are co-partitioned.
+    observations = grid.create_array("obs", obs_schema, scheme)
+    catalog = grid.create_array("catalog", cat_schema, scheme)
 
     # -- load with positional uncertainty (boundary replication) ----------------
     pu = PositionUncertainty((0.8, 0.8))

@@ -40,6 +40,7 @@ from .partitioning import (
     Partitioner,
     RangePartitioner,
     TimeEpochPartitioner,
+    is_copartitioned,
 )
 from .faults import FaultEvent, FaultInjector, FailoverEvent
 from .resilience import (
@@ -65,7 +66,6 @@ from .replication import (
 from .grid import DataMovementLedger, DistributedArray, Grid
 from .rebalance import Migration, RebalanceReport, Rebalancer
 from .scheduler import PartitionScheduler, default_parallelism
-from .copartition import copartition, is_copartitioned
 from .designer import (
     AutomaticDesigner,
     DesignCandidate,
@@ -88,7 +88,6 @@ __all__ = [
     "DataMovementLedger",
     "PartitionScheduler",
     "default_parallelism",
-    "copartition",
     "is_copartitioned",
     "AutomaticDesigner",
     "WorkloadQuery",

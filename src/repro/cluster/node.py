@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
+from ..core.array import Chunk
 from ..core.cells import Cell
 from ..core.errors import NodeFailedError
 from ..core.schema import ArraySchema
@@ -198,28 +199,30 @@ class Node:
             self.wal.commit()
         self.partition(array_name).commit_load_batch(epoch, seq)
 
+    def blocks(
+        self,
+        array_name: str,
+        window: Optional[tuple[Coords, Coords]] = None,
+        attr_ranges: Optional[dict] = None,
+    ) -> Iterator[Chunk]:
+        """A partition's stored blocks
+        (:meth:`~repro.storage.manager.PersistentArray.blocks`).  A node
+        killed mid-read raises :class:`NodeFailedError` at the next block,
+        for the grid's failover logic to retry on a replica."""
+        self.check_alive()
+        for block in self.partition(array_name).blocks(window, attr_ranges):
+            self.check_alive()
+            yield block
+
     def scan_partition(
         self,
         array_name: str,
         window: Optional[tuple[Coords, Coords]] = None,
         attr_ranges: Optional[dict] = None,
     ) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        """Scan a partition, re-checking liveness at every cell.
-
-        A node killed mid-scan (a scheduled fault firing on a metered
-        transfer) raises :class:`NodeFailedError` at the next cell, which
-        the grid's failover logic catches and retries on a replica.
-
-        *attr_ranges* enables the storage layer's value pruning: buckets
-        whose statistics prove no cell can satisfy the ranges are skipped
-        without I/O (their occupied coordinates come back as NULL cells).
-        """
-        self.check_alive()
-        for coords, cell in self.partition(array_name).scan(
-            window, attr_ranges=attr_ranges
-        ):
-            self.check_alive()
-            yield coords, cell
+        """The cells of :meth:`blocks`, each stored cell once."""
+        for block in self.blocks(array_name, window, attr_ranges):
+            yield from block.cells()
 
     def cell_count(self, array_name: str) -> int:
         """Distinct cells stored in a partition — O(1) via the live-cell

@@ -175,7 +175,3 @@ class RebuildReport:
     #: so a resumed ingest can keep skipping batches this node committed
     #: before it crashed
     load_cursors_restored: int = 0
-
-    @property
-    def cells_recovered(self) -> int:
-        return self.cells_from_wal + self.cells_from_replicas

@@ -31,7 +31,7 @@ import math
 import threading
 from typing import Any, Iterable, Optional, Sequence
 
-from ..cluster.copartition import is_copartitioned
+from ..cluster.partitioning import is_copartitioned
 from ..core.errors import PlanError, SchemaError, UnknownFunctionError
 from ..core.udf import get_aggregate
 from .ast import OpNode, PredicateConjunction

@@ -246,16 +246,12 @@ class BucketStats:
                 return False
         return True
 
-    def occupied_coords(self) -> list[Coords]:
-        """The bucket's non-empty cell addresses, decoded from the packed
-        footprint — the NULL cells a value-pruned scan must still emit."""
-        volume = 1
-        for s in self.shape:
-            volume *= s
-        mask = np.unpackbits(self._footprint, count=volume).reshape(self.shape)
-        offsets = np.argwhere(mask)
-        origin = np.asarray(self.origin)
-        return [tuple(c) for c in (offsets + origin).tolist()]
+    def occupied(self) -> np.ndarray:
+        """The bucket's non-empty cells as a bool plane over its box,
+        decoded from the packed footprint — the NULL cells a value-pruned
+        read must still return."""
+        volume = int(np.prod(self.shape))
+        return np.unpackbits(self._footprint, count=volume).reshape(self.shape) > 0
 
     @property
     def box(self) -> tuple[Coords, Coords]:

@@ -14,7 +14,6 @@ from repro.cluster import (
     FaultInjector,
     Grid,
     HashPartitioner,
-    copartition,
 )
 from repro.storage.loader import LoadRecord
 
@@ -134,10 +133,8 @@ class TestFailoverReads:
         def build(sub, injector=None):
             grid = Grid(N, tmp_path / sub, fault_injector=injector)
             p = BlockPartitioner(N, bounds=[100, 100], blocks=[2, 2])
-            a, b = copartition(
-                grid, [("sky", schema()), ("cat", schema("cat", "mag"))], p,
-                replication=2,
-            )
+            a = grid.create_array("sky", schema(), p, replication=2)
+            b = grid.create_array("cat", schema("cat", "mag"), p, replication=2)
             recs = records(80, seed=3)
             a.load(recs)
             b.load([LoadRecord(r.coords, (2.0 * r.values[0],)) for r in recs])
@@ -248,9 +245,8 @@ class TestDegradedMode:
         inj = FaultInjector(seed=0)
         grid = Grid(N, tmp_path, fault_injector=inj)
         p = BlockPartitioner(N, bounds=[100, 100], blocks=[2, 2])
-        a, b = copartition(
-            grid, [("sky", schema()), ("cat", schema("cat", "mag"))], p,
-        )
+        a = grid.create_array("sky", schema(), p)
+        b = grid.create_array("cat", schema("cat", "mag"), p)
         recs = records(60, seed=5)
         a.load(recs)
         b.load([LoadRecord(r.coords, (1.0,)) for r in recs])

@@ -11,7 +11,6 @@ from repro.cluster import (
     Grid,
     HashPartitioner,
     RangePartitioner,
-    copartition,
     is_copartitioned,
 )
 from repro.storage.loader import LoadRecord
@@ -140,7 +139,8 @@ class TestCopartitionedJoin:
             [100, 100]
         )
         p = BlockPartitioner(4, bounds=[100, 100], blocks=[2, 2])
-        a, b = copartition(grid, [("sky", schema), ("mask", schema_b)], p)
+        a = grid.create_array("sky", schema, p)
+        b = grid.create_array("mask", schema_b, p)
         assert is_copartitioned(a, b)
         recs = records(50, seed=5)
         a.load(recs)
@@ -172,7 +172,8 @@ class TestCopartitionedJoin:
             [100, 100]
         )
         p = BlockPartitioner(4, bounds=[100, 100], blocks=[2, 2])
-        a, b = copartition(grid, [("sky", schema), ("mask", schema_b)], p)
+        a = grid.create_array("sky", schema, p)
+        b = grid.create_array("mask", schema_b, p)
         recs = records(30, seed=7)
         a.load(recs)
         b.load([LoadRecord(r.coords, (2.0,)) for r in recs])
@@ -192,13 +193,6 @@ class TestCopartitionedJoin:
         b = grid.create_array("ts", schema_b, HashPartitioner(4))
         with pytest.raises(SchemaError):
             a.sjoin(b)
-
-    def test_copartition_coordinate_system_check(self, grid, schema):
-        other = define_array("ts", {"v": "float"}, ["t"]).bind([50])
-        with pytest.raises(PartitioningError):
-            copartition(
-                grid, [("sky", schema), ("ts", other)], HashPartitioner(4)
-            )
 
 
 class TestRepartition:
@@ -279,7 +273,8 @@ class TestUncertainLoad:
             [100, 100]
         )
         p = BlockPartitioner(4, bounds=[100, 100], blocks=[2, 2])
-        a, b = copartition(grid, [("sky", schema), ("cat", schema_b)], p)
+        a = grid.create_array("sky", schema, p)
+        b = grid.create_array("cat", schema_b, p)
         pu = PositionUncertainty((1.0, 1.0))
         a.load_uncertain([((50.4, 10.0), (5.0,))], pu)
         b.load_uncertain([((50.4, 10.0), (17.0,))], pu)

@@ -18,6 +18,7 @@ Three layers of the optimizer that the equivalence battery
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.cluster import HashPartitioner
@@ -66,7 +67,8 @@ class TestBucketStats:
         cells = {(1, 1): (1.0,), (2, 2): None, (1, 2): (3.0,)}
         arr = _parray(tmp_path, cells)
         b = arr.array_stats().buckets[0]
-        assert sorted(b.occupied_coords()) == sorted(cells)
+        got = np.argwhere(b.occupied()) + np.asarray(b.origin)
+        assert sorted(map(tuple, got.tolist())) == sorted(cells)
 
     def test_nan_values_never_prunable(self, tmp_path):
         arr = _parray(tmp_path, {(1, 1): (float("nan"),), (1, 2): (2.0,)})

@@ -221,3 +221,42 @@ class TestMergeWritesBeforeItUnlinks:
         assert again.bucket_count() > 1
         assert values_of(again.scan()) == expect
         assert len(list(again.scan())) == len(expect)
+
+
+class TestMergeIsAPlaneOverlay:
+    """``Bucket.merge`` overlays the newer bucket's planes on the union box;
+    its image is byte for byte what building the bucket from both
+    operands' cells (the newer one's last) gives."""
+
+    @staticmethod
+    def by_cells(schema, *buckets):
+        return Bucket.from_cells(schema, [
+            (coords, None if cell is None else cell.values)
+            for bucket in buckets for coords, cell in bucket.cells()
+        ])
+
+    @pytest.mark.parametrize("codec", ["none", "zlib", "auto"])
+    def test_overlapping_buckets(self, schema, codec):
+        old = Bucket.from_cells(schema, [
+            ((x, y), None if (x + y) % 2 == 0 else (x / 4, x * y))
+            for x in range(1, 7) for y in range(1, 7) if (x * y) % 7 != 3
+        ])
+        new = Bucket.from_cells(schema, [
+            ((x, y), None if x % 2 == 0 else (-x / 2, x + y))
+            for x in range(4, 10) for y in range(3, 9) if (x + y) % 5 != 1
+        ])
+        was, now = dict(old.cells()), dict(new.cells())
+        kinds = {(was[c] is None, now[c] is None) for c in set(was) & set(now)}
+        assert len(kinds) == 4  # NULL and PRESENT over each other
+        merged = old.merge(new)
+        want = self.by_cells(schema, old, new)
+        assert (merged.origin, merged.shape) == (want.origin, want.shape)
+        assert merged.to_bytes(codec) == want.to_bytes(codec)
+
+    def test_disjoint_buckets(self, schema):
+        a = Bucket.from_cells(schema, [((1, 1), (0.25, 1)), ((2, 3), None)])
+        b = Bucket.from_cells(schema, [((9, 7), (4.5, 2)), ((8, 8), (1.0, 3))])
+        for x, y in ((a, b), (b, a)):
+            assert x.merge(y).to_bytes("zlib") == (
+                self.by_cells(schema, x, y).to_bytes("zlib")
+            )
