@@ -1,11 +1,14 @@
 """Unit tests for partitioning schemes (Section 2.7)."""
 
+import numpy as np
 import pytest
 
+from repro.core.array import Chunk
 from repro.core.errors import PartitioningError
 from repro.cluster.partitioning import (
     BlockCyclicPartitioner,
     BlockPartitioner,
+    ConsistentHashPartitioner,
     HashPartitioner,
     RangePartitioner,
     TimeEpochPartitioner,
@@ -40,6 +43,32 @@ class TestHash:
     def test_invalid_sites(self):
         with pytest.raises(PartitioningError):
             HashPartitioner(0)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("high", [200, 70_000, 2**40])
+def test_site_planes_are_site_of_at_every_occupied_cell(ndim, high):
+    """The read path's batched form (hash: crc32 taken apart per axis)
+    places every cell where the per-cell form does, at negative, one-,
+    two- and many-byte coordinates."""
+    rng = np.random.default_rng(ndim * high)
+    blocks = []
+    for _ in range(12):
+        shape = tuple(rng.integers(1, 6, size=ndim).tolist())
+        origin = tuple(rng.integers(-high // 100, high, size=ndim).tolist())
+        state = (rng.random(shape) < 0.6).astype(np.uint8)
+        blocks.append(Chunk(origin, shape, state, {}))
+    for p in (
+        HashPartitioner(4), HashPartitioner(7, dims=[ndim - 1]),
+        HashPartitioner(5, dims=[0, 0]), RangePartitioner(3, 0, [10, 1000]),
+        ConsistentHashPartitioner(4),
+    ):
+        for block, plane in zip(blocks, p.site_planes(blocks)):
+            assert plane.shape == block.shape
+            for off in map(tuple, np.argwhere(block.state).tolist()):
+                at = tuple(o + x for o, x in zip(block.origin, off))
+                assert plane[off] == p.site_of(at), (p, at)
+    assert HashPartitioner(4).site_planes([]) == []
 
 
 class TestRange:

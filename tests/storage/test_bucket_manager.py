@@ -196,6 +196,76 @@ class TestMerge:
             pa.stop_background_merger()
 
 
+class TestFragmentedStore:
+    """Hundreds of two-cell spills (a checkpointed load's shape), some
+    cells rewritten by later spills, some deleted, one rewritten in the
+    buffer, and a full bucket whose rewrites a merge folds together:
+    each read returns the newest copy of each live cell exactly once,
+    before and after the merge, windowed or value-pruned."""
+
+    def build(self, schema, tmp_path):
+        cell_cost = 8 * schema.ndim + 16 * len(schema.attributes)
+        pa = PersistentArray(
+            schema, tmp_path / "s", memory_budget=2 * cell_cost, stride=(8, 8)
+        )
+        model = dict(cell_stream(1200, seed=5))
+        for coords, values in model.items():
+            pa.append(coords, values)
+        for i, coords in enumerate(list(model)[::40]):
+            model[coords] = (1000.0 + i, 1)  # newer copy, in a later bucket
+            pa.append(coords, model[coords])
+        for coords in list(model)[7::80]:
+            assert pa.delete(coords)
+            del model[coords]
+        assert pa.bucket_count() >= 600
+        pa.memory_budget = 10**9
+        for x in range(993, 1001):  # one full bucket ...
+            for y in range(993, 1001):
+                model[(x, y)] = (float(x - y), 0)
+                pa.append((x, y), model[(x, y)])
+        pa.flush()
+        for x in (994, 996):  # ... rewritten by two one-cell spills
+            model[(x, 995)] = (7.0, 1)
+            pa.append((x, 995), model[(x, 995)])
+            pa.flush()
+        coords = list(model)[3]  # rewritten, and still buffered
+        model[coords] = (-1.0, 2)
+        pa.append(coords, model[coords])
+        return pa, model
+
+    @staticmethod
+    def read(pa, *args):
+        cells = [(c, None if cell is None else cell.values) for c, cell in pa.scan(*args)]
+        got = dict(cells)
+        assert len(got) == len(cells), "a cell came back more than once"
+        return got
+
+    def test_newest_copy_of_each_live_cell(self, schema, tmp_path):
+        pa, model = self.build(schema, tmp_path)
+        assert self.read(pa) == model
+        window = ((200, 300), (700, 900))
+        assert self.read(pa, window) == {
+            c: v for c, v in model.items()
+            if all(lo <= x <= hi for x, lo, hi in zip(c, *window))
+        }
+        assert pa.merge_small_buckets(min_cells=4) > 0
+        assert self.read(pa) == model
+        assert self.read(pa, ((990, 990), (1000, 1000))) == {
+            c: v for c, v in model.items() if min(c) >= 990
+        }
+
+    def test_value_pruned_buckets_read_null(self, schema, tmp_path):
+        from repro.query.stats import Interval
+
+        pa, model = self.build(schema, tmp_path)
+        got = self.read(pa, None, {"v": Interval(lo=1.5)})
+        assert pa.stats.buckets_value_pruned > 400
+        assert got.keys() == model.keys()
+        for coords, values in got.items():
+            if values is not None or model[coords][0] >= 1.5:
+                assert values == model[coords]
+
+
 class TestStorageManager:
     def test_create_get_drop(self, schema, tmp_path):
         sm = StorageManager(tmp_path)
