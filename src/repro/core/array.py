@@ -33,7 +33,7 @@ from .datatypes import ScalarType
 from .errors import BoundsError, EmptyCellError, SchemaError, TypeMismatchError
 from .schema import ArraySchema, Attribute
 
-__all__ = ["SciArray", "Chunk", "DEFAULT_CHUNK_SIDE"]
+__all__ = ["SciArray", "Chunk", "BlockSource", "DEFAULT_CHUNK_SIDE"]
 
 #: Default chunk stride per dimension.  Small enough that toy examples span
 #: several chunks (exercising chunk logic), large enough for bulk speed.
@@ -162,6 +162,49 @@ class Chunk:
         """1-based (low, high) corners of this block's coverage."""
         high = tuple(o + s - 1 for o, s in zip(self.origin, self.shape))
         return self.origin, high
+
+
+def within(coords: Coords, window: Optional[tuple[Coords, Coords]]) -> bool:
+    """Whether *coords* lies in the inclusive box *window* (``None``: anywhere)."""
+    return window is None or all(l <= c <= h for c, l, h in zip(coords, *window))
+
+
+class BlockSource:
+    """A storage source answers ``blocks(window=None)``: :class:`Chunk`\\ s
+    cut to the inclusive box *window*, each occupied cell in exactly one of
+    them, the one holding its newest copy.  Every cell-level reader is
+    written once, here, over it; ``absent`` is what :meth:`get` raises for
+    a cell no block holds."""
+
+    schema: ArraySchema
+    name: str
+    absent: type = EmptyCellError
+
+    def cells(self, *args: Any, **kwargs: Any) -> Iterator[tuple[Coords, Optional[Cell]]]:
+        """The occupied cells of ``blocks(*args, **kwargs)``, block by block."""
+        names = self.schema.attr_names
+        for block in self.blocks(*args, **kwargs):
+            yield from block_cells(block.origin, block.data, block.state, names)
+
+    def get(self, *coords: Any) -> Optional[Cell]:
+        """``get(7, 8)`` or ``get((7, 8))``: the cell's record, ``None`` if NULL."""
+        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
+            coords = coords[0]
+        at = tuple(int(c) for c in coords)
+        if len(at) == self.schema.ndim:
+            for _, cell in self.cells((at, at)):
+                return cell
+        raise self.absent(f"no cell {at} in {self.schema.ndim}-D {self.name}")
+
+    def count(self) -> int:
+        return sum(block.cell_count for block in self.blocks())
+
+    def to_sciarray(self, name: Optional[str] = None) -> "SciArray":
+        """The whole source in memory, one ``set_region`` per block."""
+        arr = SciArray(self.schema, name=name or self.name)
+        for block in self.blocks():
+            arr.set_region(block.origin, block.data, block.state)
+        return arr
 
 
 class SciArray:

@@ -21,12 +21,12 @@ import json
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, BinaryIO, Mapping, Optional, Sequence
+from typing import Any, BinaryIO, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.array import SciArray
-from ..core.errors import InSituError
+from ..core.array import BlockSource, Chunk, SciArray
+from ..core.errors import InSituError, InSituFormatError
 from ..core.schema import ArraySchema, Attribute, Dimension
 from ..core.datatypes import ScalarType, get_type
 from .compression import Codec, best_codec, get_codec
@@ -180,16 +180,24 @@ def write_container(
     return len(head) + offset
 
 
-class ContainerReader:
+class ContainerReader(BlockSource):
     """Lazy reader over a container file.
 
-    The header is parsed once; chunk payloads are read and decompressed on
-    demand, which is what makes in-situ querying cheap relative to a full
-    load (experiment E9).
+    The header is parsed once; a chunk payload is read and decompressed
+    only when its directory box meets the window asked for (a point
+    ``get`` decodes one chunk), which is what makes in-situ querying cheap
+    relative to a full load (experiment E9).  A torn file raises
+    :class:`InSituFormatError` at ``"header"`` or ``"chunk <index>"``.
     """
+
+    absent = InSituError
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
+        self._typed("header", self._open)
+        self.name = self.schema.name
+
+    def _open(self) -> None:
         with open(self.path, "rb") as f:
             self.header = read_header(f, MAGIC)
             self._data_start = f.tell()
@@ -200,29 +208,31 @@ class ContainerReader:
                 f"{self.path} is container version {self.header['version']}; "
                 f"this reader knows version {_VERSION}"
             )
-        self.schema = self._build_schema()
-
-    def _build_schema(self) -> ArraySchema:
         meta = self.header["array"]
-        dims = tuple(
-            Dimension(d["name"], d["size"]) for d in meta["dimensions"]
+        self.schema = ArraySchema(
+            name=meta["name"],
+            attributes=tuple(
+                Attribute(a["name"], get_type(a["type"])) for a in meta["attributes"]
+            ),
+            dimensions=tuple(Dimension(d["name"], d["size"]) for d in meta["dimensions"]),
         )
-        attrs = tuple(
-            Attribute(a["name"], get_type(a["type"])) for a in meta["attributes"]
-        )
-        return ArraySchema(name=meta["name"], attributes=attrs, dimensions=dims)
+
+    def _typed(self, offset: str, read, *args):
+        try:
+            return read(*args)
+        except DECODE_ERRORS as exc:
+            raise InSituFormatError(
+                self.path, f"corrupt container: {exc!r}", offset=offset
+            ) from exc
 
     @property
     def bounds(self) -> tuple[int, ...]:
         return tuple(self.header["array"]["high_water"])
 
-    def chunk_boxes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        boxes = []
-        for entry in self.header["chunks"]:
-            lo = tuple(entry["origin"])
-            hi = tuple(o + s - 1 for o, s in zip(entry["origin"], entry["shape"]))
-            boxes.append((lo, hi))
-        return boxes
+    def chunk_boxes(self) -> list[tuple[Coords, Coords]]:
+        """Each directory entry's inclusive (low, high) box, in file order."""
+        chunks = self._typed("header", lambda: list(self.header["chunks"]))
+        return [self._typed(f"chunk {i}", _box, e) for i, e in enumerate(chunks)]
 
     def read_block(
         self, index: int
@@ -234,17 +244,23 @@ class ContainerReader:
             payload = f.read(sum(m["nbytes"] for m in entry["planes"]))
         return decode_block(entry, payload)
 
-    def read_chunk(self, index: int) -> dict[str, np.ndarray]:
-        """Decode chunk *index*; returns plane name -> ndarray."""
-        _, planes, state = self.read_block(index)
-        return {_STATE: state, **planes}
+    def blocks(self, window: Optional[tuple[Coords, Coords]] = None) -> Iterator[Chunk]:
+        """The chunks whose directory box meets *window*, in file order,
+        each decoded and cut to it; no other payload is read."""
+        for i, (lo, hi) in enumerate(self.chunk_boxes()):
+            if window is None or all(
+                l <= wh and wl <= h for l, h, wl, wh in zip(lo, hi, *window)
+            ):
+                origin, planes, state = self._typed(f"chunk {i}", self.read_block, i)
+                block = Chunk(origin, state.shape, state, planes)
+                block = block if window is None else block.sliced(window)
+                if block is not None:
+                    yield block
 
-    def to_sciarray(self, name: Optional[str] = None) -> SciArray:
-        """Materialise the full array (this *is* the load step)."""
-        arr = SciArray(self.schema, name=name or self.schema.name)
-        for i in range(len(self.header["chunks"])):
-            arr.set_region(*self.read_block(i))
-        return arr
+
+def _box(entry: Mapping[str, Any]) -> tuple[Coords, Coords]:
+    lo = tuple(entry["origin"])
+    return lo, tuple(o + s - 1 for o, s in zip(lo, entry["shape"]))
 
 
 def read_container(path: "str | Path") -> ContainerReader:

@@ -4,10 +4,9 @@
 "A common complaint from scientists is 'I am looking forward to getting
 something done, but I am still trying to load my data'."  SciDB therefore
 operates on external files through *adaptors*.  An :class:`InSituArray`
-exposes the subset of the :class:`~repro.core.array.SciArray` reading
-surface (``get``, ``exists``, ``region``, ``cells``, ``subsample``) backed
-directly by the file — nothing is copied until the user explicitly calls
-:meth:`InSituArray.load`.
+is a :class:`~repro.core.array.BlockSource` whose adaptor answers
+``blocks(window)`` from the file; nothing is copied until the user
+explicitly calls :meth:`InSituArray.load`.
 
 As the paper warns, in-situ data "will not have many DBMS services, such as
 recovery since it is under user control and not DBMS control": adaptors are
@@ -35,16 +34,18 @@ chunk directory).
 from __future__ import annotations
 
 import csv
+import itertools
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..core.array import SciArray, block_cells
-from ..core.cells import Cell
+from ..core.array import DEFAULT_CHUNK_SIDE, BlockSource, Chunk, within
+from ..core.cells import CellState
 from ..core.errors import InSituError, InSituFormatError
 from ..core.schema import ArraySchema, define_array
-from .format import DECODE_ERRORS, ContainerReader
+from .bucket import Bucket
+from .format import ContainerReader
 from .loader import LoadRecord, LoadReport, load_stream
 from .quarantine import QuarantineStore
 
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 Coords = tuple[int, ...]
+Window = Optional[tuple[Coords, Coords]]
 
 #: Services a fully loaded array enjoys that in-situ data does not.
 _IN_SITU_SERVICES = {
@@ -68,8 +70,10 @@ _IN_SITU_SERVICES = {
 }
 
 
-class InSituArray:
+class InSituArray(BlockSource):
     """Read-only array facade over an external file."""
+
+    absent = InSituError
 
     def __init__(self, schema: ArraySchema, path: Path) -> None:
         self.schema = schema
@@ -78,17 +82,6 @@ class InSituArray:
         #: Reduced service level (Section 2.9).
         self.services = dict(_IN_SITU_SERVICES)
 
-    # -- to be provided by adaptors ------------------------------------------------
-
-    def cells(self) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        raise NotImplementedError
-
-    # -- generic reading surface ------------------------------------------------------
-
-    @property
-    def ndim(self) -> int:
-        return self.schema.ndim
-
     @property
     def attr_names(self) -> tuple[str, ...]:
         return self.schema.attr_names
@@ -96,15 +89,6 @@ class InSituArray:
     @property
     def dim_names(self) -> tuple[str, ...]:
         return self.schema.dim_names
-
-    def get(self, *coords: int) -> Optional[Cell]:
-        target = tuple(coords[0]) if len(coords) == 1 and isinstance(
-            coords[0], tuple
-        ) else tuple(coords)
-        for c, cell in self.cells():
-            if c == target:
-                return cell
-        raise InSituError(f"cell {target} not present in {self.path.name}")
 
     def exists(self, *coords: int) -> bool:
         try:
@@ -116,24 +100,17 @@ class InSituArray:
     def records(self) -> Iterator[LoadRecord]:
         """The file as an offset-tagged load stream.
 
-        Offsets are cell ordinals by default; adaptors override this to
-        report source-native offsets (CSV line numbers, chunk indexes).
+        Offsets are cell ordinals in :meth:`cells` order (for the container
+        too); adaptors override this to report source-native offsets (CSV
+        line numbers, NPY row-major indexes).
         """
         for i, (coords, cell) in enumerate(self.cells()):
             yield LoadRecord(
                 coords, None if cell is None else tuple(cell.values), offset=i
             )
 
-    def load(self, name: Optional[str] = None) -> SciArray:
-        """The explicit load stage: copy everything into a SciArray."""
-        arr = SciArray(self.schema, name=name or self.name)
-        for record in self.records():
-            arr.set(
-                record.coords,
-                None if record.values is None
-                else Cell(self.schema.attr_names, tuple(record.values)),
-            )
-        return arr
+    #: The explicit load stage: copy everything into a SciArray.
+    load = BlockSource.to_sciarray
 
     def load_into(
         self,
@@ -160,16 +137,14 @@ class InSituArray:
             quarantine, max_retries,
         )
 
-    def count(self) -> int:
-        return sum(1 for _ in self.cells())
-
 
 class CsvAdaptor(InSituArray):
     """CSV files with one row per cell: dimension columns then attributes.
 
     The header row must name every column; dimension columns are those
     matching *dims*.  Attribute types default to float; pass ``types`` to
-    override per attribute.
+    override per attribute.  An empty field is NaN in a float column and
+    ``None`` in a string one; an integer column has no empty value.
     """
 
     def __init__(
@@ -202,10 +177,17 @@ class CsvAdaptor(InSituArray):
         self._attr_cols = attr_cols
         self._header = header
 
-    def cells(self) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        names = self.schema.attr_names
+    def blocks(self, window: Window = None) -> Iterator[Chunk]:
+        """The rows inside *window*, a block per ``DEFAULT_CHUNK_SIDE``
+        tile; a coordinate given twice keeps its last row, as
+        :meth:`load_into`'s bulk loader does."""
+        tiles: dict[Coords, dict[Coords, Optional[tuple]]] = {}
         for record in self.records():
-            yield record.coords, Cell(names, tuple(record.values))
+            if within(record.coords, window):
+                key = tuple((c - 1) // DEFAULT_CHUNK_SIDE for c in record.coords)
+                tiles.setdefault(key, {})[record.coords] = record.values
+        for key in sorted(tiles):
+            yield Bucket.from_cells(self.schema, list(tiles[key].items()))
 
     def records(self) -> Iterator[LoadRecord]:
         """Rows as load records; ``offset`` is the 1-based source line.
@@ -242,12 +224,12 @@ class CsvAdaptor(InSituArray):
                     raw = row[idx[c]]
                     a = self.schema.attribute(c)
                     try:
-                        if raw == "":
+                        if "int" in a.type.name:
+                            values.append(int(raw))
+                        elif raw == "":
                             values.append(None)
                         elif a.type.name in ("string",):
                             values.append(raw)
-                        elif "int" in a.type.name:
-                            values.append(int(raw))
                         else:
                             values.append(float(raw))
                     except ValueError as exc:
@@ -264,7 +246,7 @@ class NpyAdaptor(InSituArray):
     """A dense ``.npy`` array exposed as a single-attribute array.
 
     Uses ``mmap_mode='r'`` so only touched pages are read — the in-situ
-    point in its purest form.
+    point in its purest form: a block is a view of the map.
     """
 
     def __init__(
@@ -277,8 +259,9 @@ class NpyAdaptor(InSituArray):
         try:
             self._data = np.load(path, mmap_mode="r")
         except (ValueError, OSError, EOFError) as exc:
-            # np.load reports a truncated or corrupt header as a bare
-            # ValueError; surface it as a typed in-situ failure instead.
+            # np.load reports a truncated or corrupt header, or a body
+            # shorter than the header's shape, as a bare ValueError;
+            # surface it as a typed in-situ failure instead.
             raise InSituFormatError(
                 path, f"unreadable NPY file: {exc}", offset="header"
             ) from exc
@@ -299,84 +282,44 @@ class NpyAdaptor(InSituArray):
         ).bind(list(self._data.shape))
         super().__init__(schema, path)
 
-    def cells(self) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        names = self.schema.attr_names
-        for off in np.ndindex(*self._data.shape):
-            coords = tuple(int(i + 1) for i in off)
-            try:
-                value = self._data[off].item()
-            except (ValueError, OSError) as exc:
-                # A file truncated below what its header promises fails
-                # here, on the first touch of an unbacked page.
-                raise InSituFormatError(
-                    self.path,
-                    f"data truncated below header-declared shape: {exc}",
-                    offset=f"cell {coords}",
-                ) from exc
-            yield coords, Cell(names, (value,))
+    def blocks(self, window: Window = None) -> Iterator[Chunk]:
+        """The ``DEFAULT_CHUNK_SIDE`` tiles of the map cut to *window*."""
+        shape = self._data.shape
+        lo, hi = window or ((1,) * len(shape), shape)
+        side = DEFAULT_CHUNK_SIDE
+        axes = []
+        for l, h, n in zip(lo, hi, shape):
+            l, h = max(l, 1), min(h, n)
+            first = (l - 1) // side * side + 1 if l <= h else h + 1
+            axes.append([(max(a, l), min(a + side - 1, h)) for a in range(first, h + 1, side)])
+        for box in itertools.product(*axes):
+            tile = self._data[tuple(slice(a - 1, b) for a, b in box)]
+            yield Chunk(
+                tuple(a for a, _ in box), tile.shape,
+                np.full(tile.shape, CellState.PRESENT, dtype=np.uint8),
+                {self.schema.attr_names[0]: tile},
+            )
 
-    def get(self, *coords: int) -> Optional[Cell]:
-        target = tuple(coords[0]) if len(coords) == 1 and isinstance(
-            coords[0], tuple
-        ) else tuple(coords)
-        off = tuple(c - 1 for c in target)
-        if any(not 0 <= o < s for o, s in zip(off, self._data.shape)):
-            raise InSituError(f"cell {target} outside {self.path.name}")
-        return Cell(self.schema.attr_names, (self._data[off].item(),))
+    def records(self) -> Iterator[LoadRecord]:
+        """Cells as load records; ``offset`` is the cell's row-major index
+        in the file."""
+        shape = self._data.shape
+        for coords, cell in self.cells():
+            at = np.ravel_multi_index([c - 1 for c in coords], shape)
+            yield LoadRecord(coords, tuple(cell.values), offset=int(at))
 
     def region(self, lo: Coords, hi: Coords) -> np.ndarray:
         sel = tuple(slice(l - 1, h) for l, h in zip(lo, hi))
         return np.asarray(self._data[sel])
 
 
-class SciDBContainerAdaptor(InSituArray):
-    """The self-describing container format, read lazily chunk by chunk.
-
-    Header and chunk-directory corruption raises
-    :class:`InSituFormatError` with the failing chunk index — never a raw
-    ``KeyError``/``struct.error`` from the decoder.
-    """
+class SciDBContainerAdaptor(InSituArray, ContainerReader):
+    """The self-describing container format: its lazy
+    :class:`~repro.storage.format.ContainerReader` at in-situ service."""
 
     def __init__(self, path: "str | Path") -> None:
-        self.path = Path(path)
-        self._reader = self._typed(
-            "corrupt container header", "header", ContainerReader, path
-        )
-        super().__init__(self._reader.schema, self.path)
-
-    def _typed(self, what: str, offset: str, read, *args):
-        try:
-            return read(*args)
-        except InSituError:
-            raise
-        except DECODE_ERRORS as exc:
-            raise InSituFormatError(
-                self.path, f"{what}: {exc!r}", offset=offset
-            ) from exc
-
-    def cells(self) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        names = self.schema.attr_names
-        count = self._typed(
-            "corrupt chunk directory", "header",
-            lambda: len(self._reader.header["chunks"]),
-        )
-        for i in range(count):
-            block = self._typed(
-                "corrupt chunk directory or payload", f"chunk {i}",
-                self._reader.read_block, i,
-            )
-            yield from block_cells(*block, names)
-
-    def chunk_boxes(self):
-        return self._typed(
-            "corrupt chunk directory", "header", self._reader.chunk_boxes
-        )
-
-    def load(self, name: Optional[str] = None) -> SciArray:
-        return self._typed(
-            "corrupt container payload", "load",
-            self._reader.to_sciarray, name or self.name,
-        )
+        ContainerReader.__init__(self, path)
+        InSituArray.__init__(self, self.schema, self.path)
 
 
 def _safe_name(stem: str) -> str:

@@ -18,8 +18,9 @@ Every byte written/read and every bucket event is counted in
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -30,8 +31,8 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..core.array import Chunk, SciArray, blank_plane
-from ..core.cells import Cell, CellState
+from ..core.array import BlockSource, Chunk, blank_plane, within
+from ..core.cells import CellState
 from ..core.errors import StorageError
 from ..core.schema import ArraySchema
 from ..obs import tracing
@@ -191,8 +192,9 @@ class StorageStats:
         return dict(self.__dict__)
 
 
-class PersistentArray:
-    """A disk-backed array managed buffer-spill-merge style.
+class PersistentArray(BlockSource):
+    """A disk-backed array managed buffer-spill-merge style; a
+    :class:`~repro.core.array.BlockSource` whose ``scan`` is ``cells``.
 
     Parameters
     ----------
@@ -212,6 +214,8 @@ class PersistentArray:
         Optional shared :class:`ChunkCache` of decompressed buckets.
     """
 
+    absent = StorageError
+
     def __init__(
         self,
         schema: ArraySchema,
@@ -222,6 +226,7 @@ class PersistentArray:
         cache: Optional[ChunkCache] = None,
     ) -> None:
         self.schema = schema
+        self.name = schema.name
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.memory_budget = memory_budget
@@ -380,12 +385,21 @@ class PersistentArray:
             )
             os.replace(tmp, self._cursor_path)
 
-    def _buffered_buckets(self) -> Iterator[Bucket]:
-        """The write buffer as stride-aligned buckets."""
+    def _buffered_buckets(
+        self, window: Optional[tuple[Coords, Coords]] = None
+    ) -> Iterator[Bucket]:
+        """The write buffer's cells inside *window* as stride-aligned
+        buckets; a window of fewer cells than the buffer holds is looked
+        up address by address."""
+        cells = self._buffer.items()
+        if window is not None and _volume(window) < len(self._buffer):
+            at = itertools.product(*(range(l, h + 1) for l, h in zip(*window)))
+            cells = [(c, self._buffer[c]) for c in at if c in self._buffer]
         groups: dict[Coords, list[tuple[Coords, Optional[tuple]]]] = {}
-        for coords, values in self._buffer.items():
-            key = tuple((c - 1) // s for c, s in zip(coords, self.stride))
-            groups.setdefault(key, []).append((coords, values))
+        for coords, values in cells:
+            if within(coords, window):
+                key = tuple((c - 1) // s for c, s in zip(coords, self.stride))
+                groups.setdefault(key, []).append((coords, values))
         for cells in groups.values():
             yield Bucket.from_cells(self.schema, cells)
 
@@ -500,17 +514,20 @@ class PersistentArray:
         back as all-NULL footprints (:func:`_null_blocks`), no file
         opened.  Buckets without statistics are read in full."""
         with self._lock:
+            buffered = list(self._buffered_buckets(window))
             if window is None:
                 entries = list(self._rtree.all_entries())
+            elif sum(b.cell_count for b in buffered) == _volume(window):
+                entries = []  # the buffer holds every cell's newest copy
             else:
                 entries = list(self._rtree.search(window))
-                self.stats.buckets_pruned += len(self._rtree) - len(entries)
-            buffered = list(self._buffered_buckets())
-            tombstones = list(self._tombstones)
+            self.stats.buckets_pruned += len(self._rtree) - len(entries)
+            tombstones = [t for t in self._tombstones if within(t, window)]
             stats_map = dict(self._bucket_stats) if attr_ranges else {}
             # Blocks that may lose a cell to a newer copy or a tombstone:
             shared = set(self._overlapping)
-            meets = [{i for _, i in self._rtree.search(b.box)} for b in buffered]
+            meets = [entries and {i for _, i in self._rtree.search(b.box)}
+                     for b in buffered]
             shared.update(*meets)
             for t in tombstones:
                 shared.update(i for _, i in self._rtree.search((t, t)))
@@ -559,26 +576,8 @@ class PersistentArray:
         flags = flags if exact else [True] * len(blocks)
         return _newest(blocks, flags, tombstones, window)
 
-    def scan(
-        self,
-        window: Optional[tuple[Coords, Coords]] = None,
-        attr_ranges: Optional[dict[str, Any]] = None,
-    ) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        """The cells of :meth:`blocks`, each live cell exactly once."""
-        for block in self.blocks(window, attr_ranges):
-            yield from block.cells()
-
-    def get(self, coords: Coords) -> Optional[Cell]:
-        coords = tuple(int(c) for c in coords)
-        with self._lock:
-            if coords in self._buffer:
-                values = self._buffer[coords]
-                return None if values is None else Cell(
-                    self.schema.attr_names, tuple(values)
-                )
-        for _coords, cell in self.scan((coords, coords)):
-            return cell
-        raise StorageError(f"cell {coords} not stored")
+    #: ``scan(window, attr_ranges)``: each live cell of :meth:`blocks` once
+    scan = BlockSource.cells
 
     # -- statistics catalog ---------------------------------------------------
 
@@ -604,13 +603,6 @@ class PersistentArray:
                 buckets=list(self._bucket_stats.values()),
                 buffered_cells=len(self._buffer),
             )
-
-    def to_sciarray(self, name: Optional[str] = None) -> SciArray:
-        """Materialise the whole persistent array in memory."""
-        arr = SciArray(self.schema, name=name or self.schema.name)
-        for block in self.blocks():
-            arr.set_region(block.origin, block.data, block.state)
-        return arr
 
     # -- merge optimisation ----------------------------------------------------------
 
@@ -686,6 +678,10 @@ class PersistentArray:
         self._merger_stop.set()
         self._merger.join()
         self._merger = None
+
+
+def _volume(window: tuple[Coords, Coords]) -> int:
+    return math.prod(max(h - l + 1, 0) for l, h in zip(*window))
 
 
 def _newest(

@@ -1,11 +1,14 @@
 """Unit tests for the bulk loader, container format, in-situ adaptors, and
 WAL recovery (Sections 2.8, 2.9)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro import SciArray, define_array
-from repro.core.errors import InSituError, StorageError
+from repro.core.errors import InSituError, InSituFormatError, StorageError
+from repro.storage import format as container_format
 from repro.storage.format import read_container, write_container
 from repro.storage.insitu import (
     CsvAdaptor,
@@ -108,8 +111,9 @@ class TestContainerFormat:
         write_container(tmp_path / "c.scidb", arr)
         reader = read_container(tmp_path / "c.scidb")
         assert len(reader.chunk_boxes()) == 100
-        planes = reader.read_chunk(0)
-        assert planes["v"].shape == (10, 10)
+        origin, planes, state = reader.read_block(0)
+        assert origin == (1, 1)
+        assert planes["v"].shape == state.shape == (10, 10)
 
 
 class TestCsvAdaptor:
@@ -127,8 +131,33 @@ class TestCsvAdaptor:
         adaptor = CsvAdaptor(self.make_csv(tmp_path), dims=["x", "y"])
         assert adaptor.attr_names == ("temp", "salinity")
         assert adaptor.get(1, 2).temp == 11.0
-        assert adaptor.get(2, 1).salinity is None
+        # An empty float field is the NaN the load stage stores.
+        assert math.isnan(adaptor.get(2, 1).salinity)
+        assert math.isnan(adaptor.load()[2, 1].salinity)
         assert adaptor.count() == 3
+
+    def test_a_repeated_coordinate_keeps_its_last_row(self, tmp_path):
+        p = tmp_path / "twice.csv"
+        p.write_text("x,y,v\n1,1,1.0\n2,2,5.0\n1,1,9.0\n")
+        adaptor = CsvAdaptor(p, dims=["x", "y"])
+        assert adaptor.get(1, 1).v == 9.0
+        assert adaptor.count() == 2
+        assert [(c, cell.v) for c, cell in adaptor.cells()] == [
+            ((1, 1), 9.0), ((2, 2), 5.0),
+        ]
+        loaded = adaptor.load()
+        assert loaded[1, 1].v == 9.0 and len(loaded) == 2
+        target = PersistentArray(adaptor.schema, tmp_path / "s")
+        adaptor.load_into(target)
+        assert target.get((1, 1)).v == 9.0 and target.live_cells == 2
+
+    def test_an_empty_integer_field_names_its_line(self, tmp_path):
+        p = tmp_path / "ints.csv"
+        p.write_text("x,n\n1,4\n2,\n")
+        adaptor = CsvAdaptor(p, dims=["x"], types={"n": "int64"})
+        with pytest.raises(InSituFormatError) as exc:
+            adaptor.get(1)
+        assert exc.value.offset == "line 3"
 
     def test_load_materialises(self, tmp_path):
         adaptor = CsvAdaptor(self.make_csv(tmp_path), dims=["x", "y"])
@@ -254,3 +283,61 @@ class TestWal:
         wal.commit()
         with pytest.raises(StorageError):
             wal.recover()
+
+
+class TestOneBlockSource:
+    """Every adaptor answers ``blocks(window)``; ``cells``, ``get`` and
+    ``count`` are one body over it."""
+
+    @pytest.fixture
+    def adaptors(self, tmp_path):
+        data = np.arange(40 * 37, dtype=float).reshape(40, 37)
+        np.save(tmp_path / "grid.npy", data)
+        rows = [f"{x},{y},{data[x - 1, y - 1]}" for x in range(1, 41, 3)
+                for y in range(1, 38, 2)]
+        (tmp_path / "rows.csv").write_text("x,y,v\n" + "\n".join(rows) + "\n")
+        schema = define_array("C", {"v": "float"}, ["x", "y"])
+        arr = SciArray(schema.bind([40, 37]), chunk_shape=(16, 16))
+        arr.set_region((1, 1), {"v": data})
+        arr.delete((5, 5))
+        arr.set_null((6, 6))
+        write_container(tmp_path / "c.scidb", arr)
+        return [
+            open_in_situ(tmp_path / "grid.npy"),
+            open_in_situ(tmp_path / "rows.csv", dims=["x", "y"]),
+            open_in_situ(tmp_path / "c.scidb"),
+        ]
+
+    @pytest.mark.parametrize("window", [
+        ((1, 1), (40, 37)), ((3, 30), (35, 37)), ((33, 1), (33, 1)),
+        ((0, -5), (70, 99)), ((41, 1), (50, 5)), ((9, 9), (8, 8)),
+    ])
+    def test_a_window_reads_the_cells_inside_it(self, adaptors, window):
+        for adaptor in adaptors:
+            every = [(c, cell) for c, cell in adaptor.cells()
+                     if all(l <= x <= h for x, l, h in zip(c, *window))]
+            got = list(adaptor.cells(window))
+            assert sorted(got, key=lambda e: e[0]) == sorted(every, key=lambda e: e[0])
+
+    def test_a_wrong_coordinate_count_is_typed(self, adaptors):
+        for adaptor in adaptors:
+            with pytest.raises(InSituError):
+                adaptor.get(1, 1, 1)
+            assert not adaptor.exists(1, 1, 1)
+
+    def test_a_container_point_get_decodes_one_chunk(self, tmp_path, monkeypatch):
+        schema = define_array("C", {"v": "float"}, ["x", "y"])
+        arr = SciArray.from_numpy(schema, np.arange(64 * 64.0).reshape(64, 64))
+        write_container(tmp_path / "c.scidb", arr)
+        adaptor = open_in_situ(tmp_path / "c.scidb")
+        assert len(adaptor.chunk_boxes()) == 4
+        decoded = []
+        real = container_format.decode_block
+
+        def decode_block(*args, **kwargs):
+            decoded.append(args[0]["origin"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(container_format, "decode_block", decode_block)
+        assert adaptor.get(40, 7).v == arr[40, 7].v
+        assert decoded == [[33, 1]]

@@ -16,8 +16,8 @@ pytestmark = pytest.mark.tier1
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-SRC_BUDGET = 22_506
-BLOCK_BUDGET = 3_946  # storage/ + core/array.py: where the block lives
+SRC_BUDGET = 22_504
+BLOCK_BUDGET = 3_944  # storage/ + core/array.py: where the block lives
 PLAN_BUDGET = 4_463  # query/ + obs/: where a statement's one tree lives
 HISTORY_BUDGET = 656  # history/: one as-of rule
 
