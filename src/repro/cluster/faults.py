@@ -267,8 +267,6 @@ class FaultInjector:
         final record), simulating a crash during an append.  Returns the
         number of bytes torn off.
         """
-        if node.wal is None:
-            raise GridError(f"node {node.node_id} has no write-ahead log")
         node.wal.commit()
         path = node.wal.path
         body = path.read_bytes().rstrip(b"\n")

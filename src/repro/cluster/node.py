@@ -76,7 +76,6 @@ class Node:
         node_id: int,
         directory: "str | Path",
         memory_budget: int = 1 << 20,
-        wal: bool = True,
         chunk_cache_bytes: int = 8 << 20,
     ) -> None:
         self.node_id = node_id
@@ -95,9 +94,7 @@ class Node:
         self.retired = False
         #: load-batch cursors recovered by the last :meth:`replay_wal`
         self.load_cursors_restored = 0
-        self.wal: Optional[WriteAheadLog] = (
-            WriteAheadLog(self.directory / "node.wal") if wal else None
-        )
+        self.wal = WriteAheadLog(self.directory / "node.wal")
 
     # -- liveness ------------------------------------------------------------------
 
@@ -120,10 +117,6 @@ class Node:
         replicas — by :meth:`Grid.rebuild_node`.
         """
         for stale in self.directory.glob("*/bucket_*.bkt"):
-            stale.unlink(missing_ok=True)
-        # Load cursors die with the crash too; WAL load_commit records
-        # bring them back consistently with the replayed cells.
-        for stale in self.directory.glob("*/load_cursor.json"):
             stale.unlink(missing_ok=True)
         self.storage = StorageManager(
             self.directory,
@@ -155,8 +148,7 @@ class Node:
     def store(self, array_name: str, coords: tuple, values: Optional[tuple]) -> None:
         """WAL-then-store one cell (write-ahead: log before acknowledge)."""
         self.check_alive()
-        if self.wal is not None:
-            self.wal.log_write(array_name, coords, values)
+        self.wal.log_write(array_name, coords, values)
         self.partition(array_name).append(coords, values)
         self.counters.add("cells_stored")
 
@@ -168,8 +160,7 @@ class Node:
         the ring no longer places here.
         """
         self.check_alive()
-        if self.wal is not None:
-            self.wal.log_delete(array_name, coords)
+        self.wal.log_delete(array_name, coords)
         return self.partition(array_name).delete(coords)
 
     def has_cell(self, array_name: str, coords: tuple) -> bool:
@@ -187,17 +178,21 @@ class Node:
     ) -> None:
         """Durably commit one load batch on this node's partition.
 
-        WAL-first like :meth:`store`: the ``load_commit`` marker lands in
-        the log (after the batch's cell writes, which :meth:`store`
-        already logged), then the partition spills and persists its
-        cursor atomically.  *epoch* may be a scoped string key (e.g.
-        ``"0/p2"``) when one node's storage backs several replica chains.
+        The WAL is the commit: the ``load_commit`` marker lands in the log
+        after the batch's cell writes (which :meth:`store` already
+        logged), the log is flushed, and the partition's cursor advances
+        in memory.  The cells stay buffered until the memory budget or
+        the end of the load spills them into stride-aligned buckets
+        (Section 2.8); :meth:`replay_wal` is what brings both back after
+        a crash.  *epoch* may be a scoped string key (e.g. ``"0/p2"``)
+        when one node's storage backs several replica chains.
         """
         self.check_alive()
-        if self.wal is not None:
-            self.wal.log_load_commit(array_name, epoch, seq)
-            self.wal.commit()
-        self.partition(array_name).commit_load_batch(epoch, seq)
+        self.wal.log_load_commit(array_name, epoch, seq)
+        self.wal.commit()
+        partition = self.partition(array_name)
+        partition.restore_load_cursor(epoch, seq)
+        partition.stats.load_batches += 1
 
     def blocks(
         self,
@@ -241,8 +236,6 @@ class Node:
         directly (not re-logged), so the WAL does not self-amplify.
         """
         self.load_cursors_restored = 0
-        if self.wal is None:
-            return 0
         # Drop a torn final record *on disk* before replaying: post-recovery
         # appends must not concatenate onto the partial line, which would
         # turn a legal torn tail into mid-log corruption.

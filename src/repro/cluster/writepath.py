@@ -10,10 +10,10 @@ data elements" (Section 2.13).
 
 :meth:`WritableArray.load_checkpointed` gives the write path the fault
 tolerance reads have: the load stream is divided into numbered batches
-committed atomically per replica chain (cursor files + WAL
-``load_commit`` records), malformed records are quarantined instead of
-aborting the stream, transient I/O faults are retried with recorded
-backoff, a substream whose primary dies mid-load fails over to the
+committed atomically per replica chain (a WAL ``load_commit`` record on
+every site), malformed records are quarantined instead of aborting the
+stream, transient I/O faults are retried with recorded backoff, a
+substream whose primary dies mid-load fails over to the
 replica chain (metered ``"load_failover"``), and a killed loader resumes
 from the last committed batch with idempotent replay — see
 :mod:`repro.storage.loader`.
@@ -139,8 +139,8 @@ class WritableArray(PartitionedArray):
 
         The stream is divided into numbered batches routed to per-partition
         substreams; each batch commits atomically on every surviving site
-        of the partition's replica chain (cursor file + WAL ``load_commit``
-        record).  The load survives:
+        of the partition's replica chain (a WAL ``load_commit`` record; the
+        cells spill into buckets at the end of the load).  It survives:
 
         * **malformed records** — quarantined with reason + offset
           (``tolerant=True``), surfaced in the returned

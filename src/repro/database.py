@@ -276,7 +276,7 @@ class SciDB:
         })
         for grid in self._grids.values():
             stores.extend(node.storage for node in grid.nodes)
-            wals.extend(n.wal for n in grid.nodes if n.wal is not None)
+            wals.extend(n.wal for n in grid.nodes)
             counters["scheduler.batches"] += grid.scheduler.batches
             counters["scheduler.tasks"] += grid.scheduler.tasks
         for store in stores:

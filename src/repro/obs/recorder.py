@@ -635,14 +635,11 @@ class FlightRecorder:
                             cells += node.cell_count(a)
                         except Exception:
                             continue  # partition not provisioned here yet
-                wal_depth = (
-                    node.wal.records_appended if node.wal is not None else 0
-                )
                 cache = node.storage.chunk_cache
                 gauges = {
                     "alive": 1.0 if node.alive else 0.0,
                     "cells": float(cells),
-                    "wal_depth": float(wal_depth),
+                    "wal_depth": float(node.wal.records_appended),
                     "cache_bytes": float(
                         cache.bytes_cached if cache is not None else 0
                     ),

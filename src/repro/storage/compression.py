@@ -5,7 +5,7 @@ research questions; the engine therefore treats the codec as a per-bucket
 choice.  Each codec encodes one numpy array (one attribute of one bucket)
 to bytes and back.  :func:`best_codec` implements the simple policy the
 benchmarks evaluate: try the candidates on a sample and keep the one with
-the best compression ratio.
+the best compression ratio (:func:`best_encoding` also keeps its bytes).
 
 Codecs:
 
@@ -37,6 +37,7 @@ __all__ = [
     "CODECS",
     "register_codec",
     "get_codec",
+    "best_encoding",
     "best_codec",
 ]
 
@@ -211,21 +212,22 @@ register_codec(DeltaZlibCodec())
 register_codec(RleCodec())
 
 
-def best_codec(
+def best_encoding(
     sample: np.ndarray, candidates: Optional[Iterable[str]] = None
-) -> Codec:
-    """Pick the candidate with the smallest encoded size on *sample*.
+) -> tuple[Codec, bytes]:
+    """The candidate with the smallest encoding of *sample*, and that
+    encoding, so the winner is not encoded twice.
 
     Ties break toward the cheaper codec (candidate order).  This is the
     "auto" policy used when a bucket is spilled with ``codec='auto'``.
     """
     names = list(candidates) if candidates else ["none", "zlib", "delta", "rle"]
-    best: Optional[Codec] = None
-    best_size = None
-    for name in names:
-        codec = get_codec(name)
-        size = len(codec.encode(sample))
-        if best_size is None or size < best_size:
-            best, best_size = codec, size
-    assert best is not None
-    return best
+    codecs = [get_codec(name) for name in names]
+    return min(((c, c.encode(sample)) for c in codecs), key=lambda cb: len(cb[1]))
+
+
+def best_codec(
+    sample: np.ndarray, candidates: Optional[Iterable[str]] = None
+) -> Codec:
+    """The codec :func:`best_encoding` picks for *sample*."""
+    return best_encoding(sample, candidates)[0]

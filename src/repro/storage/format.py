@@ -29,7 +29,7 @@ from ..core.array import BlockSource, Chunk, SciArray
 from ..core.errors import InSituError, InSituFormatError
 from ..core.schema import ArraySchema, Attribute, Dimension
 from ..core.datatypes import ScalarType, get_type
-from .compression import Codec, best_codec, get_codec
+from .compression import Codec, best_encoding, get_codec
 
 __all__ = [
     "write_container", "read_container", "ContainerReader", "MAGIC",
@@ -68,10 +68,11 @@ def encode_block(
     blobs, metas = [], []
     for name, plane in [(_STATE, state)] + [(n, planes[n]) for n in names]:
         if codec == "auto":
-            chosen = best_codec(plane)
+            chosen, blob = best_encoding(plane)
         else:
             chosen = codec if isinstance(codec, Codec) else get_codec(codec)
-        blobs.append(chosen.encode(plane))
+            blob = chosen.encode(plane)
+        blobs.append(blob)
         metas.append({
             "name": name,
             "codec": chosen.name,

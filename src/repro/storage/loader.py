@@ -16,12 +16,11 @@ At LSST scale the load stream is too long to restart and too dirty to
 trust, so the loader layers three robustness services on the routing core:
 
 * **Checkpointing** — with ``batch_size > 0`` the stream is divided into
-  numbered batches; each batch commits atomically per site (spill + an
-  ``os.replace``'d cursor file, see
-  :meth:`~repro.storage.manager.PersistentArray.commit_load_batch`).  A
-  crash mid-load resumes by re-driving the same stream under the same
-  ``load_epoch``: every batch at or below a site's cursor is skipped, and
-  a batch that died between spill and cursor-commit replays idempotently
+  numbered batches; each batch commits atomically per site (a grid node's
+  WAL ``load_commit`` record; standalone, a spill + an ``os.replace``'d
+  cursor file).  A crash mid-load resumes by re-driving the same stream
+  under the same ``load_epoch``: every batch at or below a site's cursor
+  is skipped, and a batch that died before its commit replays idempotently
   (cells are keyed by coordinates — dedup by ``(load_epoch, batch_seq)``
   guarantees no duplicates).
 * **Quarantine** — in ``tolerant`` mode malformed records (bad arity,
@@ -413,8 +412,8 @@ class BulkLoader:
             def commit(sink=sink, records=records) -> None:
                 for rec in records:
                     sink.append(rec.coords, rec.values)
-                # Atomic per-site commit: spill, then cursor.  A crash
-                # in between replays the batch idempotently next run.
+                # Atomic per-site commit (WAL record, or spill then
+                # cursor).  A crash before it replays the batch next run.
                 sink.commit_load_batch(self.load_epoch, seq)
 
             self._with_retries(commit, f"commit batch {seq} on site {site!r}")

@@ -264,8 +264,9 @@ class PersistentArray(BlockSource):
         # epoch key -> last batch_seq committed on this site.  The key is
         # stringified so callers can scope it ("3" for a plain epoch,
         # "3/p2" for epoch 3 of logical partition 2 on a grid node whose
-        # storage backs several replica chains).  Survives process restart
-        # via an atomically replaced JSON file in the directory.
+        # storage backs several replica chains).  A grid node's WAL holds
+        # them; a single-site load persists them in an atomically replaced
+        # JSON file in the directory (commit_load_batch).
         self._load_cursors: dict[str, int] = self._read_load_cursors()
         self._reopen()
 
@@ -355,7 +356,8 @@ class PersistentArray(BlockSource):
             return self._load_cursors.get(str(epoch), -1)
 
     def commit_load_batch(self, epoch: "int | str", batch_seq: int) -> None:
-        """Atomically commit one load batch: spill, then persist the cursor.
+        """Atomically commit one load batch where no WAL covers the array
+        (the single-site loads): spill, then persist the cursor.
 
         The cursor file is replaced via ``os.replace`` so a crash between
         spill and rename leaves the *previous* cursor intact — the batch
@@ -366,24 +368,17 @@ class PersistentArray(BlockSource):
             if self._buffer:
                 self._spill_locked()
             self.restore_load_cursor(epoch, batch_seq)
+            tmp = self._cursor_path.with_suffix(".json.tmp")
+            tmp.write_text(json.dumps(self._load_cursors), encoding="utf-8")
+            os.replace(tmp, self._cursor_path)
             self.stats.load_batches += 1
 
     def restore_load_cursor(self, epoch: "int | str", batch_seq: int) -> None:
-        """Advance (never regress) the persisted cursor without spilling.
-
-        Used by WAL replay, which re-applies cells directly and only needs
-        the checkpoint bookkeeping brought back.
-        """
+        """Advance (never regress) *epoch*'s cursor in memory: a grid
+        node's WAL commit and its replay (:mod:`repro.cluster.node`)."""
         key = str(epoch)
         with self._lock:
-            if batch_seq <= self._load_cursors.get(key, -1):
-                return
-            self._load_cursors[key] = batch_seq
-            tmp = self._cursor_path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(self._load_cursors), encoding="utf-8"
-            )
-            os.replace(tmp, self._cursor_path)
+            self._load_cursors[key] = max(batch_seq, self._load_cursors.get(key, -1))
 
     def _buffered_buckets(
         self, window: Optional[tuple[Coords, Coords]] = None

@@ -3,6 +3,8 @@
 retries, and WAL-driven cursor recovery.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -206,4 +208,81 @@ class TestWalCursorRecovery:
         resumed = arr.load_checkpointed(iter(recs), batch_size=30)
         assert resumed.records_loaded == 0
         assert resumed.records_skipped == 120
+        assert cells_of(arr) == ground_truth(recs)
+
+
+class TestWalCommit:
+    """A grid batch commits in the node's WAL; buckets form once per node
+    at the end of the load, stride-aligned over everything it buffered."""
+
+    def test_a_load_spills_once_per_node(self, tmp_path):
+        recs = records(256)
+        grid = Grid(N, tmp_path / "spill")
+        arr = grid.create_array(
+            "sky", schema(), HashPartitioner(N), stride=(25, 25),
+            replication=2,
+        )
+        before = [node.partition("sky").stats.snapshot() for node in grid.nodes]
+        arr.load_checkpointed(iter(recs), batch_size=64)
+        boxes = [set() for _ in grid.nodes]
+        for r in recs:
+            for site in arr.replica_sites(r.coords):
+                boxes[site].add(tuple((c - 1) // 25 for c in r.coords))
+        for node, was, touched in zip(grid.nodes, before, boxes):
+            now = node.partition("sky").stats.snapshot()
+            assert now["spills"] - was["spills"] == 1
+            assert 0 < now["buckets_written"] - was["buckets_written"] <= len(touched)
+            # four batches, committed for each of the k=2 chains it is on
+            assert now["load_batches"] - was["load_batches"] == 4 * 2
+
+    def test_buffered_commits_come_back_from_the_truncated_wal(self, tmp_path):
+        batch, killed = 25, 1
+        recs = records(200)
+        inj = FaultInjector(seed=13)
+        grid, arr = build(tmp_path / "buffered", injector=inj, k=1)
+        inj.schedule_kill(killed, after=120)
+        with pytest.raises(QuorumError):
+            arr.load_checkpointed(iter(recs), batch_size=batch)
+        node = grid.nodes[killed]
+        assert not node.alive
+        # Every committed cell of the dead node is buffered and WAL-logged
+        # only: no bucket file was written.
+        assert node.storage.get_array("sky").stats.spills == 0
+        assert not list(node.directory.glob("*/bucket_*.bkt"))
+        cursors = {
+            p: grid.nodes[p].storage.get_array("sky").load_cursor(f"0/p{p}")
+            for p in arr.partitions()
+        }
+        assert cursors[killed] >= 0
+        # The crash keeps the log up to its last acknowledged commit, which
+        # reached the file when it was acknowledged.
+        on_disk = node.wal.path.stat().st_size
+        node.wal.commit()
+        raw = node.wal.path.read_bytes()
+        acked = raw.index(b"\n", raw.rindex(b'"op": "load_commit"')) + 1
+        assert on_disk >= acked
+        os.truncate(node.wal.path, acked)
+
+        report = grid.rebuild_node(killed)
+        assert report.cells_from_replicas == 0  # k=1: the WAL alone
+        have = {
+            c: tuple(cell.values) for c, cell in node.scan_partition("sky")
+        }
+        assert have == {
+            r.coords: tuple(r.values) for i, r in enumerate(recs)
+            if arr.partitioner.site_of(r.coords) == killed
+            and i // batch <= cursors[killed]
+        }
+        assert node.partition("sky").load_cursor(f"0/p{killed}") == cursors[killed]
+
+        committed = [
+            i for i, r in enumerate(recs)
+            if i // batch <= cursors[arr.partitioner.site_of(r.coords)]
+        ]
+        resumed = arr.load_checkpointed(iter(recs), batch_size=batch)
+        assert resumed.records_skipped == len(committed)
+        assert resumed.batches_replayed == len({
+            (i // batch, arr.partitioner.site_of(recs[i].coords))
+            for i in committed
+        })
         assert cells_of(arr) == ground_truth(recs)
