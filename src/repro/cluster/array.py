@@ -117,6 +117,11 @@ class PartitionedArray:
         # write/ingest (see _note_coords) — O(1), no storage rescans.
         return self._dim_highwater[dim_index]
 
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        """Every dimension's extent, as :attr:`SciArray.bounds` reports it."""
+        return tuple(self._extent(i) for i in range(self.schema.ndim))
+
     # -- balance -----------------------------------------------------------------
 
     def cell_count(self) -> int:

@@ -39,7 +39,7 @@ from .ledger import COORDINATOR, DataMovementLedger, Transfer
 from .node import Node
 from .operators import DistributedArray
 from .partitioning import Partitioner
-from .readpath import cells_of, partition_blocks
+from .readpath import partition_blocks
 from .rebalance import Rebalancer, RebalanceReport
 from .replication import RebuildReport, ReplicaPlacement
 from .resilience import CircuitBreaker, ResiliencePolicy, RetryPolicy
@@ -542,7 +542,7 @@ class Grid:
             sources = [s for s in chain if s != node_id and self.nodes[s].alive]
             for source in sources:
                 try:
-                    for coords, cell in cells_of(partition_blocks(arr, source, p)):
+                    for coords, cell in partition_blocks(arr, source, p).cells():
                         self.nodes[source].check_alive()
                         if coords in local_have:
                             continue

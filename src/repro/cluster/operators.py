@@ -9,9 +9,10 @@ survive broken nodes is entirely the read path's business:
 
 * ``scan`` / ``subsample`` / ``materialize`` — one metered gather, with
   per-node R-tree window pruning and value pruning;
-* ``aggregate`` / ``regrid`` — one grouped-partials body: local partial
-  aggregation, coordinator merge (algebraic aggregates move only partial
-  states; holistic ones fall back to raw shipment);
+* ``aggregate`` / ``regrid`` — the local operators' one body
+  (:class:`~repro.core.ops.content.Grouping`), its local phase run per
+  partition and merged at the coordinator (algebraic aggregates move only
+  partial states; holistic ones ship raw blocks);
 * ``sjoin`` — local joins when the operands are co-partitioned, otherwise
   a shuffle of the right operand to the left's scheme first;
 * ``filter`` / ``apply`` — node-local, zero movement;
@@ -26,12 +27,12 @@ lost every replica of some partition returns the partial answer plus a
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..core.array import SciArray
-from ..core.cells import Cell, CellState
+from ..core.cells import Cell
 from ..core.errors import (
     GridError,
     NodeFailedError,
@@ -39,14 +40,14 @@ from ..core.errors import (
     QuorumError,
     SchemaError,
 )
-from ..core.ops import content as content_ops
 from ..core.ops import structural as structural_ops
-from ..core.schema import ArraySchema, Dimension, define_array
-from ..core.udf import UserAggregate, get_aggregate
+from ..core.ops.content import Grouping
+from ..core.schema import ArraySchema, define_array
+from ..core.udf import UserAggregate
 from .ledger import COORDINATOR
 from .node import Node
 from .partitioning import Partitioner, is_copartitioned
-from .readpath import Blocks, cells_of, read_partitions
+from .readpath import read_partitions
 from .replication import CoverageReport, DegradedResult
 from .resilience import Deadline, deadline_scope
 from .writepath import WritableArray
@@ -126,7 +127,7 @@ class DistributedArray(WritableArray):
             self, window, "gather", degraded=degraded, attr_ranges=attr_ranges
         )
         for _site, blocks in served.values():
-            yield from cells_of(blocks)
+            yield from blocks.cells()
 
     def subsample(
         self,
@@ -158,88 +159,37 @@ class DistributedArray(WritableArray):
     def materialize(self, attr_ranges: Optional[dict] = None) -> SciArray:
         return self._gather_array(self.name, attr_ranges=attr_ranges)[0]
 
-    # -- grouped partials ---------------------------------------------------------
+    # -- grouped aggregation ------------------------------------------------------
 
     def _grouped(
         self,
-        suffix: str,
+        grouping: Grouping,
         reason: str,
-        aggregate_fn: UserAggregate,
-        attr: Optional[str],
-        key_of: Callable[[Coords], Coords],
-        block_partial: Callable,
-        dimensions: Iterable[Dimension],
         partial: bool = False,
         tolerate_deadline: bool = False,
-    ) -> tuple[SciArray, Missing]:
-        """Fold component *attr* of every cell into group ``key_of(coords)``
-        and write one output cell per group over *dimensions*;
-        *block_partial* is the same grouping as a plane kernel
-        (:func:`~repro.core.ops.content.aggregate_partial`).
+    ) -> "SciArray | DegradedResult":
+        """Run *grouping* over every logical partition and wrap coverage.
 
-        Each logical partition is folded exactly once, at the serving
-        site of its replica chain — so the partials stay node-local even
-        when the primary is dead, and replicas are never double-counted.
-        What crosses to the coordinator is metered as *reason*: one 24 B
-        partial state per (partition, group).
+        Its pushed phase runs once per partition, at the serving site of
+        the partition's replica chain — so it stays node-local even when
+        the primary is dead, and replicas are never double-counted — and
+        the coordinator merges the results in partition order, so float
+        accumulation order, and the result bit for bit, match the local
+        operator.  What crosses to the coordinator is metered as
+        *reason* (:meth:`~repro.core.ops.content.Grouping.wire`).
         """
-        attr_name = attr or self.schema.attr_names[0]
-        name = f"{self.name}_{suffix}"
-        out = content_ops.group_output(name, name, aggregate_fn, dimensions)
-        record = self.grid.ledger.record
-        kernel = content_ops._has_kernel(self, aggregate_fn, attr_name)
-        agg = aggregate_fn.name
-
-        def local(blocks: Blocks) -> dict:
-            if kernel:
-                return content_ops._merge_partials(out, agg, (
-                    block_partial(
-                        block.origin, block.data[attr_name],
-                        block.state == CellState.PRESENT,
-                    )
-                    for block in blocks
-                ))
-            return content_ops.fold_cells(
-                cells_of(blocks), key_of, aggregate_fn, attr_name
-            )
-
-        # A holistic user aggregate (no merge) ships raw values: the reads
-        # fan out, the transitions stay coordinator-side in partition order
-        # (holistic state is not mergeable, and order-dependent aggregates
-        # must see the serial order).  An algebraic one runs its local
-        # phase in scheduler workers, and the coordinator merges partial
-        # states in partition order, so float accumulation order — and
-        # therefore the result, bit for bit — matches the serial path.
-        holistic = aggregate_fn.merge is None
         served, missing = read_partitions(
             self, degraded=partial, tolerate_deadline=tolerate_deadline,
-            local=None if holistic else local,
+            local=grouping.pushed,
         )
-        total: dict = {}
+        record, total = self.grid.ledger.record, {}
         for site, part in served.values():
-            if holistic:  # one transfer per PRESENT cell shipped
-                for _ in range(sum(block.present_count for block in part)):
-                    record(site, COORDINATOR, self.cell_nbytes, reason)
-                content_ops.fold_cells(
-                    cells_of(part), key_of, aggregate_fn, attr_name, total
-                )
-                continue
-            if kernel:
-                groups = sum(int(np.count_nonzero(p[0])) for _, p in part.values())
-                content_ops._merge_partials(out, agg, part.values(), total)
-            else:
-                groups = len(part)
-                for key, state in part.items():
-                    total[key] = (
-                        aggregate_fn.merge(total[key], state)
-                        if key in total else state
-                    )
-            # Partial states ship at 24 B each, the wire estimate.
-            for _ in range(groups):
-                record(site, COORDINATOR, 24, reason)
-        if kernel:
-            return content_ops._write_partials(out, agg, total), missing
-        return content_ops.write_states(out, aggregate_fn, total), missing
+            records, nbytes = grouping.wire(part, self.cell_nbytes)
+            for _ in range(records):
+                record(site, COORDINATOR, nbytes, reason)
+            total = grouping.merge(total, part)
+        out = grouping.write(total)
+        return _covered(out, partial, len(self.partitions()), missing)
 
     def aggregate(
         self,
@@ -254,18 +204,10 @@ class DistributedArray(WritableArray):
         (metered ``"aggregate"``).  *deadline* / *on_unavailable* behave
         as in :meth:`subsample`.
         """
-        aggregate_fn = agg if isinstance(agg, UserAggregate) else get_aggregate(agg)
-        positions = [self.schema.dim_index(d) for d in group_dims]
+        grouping = Grouping("aggregate", self, group_dims, agg, attr)
         partial, tolerate_deadline = _unavailable_mode(degraded, on_unavailable)
         with deadline_scope(deadline):
-            out, missing = self._grouped(
-                "agg", "aggregate", aggregate_fn, attr,
-                lambda coords: tuple(coords[q] for q in positions),
-                content_ops.aggregate_partial(aggregate_fn.name, positions),
-                [self.schema.dimensions[q] for q in positions],
-                partial, tolerate_deadline,
-            )
-        return _covered(out, partial, len(self.partitions()), missing)
+            return self._grouped(grouping, "aggregate", partial, tolerate_deadline)
 
     def regrid(
         self,
@@ -274,35 +216,13 @@ class DistributedArray(WritableArray):
         attr: Optional[str] = None,
     ) -> SciArray:
         """Distributed Regrid: local partial aggregation per output block,
-        merged at the coordinator (algebraic aggregates only).
+        merged at the coordinator.
 
         Output blocks can straddle partition boundaries, so unlike
-        :meth:`filter`/:meth:`apply` this moves partial states — metered as
-        ``"regrid"``.
+        :meth:`filter`/:meth:`apply` this moves partial states (raw cells
+        for a holistic aggregate) — metered as ``"regrid"``.
         """
-        aggregate_fn = agg if isinstance(agg, UserAggregate) else get_aggregate(agg)
-        if aggregate_fn.merge is None:
-            raise SchemaError(
-                f"distributed regrid needs an algebraic aggregate, "
-                f"not {aggregate_fn.name!r}"
-            )
-        if len(factors) != self.schema.ndim:
-            raise SchemaError(
-                f"regrid needs {self.schema.ndim} factors, got {len(factors)}"
-            )
-        return self._grouped(
-            "regrid", "regrid", aggregate_fn, attr,
-            lambda coords: tuple(
-                (c - 1) // f + 1 for c, f in zip(coords, factors)
-            ),
-            content_ops.regrid_partial(aggregate_fn.name, factors),
-            [
-                Dimension(d.name, (self._extent(i) + f - 1) // f)
-                for i, (d, f) in enumerate(
-                    zip(self.schema.dimensions, factors)
-                )
-            ],
-        )[0]
+        return self._grouped(Grouping("regrid", self, factors, agg, attr), "regrid")
 
     # -- join ---------------------------------------------------------------------
 
@@ -520,7 +440,7 @@ class DistributedArray(WritableArray):
             node.create_partition(self.name, self.schema, stride=self.stride)
         moved = 0
         for src_site, blocks in served.values():
-            for coords, cell in cells_of(blocks):
+            for coords, cell in blocks.cells():
                 values = None if cell is None else cell.values
                 new_primary = new_partitioner.site_of(coords)
                 if new_primary != self.partitioner.site_of(coords):

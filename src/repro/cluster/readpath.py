@@ -49,11 +49,29 @@ from .resilience import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .operators import DistributedArray
 
-__all__ = ["cells_of", "partition_blocks", "read_partitions"]
+__all__ = ["Blocks", "partition_blocks", "read_partitions"]
 
 Coords = tuple[int, ...]
 Window = Optional[tuple[Coords, Coords]]
-Blocks = list[Chunk]
+
+
+class Blocks(list):
+    """A partition's blocks (:class:`~repro.core.array.Chunk`\\ s), read
+    the way a :class:`~repro.core.array.SciArray` is read, so an
+    operator's local phase takes either."""
+
+    def blocks(self, attrs: Sequence[str]) -> Iterator[tuple[Coords, dict, Any]]:
+        """``(origin, planes of *attrs*, state)`` per block."""
+        for block in self:
+            yield block.origin, {a: block.data[a] for a in attrs}, block.state
+
+    def cells(self) -> Iterator[tuple[Coords, Optional[Cell]]]:
+        """The occupied cells, block by block."""
+        for block in self:
+            yield from block.cells()
+
+    def count_present(self) -> int:
+        return sum(block.present_count for block in self)
 
 
 def partition_blocks(
@@ -81,13 +99,7 @@ def partition_blocks(
         Chunk(b.origin, b.shape, b.state * (sites == p), b.data)
         for b, sites in zip(blocks, arr.partitioner.site_planes(blocks))
     ]
-    return [block for block in masked if block.state.any()]
-
-
-def cells_of(blocks: Blocks) -> Iterator[tuple[Coords, Optional[Cell]]]:
-    """The occupied cells of *blocks*, block by block."""
-    for block in blocks:
-        yield from block.cells()
+    return Blocks(block for block in masked if block.state.any())
 
 
 def read_partitions(
@@ -478,7 +490,7 @@ class _PartitionRead:
                 )
             except (NodeFailedError, TransientIOError):
                 continue  # another member may still cover these cells
-            for coords, cell in cells_of(blocks):
+            for coords, cell in blocks.cells():
                 if coords in got:
                     continue  # already served by an earlier member
                 if not mig.trusted(coords, site):
@@ -522,5 +534,5 @@ class _PartitionRead:
             (coords, None if cell is None else cell.values)
             for coords, (_s, cell) in sorted(got.items())
         ]
-        blocks = [Bucket.from_cells(arr.schema, cells)] if cells else []
+        blocks = Blocks([Bucket.from_cells(arr.schema, cells)] if cells else [])
         return self._serve(served, blocks, True)

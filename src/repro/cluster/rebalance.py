@@ -54,7 +54,7 @@ from ..core.errors import (
 )
 from ..obs.recorder import emit as _flight_emit
 from .partitioning import Partitioner
-from .readpath import cells_of, read_partitions
+from .readpath import read_partitions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .grid import DistributedArray, Grid
@@ -240,7 +240,7 @@ class Rebalancer:
         arr, mig = self.array, self.migration
         served, _missing = read_partitions(arr)
         for _site, blocks in served.values():
-            for coords, _cell in cells_of(blocks):
+            for coords, _cell in blocks.cells():
                 mig.known.add(coords)
                 if self._owed(coords):
                     mig.enqueue(coords)

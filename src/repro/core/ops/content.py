@@ -17,6 +17,9 @@ array":
 * :func:`regrid` — the regridding the paper singles out as a key science
   operation (Section 2.3): coarsen an array by integer factors, combining
   each block with an aggregate.
+
+Both grouped operators are one :class:`Grouping`, which the grid's
+operators run per partition too.
 """
 
 from __future__ import annotations
@@ -35,13 +38,12 @@ from . import register_operator
 
 __all__ = [
     "filter", "aggregate", "cjoin", "apply", "project", "regrid", "fold_cells",
+    "Grouping",
 ]
 
 Coords = tuple[int, ...]
 Predicate = Callable[[Cell], bool]
 AggSpec = Union[str, UserAggregate]
-#: ``(origin, plane, present) -> (group origin, partial)`` of one block
-BlockPartial = Callable[[Coords, np.ndarray, np.ndarray], tuple[Coords, np.ndarray]]
 
 _BUILTIN = {a.name: a for a in BUILTIN_AGGREGATES}
 
@@ -198,52 +200,6 @@ def _merge_partials(
     return held
 
 
-def _write_partials(
-    out: SciArray, name: str, held: dict[Coords, tuple[Coords, np.ndarray]]
-) -> SciArray:
-    """Store the finished groups of :func:`_merge_partials`'s result; a
-    group no PRESENT cell fell into stays EMPTY."""
-    for corner, part in held.values():
-        out.set_region(
-            corner,
-            {name: _final(name, part)},
-            np.where(part[0] > 0, CellState.PRESENT, CellState.EMPTY),
-        )
-    return out
-
-
-def aggregate_partial(name: str, positions: Sequence[int]) -> BlockPartial:
-    """Built-in aggregate *name* of one block ``(origin, plane, present)``
-    grouped on the dimensions at *positions*, as ``(group origin,
-    partial)``: the block's other axes fold into one run each, the
-    surviving axes come out in the requested group order."""
-    perm = [sorted(positions).index(p) + 1 for p in positions]
-
-    def partial(origin, plane, present):
-        runs = [None if d in positions else (0, n) for d, n in enumerate(plane.shape)]
-        part = _partial(name, plane, present, runs).squeeze(
-            tuple(d + 1 for d, run in enumerate(runs) if run is not None)
-        )
-        return tuple(origin[p] for p in positions), part.transpose(0, *perm)
-
-    return partial
-
-
-def regrid_partial(name: str, factors: Sequence[int]) -> BlockPartial:
-    """Built-in aggregate *name* of one block coarsened by *factors*:
-    along each axis the block's cells fall into runs, one per output
-    index, a new run beginning one past each multiple of the factor."""
-
-    def partial(origin, plane, present):
-        runs = [None if f == 1 else ((1 - o) % f, f) for o, f in zip(origin, factors)]
-        return (
-            tuple((o - 1) // f + 1 for o, f in zip(origin, factors)),
-            _partial(name, plane, present, runs),
-        )
-
-    return partial
-
-
 def fold_cells(
     cells: Iterable[tuple[Coords, Optional[Cell]]],
     key_of: Callable[[Coords], Coords],
@@ -268,28 +224,178 @@ def fold_cells(
     return states
 
 
-def group_output(
-    schema_name: str,
-    name: str,
-    aggregate_fn: UserAggregate,
-    dimensions: Iterable[Dimension],
-) -> SciArray:
-    """The empty result of a grouped aggregation: one component named
-    after the aggregate over the surviving *dimensions*."""
-    schema = ArraySchema(
-        name=schema_name,
-        attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
-        dimensions=tuple(dimensions),
-    )
-    return SciArray(schema, name=name)
+#: What one partial state is estimated to cost on the wire.
+STATE_NBYTES = 24
 
 
-def write_states(
-    out: SciArray, aggregate_fn: UserAggregate, states: dict[Coords, Any]
-) -> SciArray:
-    for key, state in states.items():
-        out.set(key, aggregate_fn.final(state))
-    return out
+class Grouping:
+    """Grouped aggregation, written once for every route: *op*
+    ``"aggregate"`` groups on the dimensions named in *groups* (Fig. 2),
+    ``"regrid"`` on blocks of the integer factors in *groups* (Section
+    2.3), folding component *attr* (default: the first) of each group's
+    PRESENT cells through *agg*.  *array* is the input (its ``schema``,
+    ``name`` and ``bounds``); :meth:`check` runs first.  Three phases:
+
+    * :meth:`local` — one source's groups in mergeable form: the plane
+      kernels' partials for the engine's own aggregates over native
+      components, :func:`fold_cells` states otherwise;
+    * :meth:`merge` — absorbs one partition's result, in partition order;
+    * :meth:`write` — the output, one component named after the
+      aggregate; a group no PRESENT cell fell into stays EMPTY.
+
+    The local operators are ``write(local(array))``; the grid runs
+    :attr:`pushed` where each partition is and merges at the coordinator.
+    """
+
+    def __init__(
+        self,
+        op: str,
+        array: Any,
+        groups: Sequence,
+        agg: AggSpec,
+        attr: Optional[str] = None,
+        name: Optional[str] = None,
+    ) -> None:
+        schema = array.schema
+        self.fn, self.attr = self.check(op, schema, groups, agg, attr)
+        fn_name = self.fn.name
+        if op == "aggregate":
+            positions = [schema.dim_index(d) for d in groups]
+            perm = [sorted(positions).index(p) + 1 for p in positions]
+            key_of = lambda coords: tuple(coords[p] for p in positions)  # noqa: E731
+
+            def partial(origin, plane, present):
+                # The block's other axes fold into one run each; the group
+                # axes come out in the order asked for.
+                runs = [
+                    None if d in positions else (0, n)
+                    for d, n in enumerate(plane.shape)
+                ]
+                part = _partial(fn_name, plane, present, runs).squeeze(
+                    tuple(d + 1 for d, run in enumerate(runs) if run is not None)
+                )
+                return key_of(origin), part.transpose(0, *perm)
+
+            dims = [schema.dimensions[p] for p in positions]
+            suffix = "agg"
+        else:
+            factors = tuple(groups)
+            key_of = lambda coords: tuple(  # noqa: E731
+                (c - 1) // f + 1 for c, f in zip(coords, factors)
+            )
+
+            def partial(origin, plane, present):
+                # One run per output index along each axis, a new run
+                # beginning one past each multiple of the factor.
+                runs = [
+                    None if f == 1 else ((1 - o) % f, f)
+                    for o, f in zip(origin, factors)
+                ]
+                return key_of(origin), _partial(fn_name, plane, present, runs)
+
+            dims = [
+                Dimension(d.name, (h + f - 1) // f)
+                for d, h, f in zip(schema.dimensions, array.bounds, factors)
+            ]
+            suffix = "regrid"
+        self.key_of, self._partial = key_of, partial
+        self._kernel = _has_kernel(array, self.fn, self.attr)
+        self.out = SciArray(
+            ArraySchema(
+                name=name or f"{schema.name}_{suffix}",
+                attributes=(Attribute(self.fn.name, _result_type(self.fn)),),
+                dimensions=tuple(dims),
+            ),
+            name=name or f"{array.name}_{suffix}",
+        )
+
+    @property
+    def pushed(self) -> Optional[Callable[[Any], dict]]:
+        """The phase run where the data is: :meth:`local`, or ``None`` for
+        a holistic aggregate (no ``merge``) — its state does not merge and
+        an order-dependent one must see the serial order, so the blocks
+        travel and :meth:`merge` folds them in partition order."""
+        return None if self.fn.merge is None else self.local
+
+    @staticmethod
+    def check(
+        op: str,
+        schema: ArraySchema,
+        groups: Sequence,
+        agg: AggSpec,
+        attr: Optional[str] = None,
+    ) -> tuple[UserAggregate, str]:
+        """Every argument check of a grouped aggregation, for the local
+        operators, the grid's and the planner's route choice alike.
+        Returns the resolved aggregate and the attribute's name."""
+        if op == "aggregate":
+            if not groups:
+                raise SchemaError(
+                    "aggregate needs at least one grouping dimension; "
+                    "use aggregate_all for a scalar reduction"
+                )
+            if len(set(groups)) != len(groups):
+                raise SchemaError("duplicate grouping dimensions")
+            for dim in groups:
+                schema.dim_index(dim)
+        else:
+            if len(groups) != schema.ndim:
+                raise SchemaError(
+                    f"regrid needs {schema.ndim} factors, got {len(groups)}"
+                )
+            if any(f < 1 for f in groups):
+                raise SchemaError("regrid factors must be >= 1")
+        aggregate_fn = _resolve_aggregate(agg)
+        attr_name = attr or schema.attr_names[0]
+        schema.attribute(attr_name)
+        return aggregate_fn, attr_name
+
+    def local(self, source: Any) -> dict:
+        """The groups of *source* — read by ``blocks([attr])`` and
+        ``cells()``: a :class:`SciArray`, or a grid partition's blocks."""
+        if not self._kernel:
+            return fold_cells(source.cells(), self.key_of, self.fn, self.attr)
+        return _merge_partials(self.out, self.fn.name, (
+            self._partial(origin, planes[self.attr], state == CellState.PRESENT)
+            for origin, planes, state in source.blocks([self.attr])
+        ))
+
+    def merge(self, total: dict, part: Any) -> dict:
+        """Absorb one partition's :meth:`local` result — its blocks, when
+        :attr:`pushed` is ``None`` — into *total*."""
+        if self.pushed is None:
+            return fold_cells(part.cells(), self.key_of, self.fn, self.attr, total)
+        if self._kernel:
+            return _merge_partials(self.out, self.fn.name, part.values(), total)
+        for key, state in part.items():
+            total[key] = self.fn.merge(total[key], state) if key in total else state
+        return total
+
+    def wire(self, part: Any, cell_nbytes: int) -> tuple[int, int]:
+        """What moving *part* to the coordinator costs, as ``(records,
+        bytes each)``: one partial state per group it reached, or — where
+        the blocks travel — one cell per PRESENT cell."""
+        if self.pushed is None:
+            return part.count_present(), cell_nbytes
+        if self._kernel:
+            groups = sum(int(np.count_nonzero(p[0])) for _, p in part.values())
+            return groups, STATE_NBYTES
+        return len(part), STATE_NBYTES
+
+    def write(self, total: dict) -> SciArray:
+        """The output array holding *total*'s finished groups."""
+        if not self._kernel:
+            for key, state in total.items():
+                self.out.set(key, self.fn.final(state))
+            return self.out
+        name = self.fn.name
+        for corner, part in total.values():
+            self.out.set_region(
+                corner,
+                {name: _final(name, part)},
+                np.where(part[0] > 0, CellState.PRESENT, CellState.EMPTY),
+            )
+        return self.out
 
 
 def filter(
@@ -358,33 +464,8 @@ def aggregate(
     for single-value arrays).  Groups whose slice holds no PRESENT cell are
     EMPTY in the output.
     """
-    if not group_dims:
-        raise SchemaError("aggregate needs at least one grouping dimension; "
-                          "use aggregate_all for a scalar reduction")
-    if len(set(group_dims)) != len(group_dims):
-        raise SchemaError("duplicate grouping dimensions")
-    positions = [array.schema.dim_index(d) for d in group_dims]
-    aggregate_fn = _resolve_aggregate(agg)
-    attr_name = attr or array.attr_names[0]
-    out = group_output(
-        name or f"{array.schema.name}_agg",
-        name or f"{array.name}_agg",
-        aggregate_fn,
-        (array.schema.dimensions[p] for p in positions),
-    )
-    if not _has_kernel(array, aggregate_fn, attr_name):
-        return write_states(out, aggregate_fn, fold_cells(
-            array.cells(),
-            lambda coords: tuple(coords[p] for p in positions),
-            aggregate_fn, attr_name,
-        ))
-    partial = aggregate_partial(aggregate_fn.name, positions)
-    return _write_partials(out, aggregate_fn.name, _merge_partials(
-        out, aggregate_fn.name, (
-            partial(origin, planes[attr_name], state == CellState.PRESENT)
-            for origin, planes, state in array.blocks([attr_name])
-        ),
-    ))
+    grouping = Grouping("aggregate", array, group_dims, agg, attr, name)
+    return grouping.write(grouping.local(array))
 
 
 def aggregate_all(array: SciArray, agg: AggSpec, attr: Optional[str] = None) -> Any:
@@ -569,37 +650,8 @@ def regrid(
     users actually want (Section 2.3).  Extents the factors do not divide
     end in partial blocks, which aggregate the cells they do hold.
     """
-    if len(factors) != array.ndim:
-        raise SchemaError(
-            f"regrid needs {array.ndim} factors, got {len(factors)}"
-        )
-    if any(f < 1 for f in factors):
-        raise SchemaError("regrid factors must be >= 1")
-    aggregate_fn = _resolve_aggregate(agg)
-    attr_name = attr or array.attr_names[0]
-    out_sizes = [(h + f - 1) // f for h, f in zip(array.bounds, factors)]
-    out = group_output(
-        name or f"{array.schema.name}_regrid",
-        name or f"{array.name}_regrid",
-        aggregate_fn,
-        (
-            Dimension(d.name, s)
-            for d, s in zip(array.schema.dimensions, out_sizes)
-        ),
-    )
-    if not _has_kernel(array, aggregate_fn, attr_name):
-        return write_states(out, aggregate_fn, fold_cells(
-            array.cells(),
-            lambda coords: tuple((c - 1) // f + 1 for c, f in zip(coords, factors)),
-            aggregate_fn, attr_name,
-        ))
-    partial = regrid_partial(aggregate_fn.name, factors)
-    return _write_partials(out, aggregate_fn.name, _merge_partials(
-        out, aggregate_fn.name, (
-            partial(origin, planes[attr_name], state == CellState.PRESENT)
-            for origin, planes, state in array.blocks([attr_name])
-        ),
-    ))
+    grouping = Grouping("regrid", array, factors, agg, attr, name)
+    return grouping.write(grouping.local(array))
 
 
 register_operator("filter", filter)

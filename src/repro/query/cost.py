@@ -32,7 +32,8 @@ import threading
 from typing import Any, Iterable, Optional, Sequence
 
 from ..cluster.partitioning import is_copartitioned
-from ..core.errors import PlanError, SchemaError, UnknownFunctionError
+from ..core.errors import PlanError, UnknownFunctionError
+from ..core.ops.content import Grouping
 from ..core.udf import get_aggregate
 from .ast import OpNode, PredicateConjunction
 
@@ -186,8 +187,8 @@ def grid_route(node: OpNode, operands: Sequence[Optional[Any]]) -> str:
 
     *operands* holds, per argument, an
     :class:`~repro.query.stats.ArrayDescription`-shaped object
-    (``distributed``, ``dims``, ``grid_id``, ``partitioner``) for a
-    catalog array, or ``None`` for a computed subtree.  The answer is
+    (``distributed``, ``dims``, ``grid_id``, ``partitioner``, ``schema``)
+    for a catalog array, or ``None`` for a computed subtree.  The answer is
     ``""`` when no argument is a bare grid array (the local operator,
     nothing moves), the native grid route — ``"window"``,
     ``"partial-aggregate"``, ``"partial-regrid"``, ``"copartitioned"``,
@@ -204,13 +205,13 @@ def grid_route(node: OpNode, operands: Sequence[Optional[Any]]) -> str:
             if predicate_window(node.option("predicate"), first) is not None:
                 return "window"
         elif op in ("aggregate", "regrid"):
-            if op == "regrid" and len(node.option("factors")) != len(first.dims):
-                raise SchemaError(
-                    f"regrid needs {len(first.dims)} factors, "
-                    f"got {len(node.option('factors'))}"
-                )
             agg = node.option("agg")
-            if isinstance(agg, str):
+            if first.schema is not None:  # the operators' own check
+                groups = node.option("factors" if op == "regrid" else "group_dims")
+                agg, _attr = Grouping.check(
+                    op, first.schema, groups, agg, node.option("attr")
+                )
+            elif isinstance(agg, str):
                 try:
                     agg = get_aggregate(agg)
                 except UnknownFunctionError:

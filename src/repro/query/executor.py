@@ -127,6 +127,7 @@ class Executor:
         desc = ArrayDescription(
             name, "local",
             dims=tuple((d.name, d.size) for d in arr.schema.dimensions),
+            schema=arr.schema,
         )
         if isinstance(arr, DistributedArray):
             desc.kind = "distributed"
@@ -396,14 +397,10 @@ def _window(ex, node, phys, args, kwargs, result):
     return get_operator(node.op)(slab, **kwargs)
 
 
-def _partial_aggregate(ex, node, phys, args, kwargs, result):
-    return args[0].aggregate(
-        kwargs["group_dims"], kwargs["agg"], kwargs.get("attr")
-    )
-
-
-def _partial_regrid(ex, node, phys, args, kwargs, result):
-    return args[0].regrid(kwargs["factors"], kwargs["agg"], kwargs.get("attr"))
+def _partial(ex, node, phys, args, kwargs, result):
+    # The grid's operator of the same name: local phase per partition,
+    # merged at the coordinator.
+    return getattr(args[0], node.op)(**kwargs)
 
 
 def _grid_sjoin(ex, node, phys, args, kwargs, result):
@@ -426,8 +423,8 @@ def _gather(ex, node, phys, args, kwargs, result):
 
 _GRID_ROUTES = {
     "window": _window,
-    "partial-aggregate": _partial_aggregate,
-    "partial-regrid": _partial_regrid,
+    "partial-aggregate": _partial,
+    "partial-regrid": _partial,
     "copartitioned": _grid_sjoin,
     "shuffle": _grid_sjoin,
     "gather": _gather,

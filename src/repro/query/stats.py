@@ -316,10 +316,10 @@ class ArrayDescription:
 
     The executor builds one per array reference of a statement (its
     catalog maps names to live arrays); the planner routes and estimates
-    from it.  What a route needs — ``kind``, ``dims``, ``grid_id`` and
-    ``partitioner``, the partitioner's
-    :meth:`~repro.cluster.partitioning.Partitioner.descriptor` — is read
-    straight off the array; the estimates are best-effort.
+    from it.  What a route needs — ``kind``, ``dims``, ``grid_id``,
+    ``partitioner`` (:meth:`~repro.cluster.partitioning.Partitioner.descriptor`)
+    and the ``schema`` grouped operators' arguments are checked on — is
+    read straight off the array; the estimates are best-effort.
     ``cells``/``chunks`` for a replicated distributed array are
     normalized to *logical* counts (stored totals divided by the replica
     factor), which is what one exactly-once read touches.
@@ -335,6 +335,7 @@ class ArrayDescription:
     partitioner: Any = None
     dims: tuple[tuple[str, Optional[int]], ...] = ()
     stats: Optional[ArrayStats] = None
+    schema: Any = None
 
     @property
     def distributed(self) -> bool:

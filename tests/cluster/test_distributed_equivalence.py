@@ -7,11 +7,12 @@ return exactly what the single-node :mod:`repro.core.ops` implementation
 returns over the materialized array.  Hypothesis generates random sparse
 datasets, grid shapes (nodes × replication k × placement policy ×
 partitioner), and — when k permits — a dead node, and checks the
-equivalence for aggregate, sjoin, and subsample.  Runs are derandomized so
-every failure reproduces.
+equivalence for aggregate, regrid, sjoin, and subsample.  Runs are
+derandomized so every failure reproduces.
 
 Cell values are integral floats so aggregation is exact regardless of the
-order partial states merge in.
+order partial states merge in — except ``stdev``, whose merged squared
+deviations round by merge order, so it is compared to a relative 1e-9.
 """
 
 import tempfile
@@ -32,6 +33,7 @@ from repro.cluster.replication import (
 from repro.core.errors import QuorumError
 from repro.core.ops import content, structural
 from repro.core.schema import define_array
+from repro.core.udf import UserAggregate
 from repro.storage.loader import LoadRecord
 
 SETTINGS = dict(
@@ -40,7 +42,15 @@ SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-AGGS = ["sum", "count", "min", "max", "avg"]
+#: The built-ins (plane kernels), a user aggregate with a merge but no
+#: kernel (merged fold states) and a holistic one (shipped raw cells).
+AGGS = [
+    "sum", "count", "min", "max", "avg", "stdev",
+    UserAggregate("sumsq", lambda: 0.0, lambda s, v: s + v * v,
+                  merge=lambda a, b: a + b),
+    UserAggregate("spread", lambda: [], lambda s, v: s + [v],
+                  lambda s: max(s) - min(s) if s else None),
+]
 
 
 def _cells(arr):
@@ -49,6 +59,16 @@ def _cells(arr):
         coords: None if cell is None else tuple(cell.values)
         for coords, cell in arr.cells()
     }
+
+
+def _assert_same(dist, want, agg):
+    got, expected = _cells(dist), _cells(want)
+    if agg != "stdev":
+        assert got == expected
+        return
+    assert got.keys() == expected.keys()
+    for coords, values in expected.items():
+        assert got[coords] == pytest.approx(values, rel=1e-9, abs=1e-12)
 
 
 coords_2d = st.tuples(st.integers(1, 6), st.integers(1, 6))
@@ -132,7 +152,25 @@ class TestAggregateEquivalence:
                 grid.nodes[spec["dead"]].fail()
             dist = darr.aggregate([dim], agg, "v")
             want = content.aggregate(local, [dim], agg, "v")
-            assert _cells(dist) == _cells(want)
+            _assert_same(dist, want, agg)
+
+    @settings(max_examples=60, **SETTINGS)
+    @given(
+        spec=grid_specs(),
+        cells=datasets,
+        factors=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        agg=st.sampled_from(AGGS),
+    )
+    def test_matches_local_regrid(self, spec, cells, factors, agg):
+        with tempfile.TemporaryDirectory() as tmpdir:
+            grid = _make_grid(tmpdir, spec)
+            darr = _load_array(grid, spec, "D", cells)
+            local = darr.materialize()
+            if spec["dead"] is not None:
+                grid.nodes[spec["dead"]].fail()
+            dist = darr.regrid(list(factors), agg, "v")
+            want = content.regrid(local, list(factors), agg, "v")
+            _assert_same(dist, want, agg)
 
 
 class TestSjoinEquivalence:

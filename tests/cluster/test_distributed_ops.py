@@ -89,16 +89,20 @@ class TestDistributedRegrid:
         raw_bytes = arr.cell_count() * arr.cell_nbytes
         assert 0 < partial_bytes < raw_bytes
 
-    def test_holistic_rejected(self, loaded):
+    def test_holistic_ships_cells_and_matches_local(self, loaded):
         from repro import define_aggregate
+        from repro.core import ops
 
         define_aggregate("dist_median_test", lambda: [],
                          lambda s, v: s + [v],
                          lambda s: sorted(s)[len(s) // 2] if s else None,
                          replace=True)
         grid, arr = loaded
-        with pytest.raises(SchemaError):
-            arr.regrid([5, 5], "dist_median_test")
+        grid.ledger.reset()
+        out = arr.regrid([5, 5], "dist_median_test")
+        local = ops.regrid(arr.materialize(), [5, 5], "dist_median_test")
+        assert list(out.cells()) == list(local.cells())
+        assert grid.ledger.total_bytes("regrid") == 400 * arr.cell_nbytes
 
     def test_factor_validation(self, loaded):
         grid, arr = loaded
