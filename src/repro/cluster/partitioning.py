@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import struct
+import threading
 import zlib
 from typing import Any, Optional, Sequence
 
@@ -44,24 +46,52 @@ Coords = tuple[int, ...]
 class Partitioner:
     """Base class: maps cell coordinates to one of ``n_sites`` sites."""
 
+    #: What the planes :meth:`site_planes` keeps may hold in all: past it
+    #: the oldest boxes go first.
+    PLANE_CACHE_BYTES = 4 << 20
+
     def __init__(self, n_sites: int) -> None:
         if n_sites < 1:
             raise PartitioningError("a grid needs at least one site")
         self.n_sites = n_sites
+        self._planes: dict[tuple[Coords, Coords], np.ndarray] = {}
+        self._plane_bytes = 0
+        self._plane_lock = threading.Lock()
 
     def site_of(self, coords: Coords) -> int:
         raise NotImplementedError
 
     def site_planes(self, blocks: Sequence[Any]) -> list[np.ndarray]:
         """Each block's (:class:`~repro.core.array.Chunk`) plane of
-        :meth:`site_of` values, unspecified where EMPTY: what the grid's
-        read path masks blocks with.  This default asks per occupied cell;
-        a scheme with a vectorised form overrides it."""
-        planes = [np.zeros(b.shape, dtype=np.int64) for b in blocks]
-        for plane, b in zip(planes, blocks):
-            at = np.argwhere(b.state)
-            plane[tuple(at.T)] = [self.site_of(tuple(c)) for c in (at + b.origin).tolist()]
-        return planes
+        :meth:`site_of` values over its whole box: what the grid's read
+        path masks blocks with.  A site is a pure function of a cell, so
+        the planes are read-only and kept per box ``(origin, shape)`` for
+        this partitioner's lifetime, within :attr:`PLANE_CACHE_BYTES`."""
+        boxes = [(tuple(b.origin), tuple(b.shape)) for b in blocks]
+        with self._plane_lock:
+            known = {box: self._planes.get(box) for box in boxes}
+        todo = [box for box, plane in known.items() if plane is None]
+        for box, plane in zip(todo, self._box_planes(todo)):
+            plane.flags.writeable = False
+            known[box] = plane
+            with self._plane_lock:
+                if self._planes.setdefault(box, plane) is plane:
+                    self._plane_bytes += plane.nbytes
+                while self._plane_bytes > self.PLANE_CACHE_BYTES:
+                    self._plane_bytes -= self._planes.pop(next(iter(self._planes))).nbytes
+        return [known[box] for box in boxes]
+
+    def _box_planes(self, boxes: Sequence[tuple[Coords, Coords]]) -> list[np.ndarray]:
+        """:meth:`site_of` at every cell of each ``(origin, shape)`` box;
+        a scheme with a vectorised form overrides this."""
+        return [
+            np.array(
+                [self.site_of(c) for c in itertools.product(
+                    *(range(o, o + n) for o, n in zip(origin, shape))
+                )], dtype=np.int64,
+            ).reshape(shape)
+            for origin, shape in boxes
+        ]
 
     def sites(self) -> tuple[int, ...]:
         """Site ids this partitioner can route cells to.
@@ -118,19 +148,19 @@ class HashPartitioner(Partitioner):
         payload = struct.pack(f"<{len(key)}q", *key)
         return zlib.crc32(payload) % self.n_sites
 
-    def site_planes(self, blocks: Sequence[Any]) -> list[np.ndarray]:
+    def _box_planes(self, boxes: Sequence[tuple[Coords, Coords]]) -> list[np.ndarray]:
         # crc32 is affine over GF(2): a digest is the zero payload's XOR, per
         # key coordinate, the change that coordinate alone makes.  So a box's
         # digests are the XOR-outer of one vector per axis: one zlib call per
         # distinct coordinate, not per cell.
-        ndim = len(blocks[0].origin) if blocks else 0
+        ndim = len(boxes[0][0]) if boxes else 0
         key = range(ndim) if self.dims is None else self.dims
         zero = zlib.crc32(bytes(8 * len(key)))
         axes = []
         for d in range(ndim):
-            sizes = [b.shape[d] for b in blocks]
+            sizes = [shape[d] for _, shape in boxes]
             distinct, at = np.unique(np.concatenate(
-                [np.arange(b.origin[d], b.origin[d] + n) for b, n in zip(blocks, sizes)]
+                [np.arange(o[d], o[d] + n) for (o, _), n in zip(boxes, sizes)]
             ), return_inverse=True)
             terms = np.full(len(distinct), zero if d == 0 else 0, dtype=np.uint32)
             for j in (j for j, kd in enumerate(key) if kd == d):
@@ -142,9 +172,9 @@ class HashPartitioner(Partitioner):
         return [
             functools.reduce(np.bitwise_xor.outer, [
                 terms[offsets[i]:offsets[i] + n]
-                for (terms, offsets), n in zip(axes, block.shape)
+                for (terms, offsets), n in zip(axes, shape)
             ]) % self.n_sites
-            for i, block in enumerate(blocks)
+            for i, (_, shape) in enumerate(boxes)
         ]
 
     def descriptor(self) -> tuple:

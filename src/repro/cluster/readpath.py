@@ -372,24 +372,31 @@ class _PartitionRead:
         hedge delay, a backup attempt is launched against *backup* and
         the first success wins; the winner's buffer is committed (on this
         thread, so the open operator span absorbs the movement) and the
-        loser's is discarded — exactly-once accounting by construction.
-        Each attempt settles its own site's breaker.  Raises the primary
-        attempt's failure only after *both* attempts have failed.
+        loser's is discarded — exactly-once accounting by construction,
+        for the counters of the attempt's own span, which carries the
+        statement's id, too.  Each attempt settles its own site's breaker.
+        Raises the primary attempt's failure only after *both* attempts
+        have failed.
         """
         grid = self.arr.grid
         policy = grid.resilience
         results: "queue.Queue[tuple[int, Any, Optional[BaseException]]]" = (
             queue.Queue()
         )
+        statement = tracing.current_span()
 
         def run(attempt_site: int) -> None:
-            buf = MeterBuffer()
+            buf, trace = MeterBuffer(), None
+            if statement is not None:
+                trace = tracing.Span("hedged read")
+                trace.query_id = statement.root.query_id
             try:
-                blocks = self._attempt(attempt_site, p, attempt, deadline, buf)
+                with tracing.adopt(trace):
+                    blocks = self._attempt(attempt_site, p, attempt, deadline, buf)
             except BaseException as exc:  # classified by the consumer
                 results.put((attempt_site, None, exc))
             else:
-                results.put((attempt_site, (blocks, buf), None))
+                results.put((attempt_site, (blocks, buf, trace), None))
 
         threading.Thread(
             target=run, args=(site,),
@@ -428,8 +435,10 @@ class _PartitionRead:
             attempt_site, payload, exc = got
             self._settle(attempt_site, exc)
             if exc is None:
-                blocks, buf = payload
+                blocks, buf, trace = payload
                 buf.commit(grid)
+                for key, n in (trace.counters if trace else {}).items():
+                    tracing.add_current(key, n)
                 if attempt_site != site:
                     grid._count_resilience("hedge_wins")
                 return attempt_site, blocks

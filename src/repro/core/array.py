@@ -22,6 +22,8 @@ same chunks are what the storage manager spills to disk as "buckets"
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import sys
 from collections.abc import Mapping
 from typing import Any, Iterator, Optional, Sequence, Union
@@ -33,7 +35,7 @@ from .datatypes import ScalarType
 from .errors import BoundsError, EmptyCellError, SchemaError, TypeMismatchError
 from .schema import ArraySchema, Attribute
 
-__all__ = ["SciArray", "Chunk", "BlockSource", "DEFAULT_CHUNK_SIDE"]
+__all__ = ["SciArray", "Chunk", "BlockSource", "DEFAULT_CHUNK_SIDE", "coalesce"]
 
 #: Default chunk stride per dimension.  Small enough that toy examples span
 #: several chunks (exercising chunk logic), large enough for bulk speed.
@@ -162,6 +164,34 @@ class Chunk:
         """1-based (low, high) corners of this block's coverage."""
         high = tuple(o + s - 1 for o, s in zip(self.origin, self.shape))
         return self.origin, high
+
+
+def coalesce(blocks: Sequence[Chunk]) -> Sequence[Chunk]:
+    """*blocks* as one block over their union box — what writing them in
+    order with ``set_region`` writes: a later block's occupied cell over
+    an earlier one's, an EMPTY cell over nothing — when that box is at
+    most twice their volume; otherwise *blocks* unchanged.  The one
+    block's planes are its own, so its inputs may be read-only or
+    broadcast."""
+    if len(blocks) < 2:
+        return blocks
+    lo = tuple(map(min, *(b.origin for b in blocks)))
+    ends = [tuple(map(operator.add, b.origin, b.shape)) for b in blocks]
+    shape = tuple(map(operator.sub, map(max, *ends), lo))
+    if math.prod(shape) > 2 * sum(math.prod(b.shape) for b in blocks):
+        return blocks
+    state = np.zeros(shape, dtype=np.uint8)
+    data = {}
+    for name in blocks[0].data:
+        dtype = np.result_type(*{b.data[name].dtype for b in blocks})
+        data[name] = (np.empty if dtype == object else np.zeros)(shape, dtype)
+    for b, end in zip(blocks, ends):
+        at = tuple(map(slice, map(operator.sub, b.origin, lo), map(operator.sub, end, lo)))
+        occupied = b.state != CellState.EMPTY
+        np.copyto(state[at], b.state, where=occupied)
+        for name, plane in data.items():
+            np.copyto(plane[at], b.data[name], where=occupied)
+    return [Chunk(lo, shape, state, data)]
 
 
 def within(coords: Coords, window: Optional[tuple[Coords, Coords]]) -> bool:

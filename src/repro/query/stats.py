@@ -169,7 +169,7 @@ class BucketStats:
 
     __slots__ = (
         "bucket_id", "origin", "shape", "cell_count", "null_count",
-        "attrs", "_footprint",
+        "attrs", "_footprint", "_occupied",
     )
 
     def __init__(
@@ -189,6 +189,7 @@ class BucketStats:
         self.null_count = null_count
         self.attrs = attrs
         self._footprint = footprint  # packed bits of (state != EMPTY)
+        self._occupied: Optional[np.ndarray] = None  # decoded on first use
 
     @classmethod
     def from_bucket(cls, bucket: Any, bucket_id: int) -> "BucketStats":
@@ -248,10 +249,15 @@ class BucketStats:
 
     def occupied(self) -> np.ndarray:
         """The bucket's non-empty cells as a bool plane over its box,
-        decoded from the packed footprint — the NULL cells a value-pruned
-        read must still return."""
-        volume = int(np.prod(self.shape))
-        return np.unpackbits(self._footprint, count=volume).reshape(self.shape) > 0
+        decoded from the packed footprint once and kept, read-only, for as
+        long as these statistics live — the NULL cells a value-pruned read
+        must still return."""
+        if self._occupied is None:
+            bits = np.unpackbits(self._footprint, count=int(np.prod(self.shape)))
+            plane = bits.reshape(self.shape) > 0
+            plane.flags.writeable = False  # before another reader can see it
+            self._occupied = plane
+        return self._occupied
 
     @property
     def box(self) -> tuple[Coords, Coords]:

@@ -31,7 +31,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..core.array import BlockSource, Chunk, blank_plane, within
+from ..core.array import BlockSource, Chunk, blank_plane, coalesce, within
 from ..core.cells import CellState
 from ..core.errors import StorageError
 from ..core.schema import ArraySchema
@@ -47,8 +47,11 @@ Coords = tuple[int, ...]
 
 #: Cache key: (array directory, bucket id, codec generation).  The
 #: generation distinguishes logically different buckets that reuse a
-#: (directory, id) pair — e.g. after a merge rewrote the file set.
+#: (directory, id) pair — after a merge rewrote the file set, or a dropped
+#: array's directory was recreated — so it is drawn from one process-wide
+#: counter: a decode put after its invalidation keys nothing anyone reads.
 CacheKey = tuple[str, int, int]
+_generations = itertools.count()
 
 
 class ChunkCache:
@@ -254,9 +257,9 @@ class PersistentArray(BlockSource):
         self.collect_stats = True
         # Stored buckets whose box meets another's (see _index).
         self._overlapping: set[int] = set()
-        # Bumped whenever bucket files are deleted/rewritten (merge), so
+        # Renewed whenever bucket files are deleted/rewritten (merge), so
         # stale cache entries for reused (directory, id) pairs can't hit.
-        self.codec_generation = 0
+        self.codec_generation = next(_generations)
         self._lock = threading.RLock()
         self._merger: Optional[threading.Thread] = None
         self._merger_stop = threading.Event()
@@ -648,7 +651,7 @@ class PersistentArray(BlockSource):
             if merges and self._cache is not None:
                 # File set changed under existing ids: retire the whole
                 # generation so no stale decoded bucket can ever hit.
-                self.codec_generation += 1
+                self.codec_generation = next(_generations)
                 self._cache.invalidate(str(self.directory))
             return merges
 
@@ -708,21 +711,17 @@ def _newest(
             yield block
 
 
-def _null_blocks(schema: ArraySchema, footprints: list) -> list[Chunk]:
+def _null_blocks(schema: ArraySchema, footprints: list) -> Sequence[Chunk]:
     """Value-pruned buckets' :class:`~repro.query.stats.BucketStats` as
-    all-NULL blocks with broadcast blank planes, built per read: one over
-    their union box if at most twice their volume, else one each."""
-    lo = np.min([f.origin for f in footprints], axis=0)
-    shape = tuple((np.max([f.box[1] for f in footprints], axis=0) - lo + 1).tolist())
-    if math.prod(shape) > 2 * sum(math.prod(f.shape) for f in footprints):
-        return [b for f in footprints for b in _null_blocks(schema, [f])]
-    state = np.zeros(shape, dtype=np.uint8)
-    for f in footprints:
-        at = f.origin - lo
-        cut = state[tuple(map(slice, at, at + f.shape))]
-        cut[... if f.cell_count == cut.size else f.occupied()] = CellState.NULL
-    planes = {a.name: np.broadcast_to(blank_plane((), a), shape) for a in schema.attributes}
-    return [Chunk(tuple(lo.tolist()), shape, state, planes)]
+    all-NULL blocks with broadcast blank planes, built per read and merged
+    by :func:`~repro.core.array.coalesce`."""
+    blank = {a.name: blank_plane((), a) for a in schema.attributes}
+    planes = {shape: {n: np.broadcast_to(v, shape) for n, v in blank.items()}
+              for shape in {f.shape for f in footprints}}
+    return coalesce([
+        Chunk(f.origin, f.shape, f.occupied() * np.uint8(CellState.NULL), planes[f.shape])
+        for f in footprints
+    ])
 
 
 class StorageManager:

@@ -1,7 +1,11 @@
 """Unit tests for partitioning schemes (Section 2.7)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.array import Chunk
 from repro.core.errors import PartitioningError
@@ -303,3 +307,94 @@ class TestConsistentHash:
                 assert after == 4, "a key moved between two old members"
         fraction = moved / len(keys)
         assert 0.10 <= fraction <= 0.30, fraction
+
+
+def every_partitioner(ndim):
+    bounds = [60] * ndim
+    return [
+        HashPartitioner(4), HashPartitioner(7, dims=[ndim - 1]),
+        RangePartitioner(3, 0, [10, 30]),
+        BlockPartitioner(5, bounds, [3] * ndim),
+        BlockCyclicPartitioner(3, [4] * ndim),
+        TimeEpochPartitioner(
+            4, ndim - 1, [(20, HashPartitioner(4))], BlockCyclicPartitioner(4, [5] * ndim)
+        ),
+        ConsistentHashPartitioner(6, members=[0, 2, 3, 5]),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_site_planes_cached_or_not_are_site_of_at_every_cell(ndim, seed):
+    """Every cell of a box, occupied or not (a kept plane serves every
+    block with that box), window-sliced boxes included; the second ask
+    is served the first answer, which no one can write."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(6):
+        shape = tuple(rng.integers(1, 7, size=ndim).tolist())
+        origin = tuple(rng.integers(1, 50, size=ndim).tolist())
+        state = (rng.random(shape) < 0.5).astype(np.uint8)
+        block = Chunk(origin, shape, state, {})
+        blocks.append(block)
+        low = tuple(o + int(rng.integers(0, n)) for o, n in zip(origin, shape))
+        cut = block.sliced((low, tuple(l + 2 for l in low)))
+        blocks.append(cut)
+    for p in every_partitioner(ndim):
+        first = p.site_planes(blocks)
+        again = p.site_planes(blocks)
+        for block, plane, kept in zip(blocks, first, again):
+            assert kept is plane
+            assert plane.shape == block.shape
+            for off in itertools.product(*map(range, block.shape)):
+                at = tuple(o + x for o, x in zip(block.origin, off))
+                assert plane[off] == p.site_of(at), (p, at)
+        with pytest.raises(ValueError):
+            first[0][(0,) * ndim] = 0
+
+
+def test_kept_site_planes_stay_within_their_bound():
+    """Many distinct window boxes over one array: the partitioner keeps at
+    most ``PLANE_CACHE_BYTES`` of planes, the newest, and still answers
+    every box right."""
+    p = HashPartitioner(4)
+    bound = p.PLANE_CACHE_BYTES
+    asked = 0
+    for i in range(400):  # 400 distinct 64x64 windows, ~1.6x the bound
+        origin = (1 + i % 20, 1 + i // 20)
+        (plane,) = p.site_planes([Chunk(origin, (64, 64), None, {})])
+        asked += plane.nbytes
+        assert plane[5, 7] == p.site_of((origin[0] + 5, origin[1] + 7))
+    assert asked > bound
+    assert 0 < sum(plane.nbytes for plane in p._planes.values()) <= bound
+    assert p._plane_bytes == sum(plane.nbytes for plane in p._planes.values())
+    assert ((20, 20), (64, 64)) in p._planes  # the newest box is kept
+
+
+def test_distinct_windows_over_a_grid_array_keep_planes_within_the_bound(
+    tmp_path, monkeypatch
+):
+    """The read path's planes, through the grid: with the bound lowered,
+    sixty distinct windows keep no more than it and answer every window."""
+    from repro import define_array
+    from repro.cluster import Grid, Partitioner
+    from repro.storage.loader import LoadRecord
+
+    bound = 4096
+    monkeypatch.setattr(Partitioner, "PLANE_CACHE_BYTES", bound)
+    schema = define_array("sky", {"flux": "float"}, ["x", "y"]).bind([40, 40])
+    part = HashPartitioner(3)
+    arr = Grid(3, tmp_path).create_array("sky", schema, part, stride=(8, 8))
+    arr.load([LoadRecord((x, y), (float(x * 100 + y),))
+              for x in range(1, 41) for y in range(1, 41)])
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        low = tuple(rng.integers(1, 30, size=2).tolist())
+        high = tuple((np.array(low) + rng.integers(0, 11, size=2)).tolist())
+        got = {c: cell.flux for c, cell in arr.subsample((low, high)).cells()}
+        assert got == {
+            (x, y): float(x * 100 + y)
+            for x in range(low[0], high[0] + 1) for y in range(low[1], high[1] + 1)
+        }
+        assert part._plane_bytes <= bound
+    assert part._planes  # it does keep planes

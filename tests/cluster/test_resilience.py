@@ -473,3 +473,61 @@ class TestDegradedReadsUnderParallelism:
         inj.set_slow_reads(1, 200.0)
         with pytest.raises(DeadlineExceededError):
             arr.subsample(WINDOW, deadline=Deadline.after_ms(40))
+
+
+class TestHedgedAttemptsTraceTheStatement:
+    """A hedged attempt runs on a helper thread: a fault event inside it
+    names the statement, and only the winner's counters reach the
+    operator span (the loser's, like its meters, are discarded)."""
+
+    def hedged_grid(self, tmp_path):
+        from repro import SciDB
+
+        db = SciDB(tmp_path / "db")
+        inj = FaultInjector(seed=5)
+        grid = db.create_grid(
+            "g", n_nodes=N, replication=2, fault_injector=inj,
+            resilience=ResiliencePolicy(hedge=HedgePolicy(delay_ms=10.0)),
+        )
+        # One bucket per node: every attempt, winner or loser, loads one.
+        arr = grid.create_array(
+            "sky", schema(), HashPartitioner(N), stride=(100, 100)
+        )
+        arr.load(records(120))
+        db.register("sky", arr)
+        inj.set_slow_reads(2, 100.0)
+        return db, grid, arr
+
+    def test_slow_read_events_carry_the_query_id(self, tmp_path):
+        from repro.obs.recorder import FlightRecorder, use_flight_recorder
+
+        rec = FlightRecorder()
+        with use_flight_recorder(rec):
+            db, grid, _arr = self.hedged_grid(tmp_path)
+            db.execute("select subsample(sky, x >= 1 and x <= 100)")
+            qid = db.profiles(1)[0].query_id
+        slow_reads = rec.events(kind="fault.slow_read")
+        assert slow_reads and {e.query_id for e in slow_reads} == {qid}
+        assert grid.resilience_snapshot()["hedge_wins"] >= 1
+
+    def test_only_the_winners_counters_reach_the_span(self, tmp_path):
+        from repro.cluster.readpath import read_partitions
+        from repro.obs import tracing
+
+        _db, grid, arr = self.hedged_grid(tmp_path)
+
+        def loads():
+            return sum(
+                node.storage.total_stats()["cache_hits"]
+                + node.storage.total_stats()["cache_misses"]
+                for node in grid.nodes
+            )
+
+        before = loads()
+        with tracing.root("statement") as span:
+            read_partitions(arr, reason="gather")
+            time.sleep(0.3)  # every losing attempt finishes under the span
+        assert grid.resilience_snapshot()["hedge_wins"] >= 1
+        assert loads() - before > N  # the losers did read, but off the span
+        counters = span.counters
+        assert counters.get("cache_hits", 0) + counters.get("cache_misses", 0) == N

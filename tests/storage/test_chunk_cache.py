@@ -193,3 +193,35 @@ class TestPersistentArrayCaching:
         node.fail()
         node.restart()
         assert node.storage.chunk_cache is not cache_before
+
+
+class TestCacheKeysAreNeverReused:
+    """A decode in flight when its array is dropped is put after the
+    invalidation; the key it carries must never be one the recreated
+    array (same directory, bucket ids and generation restarted) asks for."""
+
+    def test_late_put_of_a_dropped_arrays_bucket_serves_nothing(
+        self, schema, tmp_path
+    ):
+        mgr = StorageManager(tmp_path, chunk_cache_bytes=32 << 20)
+        old = mgr.create_array("sky", schema, memory_budget=1 << 30)
+        for i in range(16):
+            old.append((i + 1, 1), (float(i),))
+        old.flush()
+        read = old._read_bucket
+        replaced = []
+
+        def read_then_replace(bucket_id):
+            bucket = read(bucket_id)  # the decode is done, its put is not
+            mgr.drop_array("sky")
+            new = mgr.create_array("sky", schema, memory_budget=1 << 30)
+            new.append((40, 40), (-1.0,))
+            new.flush()
+            replaced.append(new)
+            return bucket
+
+        old._read_bucket = read_then_replace
+        assert len(list(old.cells())) == 16  # the old instance's own read
+        assert [(c, cell.flux) for c, cell in replaced[0].cells()] == [
+            ((40, 40), -1.0)
+        ]
