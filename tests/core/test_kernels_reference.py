@@ -15,7 +15,8 @@ bounding box is a 90 TiB allocation.
 
 The last part pins the cliff shut: with ``SciArray.cells`` patched to
 raise, built-in work still runs — called directly and as statements
-through ``SciDB.execute`` — and opaque Python still asks for cells.
+through ``SciDB.execute`` — and opaque Python is still shown cells, by
+its adapter's walk over each block (``Chunk.cells``).
 """
 
 import itertools
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro import SciArray, SciDB, UserAggregate, define_array
 from repro.core import ops
+from repro.core.array import Chunk
 from repro.storage.bucket import Bucket
 from repro.storage.format import read_container, write_container
 from repro.storage.insitu import open_in_situ
@@ -719,6 +721,8 @@ def holed():
 
 
 SUM_LIKE = UserAggregate("usersum", lambda: 0.0, lambda s, v: s + v)
+#: Where opaque Python is shown cells: the adapters' one walk.
+ADAPTER_WALK = (Chunk, "cells")
 
 
 class TestTheCliffStaysClosed:
@@ -819,20 +823,63 @@ class TestTheCliffStaysClosed:
             got["chained"].array, ref_grouped(kept, 0, lambda c: c[2:], "count")
         )
 
-    @pytest.mark.parametrize("call", [
-        lambda a: ops.filter(a, lambda cell: cell.flux > 0.5),
-        lambda a: ops.aggregate(a, ["x"], SUM_LIKE),
-        lambda a: ops.content.aggregate_all(a, SUM_LIKE),
-        lambda a: ops.regrid(a, [4, 4, 1], SUM_LIKE),
-        lambda a: ops.apply(a, lambda cell: cell.flux * 2, [("d", "float")]),
-        lambda a: ops.sjoin(a, a, [("x", "x")]),
-    ], ids=["lambda-filter", "user-aggregate", "user-aggregate-all",
-            "user-regrid", "apply-fn", "partial-sjoin"])
-    def test_opaque_python_is_shown_cells(self, holed, monkeypatch, call):
+    @pytest.mark.parametrize("walk, call", [
+        pytest.param(
+            ADAPTER_WALK, lambda a: ops.filter(a, lambda cell: cell.flux > 0.5),
+            id="lambda-filter",
+        ),
+        pytest.param(
+            ADAPTER_WALK, lambda a: ops.aggregate(a, ["x"], SUM_LIKE),
+            id="user-aggregate",
+        ),
+        pytest.param(
+            ADAPTER_WALK, lambda a: ops.content.aggregate_all(a, SUM_LIKE),
+            id="user-aggregate-all",
+        ),
+        pytest.param(
+            ADAPTER_WALK, lambda a: ops.regrid(a, [4, 4, 1], SUM_LIKE),
+            id="user-regrid",
+        ),
+        pytest.param(
+            ADAPTER_WALK,
+            lambda a: ops.apply(a, lambda cell: cell.flux * 2, [("d", "float")]),
+            id="apply-fn",
+        ),
+        pytest.param(
+            (SciArray, "cells"), lambda a: ops.sjoin(a, a, [("x", "x")]),
+            id="partial-sjoin",
+        ),
+    ])
+    def test_opaque_python_is_shown_cells(self, holed, monkeypatch, walk, call):
         arr, _ = holed
-        monkeypatch.setattr(SciArray, "cells", _raise_cells_requested)
+        monkeypatch.setattr(*walk, _raise_cells_requested)
         with pytest.raises(CellsRequested):
             call(arr)
+
+    def test_opaque_python_never_walks_the_array(self, holed, monkeypatch):
+        """The converse: with ``SciArray.cells`` raising, every opaque call
+        above but the partial-dimension sjoin returns the reference answer,
+        its cells built by the adapter from the blocks."""
+        arr, model = holed
+        attrs = ["flux", "err"]
+        factors = [4, 4, 1]
+        with monkeypatch.context() as m:
+            m.setattr(SciArray, "cells", _raise_cells_requested)
+            filtered = ops.filter(arr, lambda cell: cell.flux > 0.5)
+            summed = ops.aggregate(arr, ["x"], SUM_LIKE)
+            total = ops.content.aggregate_all(arr, SUM_LIKE)
+            coarse = ops.regrid(arr, factors, SUM_LIKE)
+            doubled = ops.apply(arr, lambda cell: cell.flux * 2, [("d", "float")])
+        assert_same_cells(filtered, ref_filter(model, attrs, [("flux", ">", 0.5)]))
+        assert_same_cells(summed, ref_grouped(model, 0, lambda c: c[:1], "sum"))
+        assert _close(total, ref_aggregate_all(model, 0, "sum"))
+        assert_same_cells(coarse, ref_grouped(
+            model, 0,
+            lambda c: tuple((x - 1) // f + 1 for x, f in zip(c, factors)), "sum",
+        ))
+        assert_same_cells(doubled, {
+            c: None if rec is None else (rec[0] * 2,) for c, rec in model.items()
+        })
 
     def test_a_user_aggregate_named_like_a_builtin_is_still_opaque(
         self, holed, monkeypatch
@@ -841,7 +888,7 @@ class TestTheCliffStaysClosed:
         impostor = UserAggregate("sum", lambda: 0.0, lambda s, v: s + 2 * v)
         doubled = ops.content.aggregate_all(arr, impostor)
         assert _close(doubled, 2 * ops.content.aggregate_all(arr, "sum"))
-        monkeypatch.setattr(SciArray, "cells", _raise_cells_requested)
+        monkeypatch.setattr(*ADAPTER_WALK, _raise_cells_requested)
         with pytest.raises(CellsRequested):
             ops.content.aggregate_all(arr, impostor)
 
@@ -855,7 +902,7 @@ class TestTheCliffStaysClosed:
         assert as_model(ops.filter(arr, by_tag)) == {
             (1,): None, (3,): ("b", 3.0)
         }
-        monkeypatch.setattr(SciArray, "cells", _raise_cells_requested)
+        monkeypatch.setattr(*ADAPTER_WALK, _raise_cells_requested)
         with pytest.raises(CellsRequested):
             ops.filter(arr, by_tag)
         # ... but a native term over the same array stays on the planes
@@ -863,5 +910,5 @@ class TestTheCliffStaysClosed:
         assert kept.count_present() == 1 and kept.count_occupied() == 2
 
 
-def _raise_cells_requested(self, include_null=True):
+def _raise_cells_requested(*_args, **_kwargs):
     raise CellsRequested()
