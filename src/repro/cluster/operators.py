@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..core.array import SciArray, coalesce
+from ..core.array import SciArray
 from ..core.cells import Cell
 from ..core.errors import (
     GridError,
@@ -95,9 +95,9 @@ class DistributedArray(WritableArray):
         attr_ranges: Optional[dict] = None,
     ) -> tuple[SciArray, Missing]:
         """Gather (windowed) blocks at the coordinator, metered
-        ``"gather"``, into one array: each partition's blocks merged
-        by :func:`~repro.core.array.coalesce` where they are read, then
-        one ``set_region`` per block.
+        ``"gather"``, into one array: each partition read merged (one
+        cached block per node where it can be), then one ``set_region``
+        per block.
 
         Each logical partition is read from its first surviving replica,
         so the gather survives up to ``replication - 1`` failures per
@@ -108,7 +108,7 @@ class DistributedArray(WritableArray):
         served, missing = read_partitions(
             self, window, "gather", degraded=partial,
             tolerate_deadline=tolerate_deadline, attr_ranges=attr_ranges,
-            local=coalesce,
+            merged=True,
         )
         out = SciArray(self.schema, name=name)
         for _site, blocks in served.values():
@@ -257,9 +257,7 @@ class DistributedArray(WritableArray):
 
         # Read every left partition in parallel (no per-cell metering: the
         # join runs at the serving site, which holds the cells locally).
-        left_served, missing = read_partitions(
-            self, degraded=degraded, local=coalesce
-        )
+        left_served, missing = read_partitions(self, degraded=degraded, merged=True)
 
         # Assemble the right side per left partition: co-partitioned, right
         # partition q *is* left partition q (and only the live ones are
@@ -275,7 +273,7 @@ class DistributedArray(WritableArray):
         right_served, right_missing = read_partitions(
             other, degraded=degraded,
             partitions=sorted(left_served) if copartitioned else None,
-            local=coalesce,
+            merged=True,
         )
         missing += right_missing
         for q, (r_site, r_blocks) in right_served.items():

@@ -81,8 +81,10 @@ def partition_blocks(
     window: Window = None,
     attr_ranges: Optional[dict] = None,
     deadline: Optional[Deadline] = None,
+    merged: bool = False,
 ) -> Blocks:
-    """The blocks node *site* stores for logical partition *p* of *arr*.
+    """The blocks node *site* stores for logical partition *p* of *arr*,
+    *merged* as :meth:`~repro.cluster.node.Node.merged` merges them.
 
     A node's partition store backs every replica chain it is a member
     of, so each block is masked to the cells whose primary is *p* —
@@ -90,8 +92,9 @@ def partition_blocks(
     exactly-once.  *deadline* is checked at every block.  Raises
     :class:`NodeFailedError` when the node is (or goes) down mid-read.
     """
-    blocks = []
-    for block in arr.grid.nodes[site].blocks(arr.name, window, attr_ranges):
+    node, blocks = arr.grid.nodes[site], []
+    read = node.merged if merged else node.blocks
+    for block in read(arr.name, window, attr_ranges):
         if deadline is not None:
             deadline.check(f"scan of partition {p} on node {site}")
         blocks.append(block)
@@ -112,6 +115,7 @@ def read_partitions(
     partitions: Optional[Sequence[int]] = None,
     attr_ranges: Optional[dict] = None,
     local: Optional[Callable[[Blocks], Any]] = None,
+    merged: bool = False,
 ) -> tuple[dict[int, tuple[int, Any]], list[tuple[str, int]]]:
     """Read logical partitions of *arr*, one scheduler task each.
 
@@ -121,9 +125,9 @@ def read_partitions(
     blocks)`` — blocks restricted to *window*, value-pruned by
     *attr_ranges* (pruned buckets' occupied cells come back NULL) and,
     with *reason* set, their cells metered as moved from the serving
-    site to the coordinator.  *local*, when given, runs on the blocks
-    inside the partition's task — the operator goes to the data — and
-    its result takes the blocks' place.
+    site to the coordinator, and *merged* (:func:`partition_blocks`).
+    *local*, when given, runs on the blocks inside the partition's task —
+    the operator goes to the data — and its result takes the blocks' place.
 
     *missing* lists ``(array name, partition)`` for partitions nothing
     could serve, and is empty unless the caller opted in: a fully dead
@@ -135,7 +139,7 @@ def read_partitions(
     """
     if partitions is None:
         partitions = arr.partitions()
-    read = _PartitionRead(arr, window, reason, attr_ranges)
+    read = _PartitionRead(arr, window, reason, attr_ranges, merged)
 
     def task(p: int) -> Optional[tuple[int, Any]]:
         try:
@@ -167,6 +171,7 @@ class _PartitionRead:
     window: Window
     reason: Optional[str]
     attr_ranges: Optional[dict]
+    merged: bool
 
     def partition(self, p: int) -> tuple[int, Blocks]:
         """Read partition *p* from the first surviving replica.
@@ -290,7 +295,8 @@ class _PartitionRead:
             bump = lambda name, n=1: buf.counter(node, name, n)  # noqa: E731
         reason, nbytes = self.reason, self.arr.cell_nbytes
         blocks = partition_blocks(
-            self.arr, site, p, self.window, self.attr_ranges, deadline
+            self.arr, site, p, self.window, self.attr_ranges, deadline,
+            self.merged,
         )
         cells = sum(block.cell_count for block in blocks)
         if reason is not None and faults is not None:

@@ -45,26 +45,30 @@ __all__ = ["ChunkCache", "StorageStats", "PersistentArray", "StorageManager"]
 
 Coords = tuple[int, ...]
 
-#: Cache key: (array directory, bucket id, codec generation).  The
-#: generation distinguishes logically different buckets that reuse a
-#: (directory, id) pair — after a merge rewrote the file set, or a dropped
-#: array's directory was recreated — so it is drawn from one process-wide
-#: counter: a decode put after its invalidation keys nothing anyone reads.
-CacheKey = tuple[str, int, int]
+#: Cache key: (array directory, bucket id or a merged read's ids and
+#: window, codec generation).  The generation distinguishes logically
+#: different buckets that reuse a (directory, id) pair — after a merge
+#: rewrote the file set, or a dropped array's directory was recreated — so
+#: it is drawn from one process-wide counter: a put after its invalidation
+#: keys nothing anyone reads.
+CacheKey = tuple[str, Any, int]
 _generations = itertools.count()
 
 
 class ChunkCache:
-    """A byte-budgeted LRU cache of *decompressed* buckets.
+    """A byte-budgeted LRU cache of *decompressed* blocks.
 
     The SS-DB-style observation (PAPERS.md): cooked-data query time is
-    dominated by repeatedly decompressing the same chunks.  This cache
+    dominated by redoing the same work on the same chunks.  This cache
     keeps decoded :class:`~repro.storage.bucket.Bucket` objects keyed by
     ``(array, bucket, codec_generation)`` so a hot window pays codec cost
-    once.  Bucket files are immutable once written, so coherence reduces
-    to invalidating on the few events that delete or reuse files: merge,
-    ``drop_array`` (which repartition rides on) and node restart (which
-    builds a fresh manager, hence a fresh cache).
+    once, and each merged read (:meth:`PersistentArray.merged`) keyed by
+    the buckets it was built from, so it pays the merge once.  Bucket
+    files are immutable once written, so a key names fixed content and
+    coherence reduces to invalidating on the few events that delete or
+    reuse files: merge, ``drop_array`` (which repartition rides on) and
+    node restart (which builds a fresh manager, hence a fresh cache).
+    Every reader shares what it holds, so its planes are read-only.
 
     Thread-safe: the parallel partition scheduler reads through it from
     several worker threads at once.
@@ -79,7 +83,7 @@ class ChunkCache:
                 f"chunk cache budget must be positive, got {budget_bytes}"
             )
         self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[CacheKey, tuple[Bucket, int]]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, tuple[Chunk, int]]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
@@ -91,7 +95,7 @@ class ChunkCache:
         # flight-recorder ring and push operational events out of it).
         self._pressure_mark = self.PRESSURE_EVERY
 
-    def get(self, key: CacheKey) -> Optional[Bucket]:
+    def get(self, key: CacheKey) -> Optional[Chunk]:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -101,15 +105,17 @@ class ChunkCache:
             self.hits += 1
         return entry[0]
 
-    def put(self, key: CacheKey, bucket: Bucket) -> None:
-        nbytes = bucket.nbytes
+    def put(self, key: CacheKey, block: Chunk) -> None:
+        for plane in (block.state, *block.data.values()):
+            plane.flags.writeable = False
+        nbytes = block.nbytes
         if nbytes > self.budget_bytes:
             return  # would evict everything and still not fit
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old[1]
-            self._entries[key] = (bucket, nbytes)
+            self._entries[key] = (block, nbytes)
             self._bytes += nbytes
             while self._bytes > self.budget_bytes and self._entries:
                 _, (_, dropped) = self._entries.popitem(last=False)
@@ -168,7 +174,7 @@ class ChunkCache:
 
     def __repr__(self) -> str:
         return (
-            f"<ChunkCache {len(self._entries)} buckets "
+            f"<ChunkCache {len(self._entries)} blocks "
             f"{self._bytes}/{self.budget_bytes} B "
             f"hit_ratio={self.hit_ratio:.2f}>"
         )
@@ -467,9 +473,7 @@ class PersistentArray(BlockSource):
         key = self._cache_key(bucket_id)
         bucket = self._cache.get(key)
         if bucket is not None:
-            with self._lock:
-                self.stats.cache_hits += 1
-            tracing.add_current("cache_hits", 1)
+            self._hits(1)
             return bucket
         with self._lock:
             self.stats.cache_misses += 1
@@ -477,6 +481,11 @@ class PersistentArray(BlockSource):
         bucket = self._read_bucket(bucket_id)
         self._cache.put(key, bucket)
         return bucket
+
+    def _hits(self, buckets: int) -> None:
+        with self._lock:
+            self.stats.cache_hits += buckets
+        tracing.add_current("cache_hits", buckets)
 
     @property
     def live_cells(self) -> int:
@@ -503,14 +512,28 @@ class PersistentArray(BlockSource):
         buffer as stride-aligned blocks, each sliced to *window*; buckets
         the window misses are never read (R-tree pruning, experiment E2).
         A cell is occupied only in the block holding its newest copy, and
-        a :meth:`delete` tombstone nowhere.  Blocks share cached planes:
-        read them, never write them.
+        a :meth:`delete` tombstone nowhere.  Blocks share cached planes,
+        which are read-only.
 
         *attr_ranges* (name -> :class:`repro.query.stats.Interval`) also
         prunes buckets whose statistics prove no value can satisfy them.
         A ``filter`` turns a failing cell NULL, not EMPTY, so those come
         back as all-NULL footprints (:func:`_null_blocks`), no file
         opened.  Buckets without statistics are read in full."""
+        return self._read(window, attr_ranges, merge=False)
+
+    def merged(
+        self,
+        window: Optional[tuple[Coords, Coords]] = None,
+        attr_ranges: Optional[dict[str, Any]] = None,
+    ) -> Sequence[Chunk]:
+        """:meth:`blocks` merged by :func:`~repro.core.array.coalesce`.
+        A read no buffered cell, tombstone or overlap flag can change is
+        cached as its one block, keyed by the ids it read and value-pruned
+        and *window*; a hit counts a cache hit per bucket it holds."""
+        return self._read(window, attr_ranges, merge=True)
+
+    def _read(self, window, attr_ranges, merge: bool):
         with self._lock:
             buffered = list(self._buffered_buckets(window))
             if window is None:
@@ -529,27 +552,31 @@ class PersistentArray(BlockSource):
             shared.update(*meets)
             for t in tombstones:
                 shared.update(i for _, i in self._rtree.search((t, t)))
+            generation = self.codec_generation
 
+        pending = sorted(entries, key=lambda e: e[1])
+        queued = {i for _, i in pending}
+        cut = self._value_pruned(pending, stats_map, attr_ranges)
+        key = None
+        if merge and self._cache is not None and not (buffered or shared & queued):
+            at = window and tuple(map(tuple, window))
+            read = (tuple(sorted(queued)), tuple(sorted(cut)), at)
+            key = (str(self.directory), read, generation)
+            hit = self._cache.get(key)
+            if hit is not None:
+                self._hits(len(queued) - len(cut))
+                return [hit]
         stored: list[Chunk] = []
         flags: list[bool] = []
         pruned = []  # value-pruned buckets sharing no cell with another block
         exact = True  # are the snapshot's overlap flags still true?
-        visited: set[int] = set()
-        pending = sorted(entries, key=lambda e: e[1])
         while pending:
             box, bucket_id = pending.pop(0)
-            if bucket_id in visited:
-                continue
-            visited.add(bucket_id)
-            bstats = stats_map.get(bucket_id)
-            if bstats is not None and not bstats.can_match(attr_ranges):
-                with self._lock:
-                    self.stats.buckets_value_pruned += 1
-                tracing.add_current("chunks_pruned", 1)
+            if bucket_id in cut:
                 if exact and bucket_id not in shared:
-                    pruned.append(bstats)
+                    pruned.append(stats_map[bucket_id])
                 else:
-                    stored += _null_blocks(self.schema, [bstats])
+                    stored += _null_blocks(self.schema, [stats_map[bucket_id]])
                     flags.append(True)
                 continue
             try:
@@ -560,9 +587,11 @@ class PersistentArray(BlockSource):
                 # cells under a newer id) and compare every block from here
                 # on — re-reads, never dropped cells.
                 with self._lock:
-                    pending.extend(self._rtree.search(box))
+                    found = [e for e in self._rtree.search(box) if e[1] not in queued]
                     stats_map.update(self._bucket_stats if attr_ranges else {})
-                pending.sort(key=lambda e: e[1])
+                queued.update(i for _, i in found)
+                cut |= self._value_pruned(found, stats_map, attr_ranges)
+                pending = sorted(pending + found, key=lambda e: e[1])
                 exact = False
                 continue
             flags.append(bucket_id in shared)
@@ -572,7 +601,24 @@ class PersistentArray(BlockSource):
         flags = [False] * len(nulls) + flags + [bool(m) for m in meets]
         blocks = nulls + stored + buffered
         flags = flags if exact else [True] * len(blocks)
-        return _newest(blocks, flags, tombstones, window)
+        blocks = _newest(blocks, flags, tombstones, window)
+        if not merge:
+            return blocks
+        blocks = coalesce(list(blocks))
+        if key is not None and exact and len(blocks) == 1:
+            self._cache.put(key, blocks[0])
+        return blocks
+
+    def _value_pruned(self, entries, stats_map: dict, attr_ranges) -> set[int]:
+        """The ids of *entries* whose statistics prove no value can
+        satisfy *attr_ranges*, counted as value-pruned."""
+        cut = {i for _, i in entries
+               if i in stats_map and not stats_map[i].can_match(attr_ranges)}
+        if cut:
+            with self._lock:
+                self.stats.buckets_value_pruned += len(cut)
+            tracing.add_current("chunks_pruned", len(cut))
+        return cut
 
     #: ``scan(window, attr_ranges)``: each live cell of :meth:`blocks` once
     scan = BlockSource.cells

@@ -195,6 +195,45 @@ class TestPersistentArrayCaching:
         assert node.storage.chunk_cache is not cache_before
 
 
+class TestCachedBlocksAreReadOnly:
+    """A hot read's blocks are the cache's own, shared by every later
+    read: writing into one raises, so no consumer can change what the
+    next read returns."""
+
+    def hot(self, schema, tmp_path):
+        arr = PersistentArray(
+            schema, tmp_path / "sky", memory_budget=1 << 30,
+            stride=(8, 8), cache=ChunkCache(32 << 20),
+        )
+        for x in range(1, 17):
+            for y in range(1, 17):
+                arr.append((x, y), (float(x * y),))
+        arr.flush()
+        return arr, {c: cell.flux for c, cell in arr.scan()}
+
+    def test_writing_a_hot_bucket_plane_raises(self, schema, tmp_path):
+        arr, before = self.hot(schema, tmp_path)
+        block = next(iter(arr.blocks()))
+        with pytest.raises(ValueError):
+            block.data["flux"][0, 0] = -1.0
+        with pytest.raises(ValueError):
+            block.state[0, 0] = 0
+        assert {c: cell.flux for c, cell in arr.scan()} == before
+
+    def test_writing_a_hot_merged_block_raises(self, schema, tmp_path):
+        arr, before = self.hot(schema, tmp_path)
+        arr.merged()
+        (block,) = arr.merged()
+        assert arr.merged()[0] is block  # one cache hit per read
+        with pytest.raises(ValueError):
+            block.data["flux"][0, 0] = -1.0
+        with pytest.raises(ValueError):
+            block.state[0, 0] = 0
+        assert {c: cell.flux for c, cell in arr.scan()} == before
+        (again,) = arr.merged()
+        assert dict(again.cells()) == dict(block.cells())
+
+
 class TestCacheKeysAreNeverReused:
     """A decode in flight when its array is dropped is put after the
     invalidation; the key it carries must never be one the recreated
@@ -225,3 +264,30 @@ class TestCacheKeysAreNeverReused:
         assert [(c, cell.flux) for c, cell in replaced[0].cells()] == [
             ((40, 40), -1.0)
         ]
+
+    def test_late_put_of_a_dropped_arrays_merged_read_serves_nothing(
+        self, schema, tmp_path
+    ):
+        mgr = StorageManager(tmp_path, chunk_cache_bytes=32 << 20)
+        old = mgr.create_array("sky", schema, memory_budget=1 << 30)
+        for i in range(16):
+            old.append((i + 1, 1), (float(i),))
+        old.flush()
+        read = old._read_bucket
+        replaced = []
+
+        def read_then_replace(bucket_id):
+            bucket = read(bucket_id)  # the merge is not built, nor put
+            mgr.drop_array("sky")
+            new = mgr.create_array("sky", schema, memory_budget=1 << 30)
+            for i in range(16):  # the same cells under the same bucket id
+                new.append((i + 1, 1), (-1.0,))
+            new.flush()
+            replaced.append(new)
+            return bucket
+
+        old._read_bucket = read_then_replace
+        (block,) = old.merged()  # the old instance's own read
+        assert [cell.flux for _, cell in block.cells()] == [float(i) for i in range(16)]
+        (block,) = replaced[0].merged()
+        assert [cell.flux for _, cell in block.cells()] == [-1.0] * 16
