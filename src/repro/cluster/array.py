@@ -101,13 +101,11 @@ class PartitionedArray:
 
     # -- extents -----------------------------------------------------------------
 
-    def _note_coords(self, coords: Coords) -> None:
+    def _note_coords(self, stored: Sequence[Coords]) -> None:
         """Advance the per-dimension high-water marks (grid.deliver calls
-        this under its delivery lock for every stored cell)."""
-        hw = self._dim_highwater
-        for i, c in enumerate(coords):
-            if c > hw[i]:
-                hw[i] = c
+        this under its delivery lock for every stored batch)."""
+        for coords in stored:
+            self._dim_highwater[:] = map(max, self._dim_highwater, coords)
 
     def _extent(self, dim_index: int) -> int:
         declared = self.schema.dimensions[dim_index].size

@@ -36,7 +36,7 @@ from ..obs import tracing
 from ..obs.recorder import emit as _flight_emit
 from .faults import FailoverEvent, FaultInjector
 from .ledger import COORDINATOR, DataMovementLedger, Transfer
-from .node import Node
+from .node import Node, Record
 from .operators import DistributedArray
 from .partitioning import Partitioner
 from .readpath import partition_blocks
@@ -419,52 +419,57 @@ class Grid:
         nbytes: int,
         reason: str,
         array_name: str,
-        coords: Coords,
-        values: Optional[tuple],
-    ) -> bool:
-        """Send one cell to a node, through the fault injector.
+        cells: Sequence[Record],
+    ) -> list[Coords]:
+        """Send a batch of ``(coords, values)`` records to a node, each one
+        metered transfer of *nbytes*; returns the coordinates stored.
 
-        Returns True when the cell was stored.  Deliveries to a dead node
-        — or eaten by an injected drop — are recorded in the ledger's
-        ``dropped`` list instead of the transfer log.  Metering happens
-        *before* the store, so a scheduled kill firing on this transfer
-        loses the cell, exactly like a real crash between receive and ack.
+        In record order the fault injector draws a drop and a corruption;
+        drops, and every record to a dead node, go to the ledger's
+        ``dropped`` list.  One store-fault draw gates the rest, which are
+        metered *before* the store: a scheduled kill firing on any of
+        them loses the whole batch unacknowledged, exactly like a real
+        crash between receive and ack.
         """
-        # One delivery at a time grid-wide: the injector's RNG draw, the
-        # liveness check, the metered record (which may fire a kill) and
-        # the store must stay one atomic sequence even when scheduler
-        # workers (parallel repartition/rebuild) deliver concurrently.
+        # One delivery at a time grid-wide: the injector's draws, the
+        # liveness check, the metering (which may fire a kill) and the
+        # store stay one atomic sequence even when scheduler workers
+        # (parallel repartition/rebuild) deliver concurrently.
         with self._deliver_lock:
-            node = self.nodes[dst]
-            if not node.alive:
-                self.ledger.record_dropped(src, dst, nbytes, reason)
-                return False
-            if self.faults is not None:
-                verdict, values = self.faults.intercept(
-                    src, dst, nbytes, reason, values
-                )
+            node, faults, kept = self.nodes[dst], self.faults, []
+            for coords, values in cells:
+                verdict = "deliver" if node.alive else "drop"
+                if faults is not None and node.alive:
+                    verdict, values = faults.intercept(
+                        src, dst, nbytes, reason, values
+                    )
                 if verdict == "drop":
                     self.ledger.record_dropped(src, dst, nbytes, reason)
-                    return False
-                # Transient I/O fault at the receiving disk: the bytes moved
-                # but nothing was stored.  Recorded as dropped, then raised
-                # for the loader's bounded-retry policy to absorb.
+                else:
+                    kept.append((coords, values))
+            if not kept:
+                return []
+            if faults is not None:
+                # Transient I/O fault at the receiving disk: the bytes
+                # moved but nothing was stored.  Recorded as dropped, then
+                # raised for the caller's retry policy to absorb.
                 try:
-                    self.store_latency_ms += self.faults.intercept_store(dst)
+                    self.store_latency_ms += faults.intercept_store(dst)
                 except TransientIOError:
-                    self.ledger.record_dropped(src, dst, nbytes, reason)
+                    for _ in kept:
+                        self.ledger.record_dropped(src, dst, nbytes, reason)
                     raise
-            self.ledger.record(src, dst, nbytes, reason)  # may fire a kill
+            self.ledger.record(src, dst, nbytes, reason, len(kept))  # may kill
             if not node.alive:
-                return False
-            node.counters.add("bytes_received", nbytes)
+                return []
+            node.counters.add("bytes_received", nbytes * len(kept))
             if 0 <= src < len(self.nodes):
-                self.nodes[src].counters.add("bytes_sent", nbytes)
-            node.store(array_name, coords, values)
-            arr = self._arrays.get(array_name)
-            if arr is not None:
-                arr._note_coords(coords)
-            return True
+                self.nodes[src].counters.add("bytes_sent", nbytes * len(kept))
+            node.store(array_name, kept)
+            stored = [coords for coords, _values in kept]
+            if array_name in self._arrays:
+                self._arrays[array_name]._note_coords(stored)
+            return stored
 
     # -- catalog ------------------------------------------------------------------------
 
@@ -537,22 +542,23 @@ class Grid:
             race on the same cell address.
             """
             chain = arr.partition_chain(p)
-            local_have = set(have)
-            copied = 0
+            local_have, copied = set(have), 0
             sources = [s for s in chain if s != node_id and self.nodes[s].alive]
             for source in sources:
                 try:
-                    for coords, cell in partition_blocks(arr, source, p).cells():
+                    for block in partition_blocks(arr, source, p):
                         self.nodes[source].check_alive()
-                        if coords in local_have:
-                            continue
-                        values = None if cell is None else cell.values
-                        if self.deliver(
+                        missing = [
+                            (coords, None if cell is None else cell.values)
+                            for coords, cell in block.cells()
+                            if coords not in local_have
+                        ]
+                        stored = self.deliver(
                             source, node_id, arr.cell_nbytes, "rebuild",
-                            arr.name, coords, values,
-                        ):
-                            local_have.add(coords)
-                            copied += 1
+                            arr.name, missing,
+                        )
+                        local_have.update(stored)
+                        copied += len(stored)
                     break  # one surviving source suffices
                 except NodeFailedError:
                     continue  # source died mid-copy: try the next one

@@ -52,17 +52,21 @@ class DataMovementLedger:
         # a function of the transfer sequence, not thread interleaving.
         self._lock = threading.Lock()
 
-    def record(self, src: int, dst: int, nbytes: int, reason: str) -> None:
-        if src != dst:  # local work is free by definition of shared-nothing
-            transfer = Transfer(src, dst, nbytes, reason)
-            with self._lock:
+    def record(self, src: int, dst: int, nbytes: int, reason: str,
+               count: int = 1) -> None:
+        """Append *count* transfers of *nbytes*, ticking the hook per one."""
+        if src == dst or count < 1:
+            return  # local work is free by definition of shared-nothing
+        transfer = Transfer(src, dst, nbytes, reason)
+        with self._lock:
+            for _ in range(count):
                 self.transfers.append(transfer)
                 if self.on_record is not None:
                     self.on_record(transfer)
-            # Whatever operator span is open absorbs this movement, so
-            # per-operator bytes_moved reconciles with the ledger delta
-            # by construction.
-            tracing.add_current_pair("bytes_moved", nbytes, "transfers", 1)
+        # Whatever operator span is open absorbs this movement, so
+        # per-operator bytes_moved reconciles with the ledger delta by
+        # construction.
+        tracing.add_current_pair("bytes_moved", nbytes * count, "transfers", count)
 
     def record_dropped(self, src: int, dst: int, nbytes: int, reason: str) -> None:
         with self._lock:

@@ -18,7 +18,7 @@ gap (e.g. a torn WAL tail) from surviving replicas.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -33,6 +33,8 @@ from ..storage.wal import WriteAheadLog
 __all__ = ["Node", "NodeCounters"]
 
 Coords = tuple[int, ...]
+#: one cell on the move: its address and its values (``None``: NULL)
+Record = tuple[Coords, Optional[tuple]]
 
 
 @dataclass
@@ -58,13 +60,7 @@ class NodeCounters:
     def snapshot(self) -> dict[str, int]:
         """A plain-dict view for metrics reporting."""
         return {
-            "cells_stored": self.cells_stored,
-            "cells_scanned": self.cells_scanned,
-            "bytes_received": self.bytes_received,
-            "bytes_sent": self.bytes_sent,
-            "local_queries": self.local_queries,
-            "failovers_served": self.failovers_served,
-            "read_retries": self.read_retries,
+            f.name: getattr(self, f.name) for f in fields(self) if f.compare
         }
 
 
@@ -145,12 +141,15 @@ class Node:
         self.check_alive()
         return self.storage.get_array(array_name)
 
-    def store(self, array_name: str, coords: tuple, values: Optional[tuple]) -> None:
-        """WAL-then-store one cell (write-ahead: log before acknowledge)."""
+    def store(self, array_name: str, cells: Sequence[Record]) -> None:
+        """WAL-then-store a batch of ``(coords, values)`` records: the one
+        way into this node's storage, besides :meth:`replay_wal`."""
         self.check_alive()
-        self.wal.log_write(array_name, coords, values)
-        self.partition(array_name).append(coords, values)
-        self.counters.add("cells_stored")
+        partition = self.partition(array_name)
+        for coords, values in cells:
+            self.wal.log_write(array_name, coords, values)
+            partition.append(coords, values)
+        self.counters.add("cells_stored", len(cells))
 
     def delete(self, array_name: str, coords: tuple) -> bool:
         """WAL-then-delete one cell (rebalance cutover cleanup).

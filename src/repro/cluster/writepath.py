@@ -73,25 +73,27 @@ class WritableArray(PartitionedArray):
     ) -> tuple[int, bool]:
         """Deliver one cell to its whole chain; the *lead* copy — the
         primary's, or with *failover* the first surviving site's — is the
-        one metered as the load itself."""
-        sites = self.replica_sites(coords)
-        serving = next(
-            (s for s in sites if self.grid.nodes[s].alive), None
-        )
-        if serving is None:
-            raise QuorumError(
-                f"write {coords} to {self.name!r}: every replica site of "
-                f"{sites} is dead"
+        one metered as the load itself.  Under the grid's delivery lock,
+        so a rebalance cutover lands before or after the whole write."""
+        with self.grid._deliver_lock:
+            sites = self.replica_sites(coords)
+            serving = next(
+                (s for s in sites if self.grid.nodes[s].alive), None
             )
-        lead = serving if failover else sites[0]
-        lead_reason = "load" if lead == sites[0] else "load_failover"
-        for site in sites:
-            self.grid.deliver(
-                COORDINATOR, site, self.cell_nbytes,
-                lead_reason if site == lead else "replication",
-                self.name, coords, values,
-            )
-        self._dual_write(coords, values)
+            if serving is None:
+                raise QuorumError(
+                    f"write {coords} to {self.name!r}: every replica site "
+                    f"of {sites} is dead"
+                )
+            lead = serving if failover else sites[0]
+            lead_reason = "load" if lead == sites[0] else "load_failover"
+            for site in sites:
+                self.grid.deliver(
+                    COORDINATOR, site, self.cell_nbytes,
+                    lead_reason if site == lead else "replication",
+                    self.name, [(coords, values)],
+                )
+            self._dual_write(coords, values)
         return serving, serving != sites[0]
 
     def _dual_write(self, coords: Coords, values: Optional[tuple]) -> None:
@@ -109,7 +111,7 @@ class WritableArray(PartitionedArray):
             try:
                 if self.grid.deliver(
                     COORDINATOR, site, self.cell_nbytes, "rebalance_dual",
-                    self.name, coords, values,
+                    self.name, [(coords, values)],
                 ):
                     mig.note_delivered(coords, site)
             except TransientIOError:
@@ -210,7 +212,7 @@ class WritableArray(PartitionedArray):
                 reason = "load" if site == home_site else "replication"
                 self.grid.deliver(
                     COORDINATOR, site, self.cell_nbytes, reason,
-                    self.name, home, values,
+                    self.name, [(home, values)],
                 )
             n += 1
         self.flush()

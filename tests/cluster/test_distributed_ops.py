@@ -137,3 +137,38 @@ class TestPipelineAcrossGrid:
                 expected[key] = expected.get(key, 0.0) + (cell.v - 10.0)
         for key, total in expected.items():
             assert summary[key].sum == pytest.approx(total)
+
+
+class TestNodeLocalOutputSurvivesRebuild:
+    def test_filter_and_apply_output_come_back_whole_at_k1(self, tmp_path):
+        """Node-local output is stored through the node's WAL like any
+        other cell: with no replica to copy from (k=1), rebuilding every
+        node from its WAL alone brings filter and apply output back."""
+        grid = Grid(4, tmp_path)
+        schema = define_array("E", {"v": "float"}, ["x", "y"]).bind([8, 8])
+        arr = grid.create_array("e", schema, HashPartitioner(4), stride=(4, 4))
+        arr.load(
+            LoadRecord((x, y), (float(x * 8 + y),))
+            for x in range(1, 9) for y in range(1, 9)
+        )
+        outputs = (
+            arr.filter(lambda c: c.v > 40.0, output_name="kept"),
+            arr.apply(lambda c: c.v * 2.0, output=[("w", "float")],
+                      output_name="twice"),
+        )
+
+        def contents():
+            return [
+                sorted(
+                    (c, None if cell is None else tuple(cell.values))
+                    for c, cell in a.scan()
+                )
+                for a in (arr, *outputs)
+            ]
+
+        before = contents()
+        assert [len(cells) for cells in before] == [64, 64, 64]
+        for node in grid.nodes:
+            node.fail()
+            grid.rebuild_node(node.node_id)
+        assert contents() == before

@@ -50,7 +50,7 @@ class TestNode:
         n1 = Node(1, tmp_path / "n1")
         n0.create_partition("arr", schema)
         n1.create_partition("arr", schema)
-        n0.store("arr", (1,), (1.0,))
+        n0.store("arr", [((1,), (1.0,))])
         assert n0.cell_count("arr") == 1
         assert n1.cell_count("arr") == 0  # shared-nothing
 
@@ -59,7 +59,7 @@ class TestNode:
         n = Node(0, tmp_path / "n")
         n.create_partition("arr", schema)
         for i in range(1, 4):
-            n.store("arr", (i,), (float(i),))
+            n.store("arr", [((i,), (float(i),))])
         assert n.counters.cells_stored == 3
 
     def test_partition_lookup_error(self, tmp_path):
