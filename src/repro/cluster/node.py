@@ -208,17 +208,6 @@ class Node:
             self.check_alive()
             yield block
 
-    def merged(
-        self,
-        array_name: str,
-        window: Optional[tuple[Coords, Coords]] = None,
-        attr_ranges: Optional[dict] = None,
-    ) -> Sequence[Chunk]:
-        """:meth:`blocks` merged (:meth:`PersistentArray.merged`)."""
-        blocks = self.partition(array_name).merged(window, attr_ranges)
-        self.check_alive()
-        return blocks
-
     def scan_partition(
         self,
         array_name: str,

@@ -60,6 +60,10 @@ class Blocks(list):
     the way a :class:`~repro.core.array.SciArray` is read, so an
     operator's local phase takes either."""
 
+    #: per block, the ``(m, 2, ndim)`` boxes of its segments or ``None``
+    #: (one segment), where the read was a grouped one (:func:`partition_blocks`)
+    boxes: Optional[list] = None
+
     def blocks(self, attrs: Sequence[str]) -> Iterator[tuple[Coords, dict, Any]]:
         """``(origin, planes of *attrs*, state)`` per block."""
         for block in self:
@@ -81,10 +85,13 @@ def partition_blocks(
     window: Window = None,
     attr_ranges: Optional[dict] = None,
     deadline: Optional[Deadline] = None,
-    merged: bool = False,
+    read: str = "blocks",
 ) -> Blocks:
     """The blocks node *site* stores for logical partition *p* of *arr*,
-    *merged* as :meth:`~repro.cluster.node.Node.merged` merges them.
+    read as its :meth:`~repro.cluster.node.Node.blocks` or as the one read
+    of its partition's ``"merged"`` or ``"segmented"``
+    (:class:`~repro.storage.manager.PersistentArray`; the segments kept as
+    :attr:`Blocks.boxes`).
 
     A node's partition store backs every replica chain it is a member
     of, so each block is masked to the cells whose primary is *p* —
@@ -92,9 +99,14 @@ def partition_blocks(
     exactly-once.  *deadline* is checked at every block.  Raises
     :class:`NodeFailedError` when the node is (or goes) down mid-read.
     """
-    node, blocks = arr.grid.nodes[site], []
-    read = node.merged if merged else node.blocks
-    for block in read(arr.name, window, attr_ranges):
+    node, blocks, boxes = arr.grid.nodes[site], [], None
+    if read == "blocks":
+        found = node.blocks(arr.name, window, attr_ranges)
+    else:  # one read, after which the node must still be up
+        found = getattr(node.partition(arr.name), read)(window, attr_ranges)
+        found, boxes = found if read == "segmented" else (found, None)
+        node.check_alive()
+    for block in found:
         if deadline is not None:
             deadline.check(f"scan of partition {p} on node {site}")
         blocks.append(block)
@@ -102,7 +114,10 @@ def partition_blocks(
         Chunk(b.origin, b.shape, b.state * (sites == p), b.data)
         for b, sites in zip(blocks, arr.partitioner.site_planes(blocks))
     ]
-    return Blocks(block for block in masked if block.state.any())
+    kept = [i for i, block in enumerate(masked) if block.state.any()]
+    out = Blocks(masked[i] for i in kept)
+    out.boxes = boxes and [boxes[i] for i in kept]
+    return out
 
 
 def read_partitions(
@@ -127,7 +142,8 @@ def read_partitions(
     with *reason* set, their cells metered as moved from the serving
     site to the coordinator, and *merged* (:func:`partition_blocks`).
     *local*, when given, runs on the blocks inside the partition's task —
-    the operator goes to the data — and its result takes the blocks' place.
+    the operator goes to the data — read as a grouped read
+    (``"segmented"``), and its result takes the blocks' place.
 
     *missing* lists ``(array name, partition)`` for partitions nothing
     could serve, and is empty unless the caller opted in: a fully dead
@@ -139,7 +155,8 @@ def read_partitions(
     """
     if partitions is None:
         partitions = arr.partitions()
-    read = _PartitionRead(arr, window, reason, attr_ranges, merged)
+    how = "segmented" if local is not None else "merged" if merged else "blocks"
+    read = _PartitionRead(arr, window, reason, attr_ranges, how)
 
     def task(p: int) -> Optional[tuple[int, Any]]:
         try:
@@ -171,7 +188,7 @@ class _PartitionRead:
     window: Window
     reason: Optional[str]
     attr_ranges: Optional[dict]
-    merged: bool
+    read: str
 
     def partition(self, p: int) -> tuple[int, Blocks]:
         """Read partition *p* from the first surviving replica.
@@ -296,7 +313,7 @@ class _PartitionRead:
         reason, nbytes = self.reason, self.arr.cell_nbytes
         blocks = partition_blocks(
             self.arr, site, p, self.window, self.attr_ranges, deadline,
-            self.merged,
+            self.read,
         )
         cells = sum(block.cell_count for block in blocks)
         if reason is not None and faults is not None:

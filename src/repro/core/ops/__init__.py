@@ -46,35 +46,14 @@ from . import structural as structural  # noqa: E402  (populate the catalog)
 from . import content as content  # noqa: E402
 
 from .structural import (  # noqa: E402
-    add_dimension,
-    concatenate,
-    cross_product,
-    exists,
-    remove_dimension,
-    reshape,
-    sjoin,
-    subsample,
-    transpose,
+    add_dimension, concatenate, cross_product, exists, remove_dimension,
+    reshape, sjoin, subsample, transpose,
 )
 from .content import aggregate, apply, cjoin, filter, project, regrid  # noqa: E402
 
 __all__ = [
-    "OPERATORS",
-    "register_operator",
-    "get_operator",
-    "subsample",
-    "exists",
-    "reshape",
-    "sjoin",
-    "add_dimension",
-    "remove_dimension",
-    "concatenate",
-    "cross_product",
-    "transpose",
-    "filter",
-    "aggregate",
-    "cjoin",
-    "apply",
-    "project",
-    "regrid",
+    "OPERATORS", "register_operator", "get_operator",
+    "subsample", "exists", "reshape", "sjoin", "add_dimension",
+    "remove_dimension", "concatenate", "cross_product", "transpose",
+    "filter", "aggregate", "cjoin", "apply", "project", "regrid",
 ]

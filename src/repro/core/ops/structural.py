@@ -34,16 +34,8 @@ from ..schema import ArraySchema, Attribute, Dimension
 from . import register_operator
 
 __all__ = [
-    "DimCondition",
-    "subsample",
-    "exists",
-    "reshape",
-    "sjoin",
-    "add_dimension",
-    "remove_dimension",
-    "concatenate",
-    "cross_product",
-    "transpose",
+    "DimCondition", "subsample", "exists", "reshape", "sjoin", "add_dimension",
+    "remove_dimension", "concatenate", "cross_product", "transpose",
 ]
 
 Coords = tuple[int, ...]

@@ -106,8 +106,9 @@ class SciDB:
         Planner optimization switch (Section 2.2.1).
     slow_query_ms:
         Statements at or above this wall time land in
-        :meth:`slow_queries`.  The threshold is the process flight
-        recorder's (default 100 ms); passing a value here sets it.
+        :meth:`slow_queries`.  Passing a value gives this database its
+        own threshold, which its statements carry into the process
+        flight recorder; otherwise it is the recorder's (default 100 ms).
     """
 
     def __init__(
@@ -120,12 +121,11 @@ class SciDB:
         self.directory = Path(directory) if directory is not None else None
         self.itemstore = ItemLineageStore() if record_item_lineage else None
         self.provenance = ProvenanceEngine(itemstore=self.itemstore)
-        if slow_query_ms is not None:
-            get_flight_recorder().slow_query_ms = slow_query_ms
         self.executor = Executor(
             planner=Planner(PlannerConfig(enable_pushdown=enable_pushdown)),
             provenance=self.provenance,
         )
+        self.executor.slow_ms = slow_query_ms
         self.storage: Optional[StorageManager] = None
         self.wal: Optional[WriteAheadLog] = None
         if self.directory is not None:
@@ -226,7 +226,7 @@ class SciDB:
         # nests under this span, and the plan it ran — every operator
         # measured as its span closed — comes back on the result.
         with get_flight_recorder().statement(
-            text, name="explain", force=True
+            text, name="explain", force=True, slow_ms=self.executor.slow_ms
         ), deadline_scope(
             Deadline.after_ms(timeout_ms) if timeout_ms is not None else None
         ):
@@ -307,9 +307,15 @@ class SciDB:
         }
 
     def slow_queries(self) -> list[QueryProfile]:
-        """Retained statements at or over ``slow_query_ms``, oldest first
-        (kept past the main profile ring's eviction)."""
-        return get_flight_recorder().slow_queries()
+        """Retained statements at or over :attr:`slow_query_ms`, oldest
+        first (kept past the main profile ring's eviction)."""
+        return get_flight_recorder().slow_queries(self.slow_query_ms)
+
+    @property
+    def slow_query_ms(self) -> float:
+        """This database's slow threshold: its own, else the recorder's."""
+        own = self.executor.slow_ms
+        return get_flight_recorder().slow_query_ms if own is None else own
 
     # -- the flight recorder (continuous telemetry) -------------------------------
 

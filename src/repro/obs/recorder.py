@@ -238,6 +238,8 @@ class QueryProfile:
     root: Optional[PhysicalOp] = None
     cells_examined: int = 0
     error: Optional[str] = None
+    #: the slow threshold of the database that ran it (None: the recorder's)
+    slow_ms: Optional[float] = None
     #: the statement's root span (None on a hand-built profile)
     span: Optional[tracing.Span] = None
 
@@ -536,10 +538,11 @@ class FlightRecorder:
 
     @contextmanager
     def statement(
-        self, statement: Any, name: str = "query", force: bool = False
+        self, statement: Any, name: str = "query", force: bool = False,
+        slow_ms: Optional[float] = None,
     ) -> Iterator[Optional[QueryProfile]]:
         """Open the record of *statement* (text, or a parse tree — kept as
-        ``<NodeType>``) where it enters the engine.
+        ``<NodeType>``) where it enters the engine, slow at *slow_ms*.
 
         The outermost entry point — the service's ``execute_query``,
         ``db.explain`` or ``Executor.run`` — opens the root span, mints
@@ -565,6 +568,7 @@ class FlightRecorder:
                 else f"<{type(statement).__name__}>"
             ),
             started_at=time.time(),
+            slow_ms=slow_ms,
         )
         try:
             with tracing.root(name, record=record) as root:
@@ -579,16 +583,17 @@ class FlightRecorder:
 
     def record_profile(self, profile: QueryProfile) -> None:
         if self.enabled:
-            self.profile_store.add(
-                profile, slow=profile.total_ms >= self.slow_query_ms
-            )
+            self.profile_store.add(profile, slow=profile.total_ms >= self._slow(profile))
 
-    def slow_queries(self) -> list[QueryProfile]:
-        """Retained statements at or over ``slow_query_ms``, oldest first."""
-        return [
-            p for p in self.profile_store.slow()
-            if p.total_ms >= self.slow_query_ms
-        ]
+    def slow_queries(self, threshold: Optional[float] = None) -> list[QueryProfile]:
+        """Retained statements at or over *threshold* (default: each one's
+        own ``slow_ms``, else ``slow_query_ms``), oldest first."""
+        return [p for p in self.profile_store.slow()
+                if p.total_ms >= self._slow(p, threshold)]
+
+    def _slow(self, profile: QueryProfile, threshold: Optional[float] = None) -> float:
+        given = (threshold, profile.slow_ms, self.slow_query_ms)
+        return next(t for t in given if t is not None)
 
     def profiles(self, n: Optional[int] = None) -> list[QueryProfile]:
         return self.profile_store.profiles(n)

@@ -86,6 +86,8 @@ class Executor:
             planner.cost_model = self.cost_model
         self.planner = planner
         self.provenance = provenance
+        #: the slow threshold its statements carry (None: the recorder's)
+        self.slow_ms: Optional[float] = None
         self.schemas: dict[str, ArraySchema] = {}
         #: one catalog: with provenance wired, the engine's own dict
         self.arrays: dict[str, Any] = {} if provenance is None else provenance.catalog
@@ -172,7 +174,7 @@ class Executor:
         # so parse and plan are inside the retained record.  With the
         # recorder off and no EXPLAIN active, *record* is None and every
         # span below is the shared null span.
-        with get_flight_recorder().statement(statement) as record:
+        with get_flight_recorder().statement(statement, slow_ms=self.slow_ms) as record:
             with tracing.span("parse"):
                 node = (
                     parse_statement(statement)

@@ -222,7 +222,7 @@ class QueryService:
         self.kill_after_ms = (
             self.config.kill_after_ms
             if self.config.kill_after_ms is not None
-            else max(1_000.0, db.flight_recorder.slow_query_ms * 50.0)
+            else max(1_000.0, db.slow_query_ms * 50.0)
         )
         self.queries_served = 0
         self.queries_killed = 0
@@ -449,7 +449,8 @@ class QueryService:
             # the killer and /cancel stamp their events with) and the
             # id goes out in the response whether it finishes or not.
             with self.db.flight_recorder.statement(
-                statement, name="service.execute_query"
+                statement, name="service.execute_query",
+                slow_ms=self.db.executor.slow_ms,
             ) as record:
                 query_id = record.query_id if record is not None else None
                 with session.lock:

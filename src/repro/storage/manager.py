@@ -533,7 +533,13 @@ class PersistentArray(BlockSource):
         and *window*; a hit counts a cache hit per bucket it holds."""
         return self._read(window, attr_ranges, merge=True)
 
-    def _read(self, window, attr_ranges, merge: bool):
+    def segmented(self, window=None, attr_ranges=None) -> tuple[Sequence[Chunk], list]:
+        """:meth:`merged` for a grouped read, ``(blocks, boxes)``: its one
+        cached block and the boxes of the buckets in it (``(m, 2, ndim)``,
+        cut to *window*, id order), or else :meth:`blocks`, each ``None``."""
+        return self._read(window, attr_ranges, merge=True, segments=True)
+
+    def _read(self, window, attr_ranges, merge: bool, segments: bool = False):
         with self._lock:
             buffered = list(self._buffered_buckets(window))
             if window is None:
@@ -557,23 +563,25 @@ class PersistentArray(BlockSource):
         pending = sorted(entries, key=lambda e: e[1])
         queued = {i for _, i in pending}
         cut = self._value_pruned(pending, stats_map, attr_ranges)
-        key = None
+        key = boxes = None
         if merge and self._cache is not None and not (buffered or shared & queued):
             at = window and tuple(map(tuple, window))
             read = (tuple(sorted(queued)), tuple(sorted(cut)), at)
             key = (str(self.directory), read, generation)
+            if segments:  # each bucket's box, cut to the window
+                boxes = np.array([b for b, i in pending if i not in cut], np.int64)
+                boxes = boxes.reshape(-1, 2, len(self.stride))
+                boxes = boxes if window is None else np.clip(boxes, *window)
             hit = self._cache.get(key)
             if hit is not None:
                 self._hits(len(queued) - len(cut))
-                return [hit]
+                return ([hit], [boxes]) if segments else [hit]
         stored: list[Chunk] = []
         flags: list[bool] = []
         pruned = []  # value-pruned buckets sharing no cell with another block
-        exact = True  # are the snapshot's overlap flags still true?
-        while pending:
-            box, bucket_id = pending.pop(0)
+        for box, bucket_id in pending:
             if bucket_id in cut:
-                if exact and bucket_id not in shared:
+                if bucket_id not in shared:
                     pruned.append(stats_map[bucket_id])
                 else:
                     stored += _null_blocks(self.schema, [stats_map[bucket_id]])
@@ -581,33 +589,32 @@ class PersistentArray(BlockSource):
                 continue
             try:
                 stored.append(self._load_bucket(bucket_id))
-            except FileNotFoundError:
-                # A concurrent merge rewrote the file set: queue the current
-                # entries meeting the stale box (the merged bucket has its
-                # cells under a newer id) and compare every block from here
-                # on — re-reads, never dropped cells.
+            except FileNotFoundError as exc:
                 with self._lock:
-                    found = [e for e in self._rtree.search(box) if e[1] not in queued]
-                    stats_map.update(self._bucket_stats if attr_ranges else {})
-                queued.update(i for _, i in found)
-                cut |= self._value_pruned(found, stats_map, attr_ranges)
-                pending = sorted(pending + found, key=lambda e: e[1])
-                exact = False
-                continue
+                    indexed = any(i == bucket_id for _, i in self._rtree.search(box))
+                if indexed:  # gone, but no merge took it: the array was dropped
+                    raise StorageError(f"{self._bucket_path(bucket_id)}: gone") from exc
+                # A concurrent merge rewrote the file set since the snapshot:
+                # read again from a new one, so the answer is one state of
+                # the array — never old cells beside newer ones.
+                return self._read(window, attr_ranges, merge, segments)
             flags.append(bucket_id in shared)
         # Pruned footprints go first, as the oldest: they share no cell
-        # with a block the snapshot saw, only with a merge's newer bucket.
+        # with another block of the snapshot.
         nulls = _null_blocks(self.schema, pruned) if pruned else []
         flags = [False] * len(nulls) + flags + [bool(m) for m in meets]
         blocks = nulls + stored + buffered
-        flags = flags if exact else [True] * len(blocks)
         blocks = _newest(blocks, flags, tombstones, window)
         if not merge:
             return blocks
-        blocks = coalesce(list(blocks))
-        if key is not None and exact and len(blocks) == 1:
-            self._cache.put(key, blocks[0])
-        return blocks
+        blocks = list(blocks)
+        merged = coalesce(blocks)
+        cached = key is not None and len(merged) == 1  # the one predicate
+        if cached:
+            self._cache.put(key, merged[0])
+        if segments:  # each bucket's cells sit unmasked in its box of the one block
+            return (merged, [boxes]) if cached else (blocks, [None] * len(blocks))
+        return merged
 
     def _value_pruned(self, entries, stats_map: dict, attr_ranges) -> set[int]:
         """The ids of *entries* whose statistics prove no value can

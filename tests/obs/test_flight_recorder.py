@@ -219,6 +219,30 @@ class TestSlowQueries:
         assert len(rec.profile_store) == n_threads * per_thread
         assert len(rec.slow_queries()) == QueryProfileStore.SLOW_CAPACITY
 
+    def test_each_database_keeps_its_own_threshold(self):
+        """A second ``SciDB(slow_query_ms=...)`` used to overwrite the
+        first's threshold on the process-wide recorder; now each
+        statement carries its database's, on every entry point."""
+        from repro.service import QueryService, ServiceConfig
+
+        with use_flight_recorder(FlightRecorder()) as rec:
+            eager, lax = SciDB(slow_query_ms=0.0), SciDB(slow_query_ms=1e9)
+            assert rec.slow_query_ms == 100.0  # the recorder's own is untouched
+            assert (eager.slow_query_ms, lax.slow_query_ms) == (0.0, 1e9)
+            for db in (eager, lax):
+                db.execute("define array T (v = float) (I)")
+                db.execute("create A as T [4]")
+                db.explain("select subsample(A, I >= 2)")
+            assert [p.statement for p in eager.slow_queries()] == [
+                "define array T (v = float) (I)", "create A as T [4]",
+                "select subsample(A, I >= 2)",
+            ]
+            assert lax.slow_queries() == []
+            with QueryService(eager, ServiceConfig()) as svc:
+                assert svc.kill_after_ms == 1_000.0
+            with QueryService(SciDB(slow_query_ms=40.0), ServiceConfig()) as svc:
+                assert svc.kill_after_ms == 2_000.0
+
     def test_query_id_correlation(self):
         rec = FlightRecorder(slow_query_ms=0.0)
         rec.record_profile(_profile(42, 5.0))

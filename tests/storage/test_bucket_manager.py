@@ -196,6 +196,43 @@ class TestMerge:
             pa.stop_background_merger()
 
 
+class TestReadRacingMerge:
+    """A read that loses a bucket to a merge between its snapshot and its
+    load answers as one state of the array, never old cells beside newer
+    ones.  Staged: the first bucket load rewrites a cell the snapshot held
+    buffered, writes another, and merges the file set away."""
+
+    A, B = (1, 1), (2, 2)
+
+    def staged(self, schema, tmp_path, **kw):
+        pa = PersistentArray(schema, tmp_path / "s", stride=(4, 4), **kw)
+        for coords in (self.A, self.B):
+            pa.append(coords, (1.0, 0))
+        pa.flush()
+        pa.append(self.A, (2.0, 0))  # buffered when the read takes its snapshot
+        load = pa._load_bucket
+
+        def merge_first(bucket_id):
+            pa._load_bucket = load
+            pa.flush()
+            pa.append(self.A, (5.0, 0))
+            pa.append(self.B, (3.0, 0))
+            pa.flush()
+            assert pa.merge_small_buckets(min_cells=10**6) == 1
+            return load(bucket_id)
+
+        pa._load_bucket = merge_first
+        return pa
+
+    @pytest.mark.parametrize("read", ["blocks", "merged", "segmented"])
+    def test_the_read_is_one_state(self, schema, tmp_path, read):
+        pa = self.staged(schema, tmp_path)
+        blocks = getattr(pa, read)()
+        blocks = blocks[0] if read == "segmented" else blocks
+        got = {c: cell.values[0] for b in blocks for c, cell in b.cells()}
+        assert got in ({self.A: 2.0, self.B: 1.0}, {self.A: 5.0, self.B: 3.0})
+
+
 class TestFragmentedStore:
     """Hundreds of two-cell spills (a checkpointed load's shape), some
     cells rewritten by later spills, some deleted, one rewritten in the
