@@ -52,9 +52,10 @@ class TestHash:
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("high", [200, 70_000, 2**40])
 def test_site_planes_are_site_of_at_every_occupied_cell(ndim, high):
-    """The read path's batched form (hash: crc32 taken apart per axis)
-    places every cell where the per-cell form does, at negative, one-,
-    two- and many-byte coordinates."""
+    """The read path's batched form (hash: crc32 taken apart per axis;
+    ring: the hash chain over uint64 planes) places every cell where the
+    per-cell form does, at negative, one-, two- and many-byte
+    coordinates."""
     rng = np.random.default_rng(ndim * high)
     blocks = []
     for _ in range(12):
@@ -65,7 +66,8 @@ def test_site_planes_are_site_of_at_every_occupied_cell(ndim, high):
     for p in (
         HashPartitioner(4), HashPartitioner(7, dims=[ndim - 1]),
         HashPartitioner(5, dims=[0, 0]), RangePartitioner(3, 0, [10, 1000]),
-        ConsistentHashPartitioner(4),
+        ConsistentHashPartitioner(4), ConsistentHashPartitioner(6, members=[0, 2, 5], seed=3),
+        ConsistentHashPartitioner(4, dims=[ndim - 1, 0]),
     ):
         for block, plane in zip(blocks, p.site_planes(blocks)):
             assert plane.shape == block.shape
