@@ -223,15 +223,20 @@ class AttrPairsEqual:
 
 
 def _intersect(a, b):
-    """Intersect two DimCondition forms into a callable."""
+    """Intersect two DimCondition forms: ranges and ints make a range, or the
+    int when one is an int inside the other, so Subsample slices; else a callable."""
+    if isinstance(a, (int, tuple)) and isinstance(b, (int, tuple)):
+        (alo, ahi), (blo, bhi) = (c if isinstance(c, tuple) else (c, c) for c in (a, b))
+        lo = max((v for v in (alo, blo) if v is not None), default=None)
+        hi = min((v for v in (ahi, bhi) if v is not None), default=None)
+        ranges = isinstance(a, tuple) and isinstance(b, tuple)
+        return (lo, hi) if ranges or lo != hi else lo
 
     def admit(cond):
-        if isinstance(cond, tuple):
-            lo, hi = cond
+        if isinstance(cond, (int, tuple)):
+            lo, hi = cond if isinstance(cond, tuple) else (cond, cond)
             return lambda v: (lo is None or v >= lo) and (hi is None or v <= hi)
-        if isinstance(cond, int):
-            return lambda v: v == cond
-        return cond
+        return cond.__contains__ if isinstance(cond, (set, frozenset, list, range)) else cond
 
     fa, fb = admit(a), admit(b)
     return lambda v: fa(v) and fb(v)

@@ -156,27 +156,22 @@ def predicate_window(
     (even/odd/!=, attribute terms, callables) or the window cannot
     be closed (an unbounded dimension with no upper constraint).
     """
-    if not isinstance(pred, PredicateConjunction):
+    if not isinstance(pred, PredicateConjunction) or pred.attr_terms:
         return None
-    if pred.attr_terms:
-        return None
-    lo = {name: 1 for name, _size in array.dims}
-    hi = dict(array.dims)
-    for term in pred.dim_terms:
-        if term.dim not in lo:
+    lo, hi = {name: 1 for name, _size in array.dims}, dict(array.dims)
+    for dim, cond in pred.dims_condition().items():
+        if dim not in lo:
             raise PlanError(
-                f"array {array.name!r} has no dimension {term.dim!r} "
+                f"array {array.name!r} has no dimension {dim!r} "
                 f"(dimensions: {', '.join(lo)})"
             )
-        cond = term.to_condition()
         if callable(cond):  # even, odd, !=
             return None
         low, high = (cond, cond) if isinstance(cond, int) else cond
         if low is not None:
-            lo[term.dim] = max(lo[term.dim], low)
+            lo[dim] = max(lo[dim], low)
         if high is not None:
-            bound = hi[term.dim]
-            hi[term.dim] = high if bound is None else min(bound, high)
+            hi[dim] = high if hi[dim] is None else min(hi[dim], high)
     if None in hi.values():  # an unbounded dimension left open above
         return None
     return tuple(lo.values()), tuple(hi.values())

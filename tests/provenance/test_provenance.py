@@ -126,6 +126,27 @@ class TestBackwardTrace:
         steps = trace_backward(eng, ("j", (2,)))
         assert set(steps[0].contributors) == {("a", (2,)), ("b", (2,))}
 
+    def test_an_operator_without_a_rule_names_every_input_cell(self, engine):
+        # transpose and concatenate have no cell-level rule: conservative
+        # lineage names every cell of every input, NULL cells included.
+        other = raw_array(n=4, name="other")
+        other.set_null((2, 3))
+        engine.register_external("other", other, program="gen")
+        engine.execute("concatenate", ["raw", "other"], "stacked", dim="x")
+        engine.execute("transpose", ["stacked"], "flipped", order=["y", "x"])
+        steps = trace_backward(engine, ("flipped", (1, 1)))
+        assert [s.command.op for s in steps[:2]] == ["transpose", "concatenate"]
+        stacked = engine.get("stacked")
+        assert stacked.count_occupied() == 32
+        assert steps[0].contributors == [("stacked", c) for c, _ in stacked.cells()]
+        every = {("raw", (x, y)) for x in range(1, 5) for y in range(1, 5)}
+        every |= {("other", c) for _, c in every}
+        assert len(every) == 32
+        for step in steps[1:]:
+            assert step.command.op == "concatenate"
+            assert len(step.contributors) == 32 and set(step.contributors) == every
+        assert len(steps) == 1 + 32  # one step per stacked cell reached
+
 
 class TestForwardTrace:
     """Requirement 2: find downstream elements impacted by D."""

@@ -1,6 +1,7 @@
 """Validation tests for parse-tree node construction (Section 2.4)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import PlanError
 from repro.query import (
@@ -11,6 +12,7 @@ from repro.query import (
     PredicateConjunction,
     ArrayRef,
 )
+from repro.core.ops.structural import _selected_indexes
 from repro.query.ast import _intersect
 
 
@@ -68,18 +70,53 @@ class TestConjunction:
         assert len(conj.attr_terms) == 1
 
     def test_repeated_dimension_intersects(self):
+        # One range, not a callable: Subsample slices it instead of
+        # calling a predicate once per index of the dimension.
         conj = PredicateConjunction(
             (DimPredicate("x", ">=", 3), DimPredicate("x", "<=", 5))
         )
         cond = conj.dims_condition()["x"]
-        assert callable(cond)
-        assert cond(3) and cond(5)
-        assert not cond(2) and not cond(6)
+        assert cond == (3, 5)
+        assert _selected_indexes(cond, 9) == [3, 4, 5]
 
     def test_intersect_equality_and_range(self):
-        cond = _intersect(4, (None, 10))
-        assert cond(4)
-        assert not cond(5)
+        assert _intersect(4, (None, 10)) == 4
+        assert _intersect((None, 10), 4) == 4
+        assert _selected_indexes(_intersect(11, (None, 10)), 20) == []
+        assert _selected_indexes(_intersect(4, 5), 9) == []
+        assert _intersect(4, 4) == 4
+
+    def test_a_callable_or_a_set_keeps_the_intersection_callable(self):
+        even = _intersect(DimPredicate("x", "even").to_condition(), (3, None))
+        assert callable(even) and [v for v in range(1, 9) if even(v)] == [4, 6, 8]
+        picked = _intersect({2, 5, 9}, (None, 6))
+        assert callable(picked) and [v for v in range(1, 12) if picked(v)] == [2, 5]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("=", "!=", "<", "<=", ">", ">=", "even", "odd")),
+                st.integers(-2, 12),
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.integers(0, 10),
+    )
+    def test_intersection_selects_what_the_callable_form_admits(self, terms, extent):
+        conj = PredicateConjunction(tuple(
+            DimPredicate("x", op, None if op in ("even", "odd") else value)
+            for op, value in terms
+        ))
+
+        def admits(v, cond):  # the callable form every intersection once made
+            if isinstance(cond, tuple):
+                return (cond[0] is None or v >= cond[0]) and (cond[1] is None or v <= cond[1])
+            return v == cond if isinstance(cond, int) else cond(v)
+
+        conditions = [t.to_condition() for t in conj.dim_terms]
+        want = [v for v in range(1, extent + 1) if all(admits(v, c) for c in conditions)]
+        assert _selected_indexes(conj.dims_condition()["x"], extent) == want
 
     def test_conjunction_tests_cells_and_planes(self):
         import numpy as np
