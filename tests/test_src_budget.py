@@ -16,6 +16,15 @@ pytestmark = pytest.mark.tier1
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
+# A grid sjoin on the local operator's body: every budget held (the new
+# counts equal them, so none is lowered).  Deleted: DistributedArray.sjoin's
+# per-partition left, right and result SciArrays and its empty-result
+# special case, and the local sjoin's inline full-dimension loop (now
+# `structural.sjoin_blocks`, the one body both run).  Paid for by that:
+# `readpath.Blocks.planes` (10 lines) and the routing of a permuted `on`
+# (a right block's site planes in the left's axis order).  query/:
+# `_intersect`'s range algebra is paid for by `predicate_window` reading
+# `dims_condition()` instead of folding the terms a second time.
 # Rebalance in planes: cluster/ 5,203 -> 5,275 and src/ 22,639 -> 22,711
 # (raised: this change adds code).  Deleted: the per-cell placement of
 # cluster/rebalance.py (`Migration.trusted`/`enqueue`/`take`, `_owed`,
