@@ -10,7 +10,6 @@ storage manager.
 
 from __future__ import annotations
 
-import io
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ from ..core.cells import CellState
 from ..core.errors import StorageError
 from ..core.schema import ArraySchema
 from .compression import Codec
-from .format import DECODE_ERRORS, decode_block, encode_block, frame, read_header
+from .format import DECODE_ERRORS, decode_block, encode_block, frame, parse_frame
 
 __all__ = ["Bucket"]
 
@@ -100,25 +99,25 @@ class Bucket(Chunk):
 
     @staticmethod
     def _decode(payload: bytes, values: bool):
-        image = io.BytesIO(payload)
         try:
-            entry = read_header(image, _MAGIC)
-            if entry is None:
+            framed = parse_frame(payload, _MAGIC)
+            if framed is None:
                 raise StorageError("not a bucket image (bad magic)")
-            return decode_block(entry, image.read(), values)
+            entry, start = framed
+            return decode_block(entry, memoryview(payload)[start:], values)
         except DECODE_ERRORS as exc:
             raise StorageError(f"corrupt bucket image: {exc!r}") from exc
 
     @classmethod
     def from_bytes(cls, schema: ArraySchema, payload: bytes) -> "Bucket":
         origin, data, state = cls._decode(payload, True)
-        missing = [name for name in schema.attr_names if name not in data]
-        if missing:
-            raise StorageError(f"bucket image missing attributes {missing}")
-        return cls(
-            schema, origin, state.shape, state,
-            {name: data[name] for name in schema.attr_names},
-        )
+        names = schema.attr_names  # a property: taken once
+        if tuple(data) != names:  # planes out of the schema's order, or missing
+            missing = [name for name in names if name not in data]
+            if missing:
+                raise StorageError(f"bucket image missing attributes {missing}")
+            data = {name: data[name] for name in names}
+        return cls(schema, origin, state.shape, state, data)
 
     @classmethod
     def footprint(cls, payload: bytes) -> Chunk:

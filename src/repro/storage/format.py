@@ -17,6 +17,7 @@ The header is pure JSON (not pickle) precisely so the file is
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import zlib
@@ -33,13 +34,15 @@ from .compression import Codec, best_encoding, get_codec
 
 __all__ = [
     "write_container", "read_container", "ContainerReader", "MAGIC",
-    "encode_block", "decode_block", "DECODE_ERRORS",
+    "encode_block", "decode_block", "parse_frame", "DECODE_ERRORS",
 ]
 
 MAGIC = b"SCIDB1\n"
 _VERSION = 2  # 1 kept one codec per file and an offset per plane
 
 _STATE = "__state__"
+_LENGTH = struct.Struct("<I")  # a frame's header length
+_dtype = functools.lru_cache(maxsize=256)(np.dtype)  # "<f8" -> float64, once
 
 #: what a torn header, directory or payload surfaces from the parsing
 #: internals; every reader of the format maps these to its typed error
@@ -90,20 +93,22 @@ def encode_block(
 def decode_block(
     entry: Mapping[str, Any], payload: bytes, values: bool = True
 ) -> tuple[Coords, dict[str, np.ndarray], np.ndarray]:
-    """Invert :func:`encode_block`; with ``values=False`` only the state
-    plane is decoded.  A torn entry or payload raises one of
-    :data:`DECODE_ERRORS` for the caller to type."""
+    """Invert :func:`encode_block`, each plane from a view of *payload*;
+    with ``values=False`` only the state plane is decoded.  A torn entry
+    or payload raises one of :data:`DECODE_ERRORS` for the caller to type."""
     shape = tuple(entry["shape"])
     planes: dict[str, np.ndarray] = {}
+    view = memoryview(payload)
     at = 0
     for meta in entry["planes"]:
-        blob = payload[at : at + meta["nbytes"]]
-        at += meta["nbytes"]
-        if len(blob) != meta["nbytes"]:
-            raise ValueError(f"payload ends inside plane {meta['name']!r}")
-        if values or meta["name"] == _STATE:
-            planes[meta["name"]] = get_codec(meta["codec"]).decode(
-                blob, np.dtype(meta["dtype"]), shape
+        name, nbytes = meta["name"], meta["nbytes"]
+        blob = view[at : at + nbytes]
+        at += nbytes
+        if len(blob) != nbytes:
+            raise ValueError(f"payload ends inside plane {name!r}")
+        if values or name == _STATE:
+            planes[name] = get_codec(meta["codec"]).decode(
+                blob, _dtype(meta["dtype"]), shape
             )
     state = np.asarray(planes.pop(_STATE), dtype=np.uint8)
     return tuple(entry["origin"]), planes, state
@@ -112,16 +117,28 @@ def decode_block(
 def frame(magic: bytes, header: Mapping[str, Any]) -> bytes:
     """``magic``, a little-endian u32 length, the header as JSON."""
     body = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return magic + struct.pack("<I", len(body)) + body
+    return magic + _LENGTH.pack(len(body)) + body
+
+
+def parse_frame(raw: bytes, magic: bytes) -> Optional[tuple[dict[str, Any], int]]:
+    """What :func:`frame` wrote at the start of *raw*: the header and the
+    offset of the first payload byte; ``None`` if *raw* does not start
+    with *magic*.  A torn frame raises one of :data:`DECODE_ERRORS`."""
+    if raw[: len(magic)] != magic:
+        return None
+    start = len(magic) + _LENGTH.size
+    end = start + _LENGTH.unpack_from(raw, len(magic))[0]
+    return json.loads(raw[start:end].decode("utf-8")), end
 
 
 def read_header(f: BinaryIO, magic: bytes) -> Optional[dict[str, Any]]:
-    """Read what :func:`frame` wrote, leaving *f* at the first payload
+    """:func:`parse_frame` over a stream, leaving *f* at the first payload
     byte; ``None`` if *f* does not start with *magic*."""
-    if f.read(len(magic)) != magic:
+    head = f.read(len(magic) + _LENGTH.size)
+    if head[: len(magic)] != magic:
         return None
-    (length,) = struct.unpack("<I", f.read(4))
-    return json.loads(f.read(length).decode("utf-8"))
+    body = f.read(_LENGTH.unpack_from(head, len(magic))[0])
+    return parse_frame(head + body, magic)[0]
 
 
 # -- the container: one array, many blocks ------------------------------------------

@@ -23,6 +23,7 @@ from repro import SciDB, define_aggregate, define_array
 from repro.cluster import HashPartitioner, RangePartitioner
 from repro.core.errors import SchemaError
 from repro.core.udf import functions
+from repro.query.binding import array
 from repro.storage.loader import LoadRecord
 
 pytestmark = pytest.mark.tier1
@@ -120,6 +121,34 @@ class TestExplainLabelIsTheRouteThatRan:
         assert strategy_of(report, "sjoin") == label
         assert ("join_shuffle" in report.ledger_delta) == (label == "shuffle")
         assert report.reconciles()
+
+    @pytest.mark.parametrize("route", ["statement", "python"])
+    def test_a_permuted_join_is_labelled_the_shuffle_it_runs(self, db, route):
+        """Co-partitioned operands joined ``A.x = B.y and A.y = B.x``: a
+        right cell's partner sits at other coordinates, on another site, so
+        the join shuffles — and the plan says so on either route."""
+        arr = db.grid("g").create_array(
+            "Same", db.lookup("A").schema, HashPartitioner(4), stride=(8, 8)
+        )
+        arr.load(
+            LoadRecord((x, y), (float(x - y),))
+            for x in range(1, SIDE + 1)
+            for y in range(1, SIDE + 1)
+        )
+        db.register("Same", arr)
+        statement = (
+            "select sjoin(A, Same, A.x = Same.y and A.y = Same.x)"
+            if route == "statement"
+            else array("A").sjoin("Same", on=[("x", "y"), ("y", "x")]).node
+        )
+        report = db.explain(statement)
+        assert strategy_of(report, "sjoin") == "shuffle"
+        assert "[strategy=shuffle]" in report.render()
+        assert "join_shuffle" in report.ledger_delta
+        assert report.reconciles()
+        got = {c: cell.values for c, cell in db.query(statement).cells()}
+        assert len(got) == SIDE * SIDE
+        assert all(v == (float(x * SIDE + y), float(y - x)) for (x, y), v in got.items())
 
     def test_user_aggregate_under_a_builtin_name_is_gathered(self, db, monkeypatch):
         """Algebraic-ness belongs to the aggregate, not to its name: a
