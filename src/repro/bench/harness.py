@@ -7,25 +7,28 @@ rows/series EXPERIMENTS.md records.
 
 from __future__ import annotations
 
+import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 __all__ = ["Measurement", "measure", "ratio", "ResultTable"]
 
 
 @dataclass
 class Measurement:
-    """Wall-clock timing of one callable."""
+    """Wall-clock timing of one callable: the total and each repeat's."""
 
     label: str
     seconds: float
     repeats: int
     result: Any = None
+    samples: Sequence[float] = ()
 
     @property
     def per_call(self) -> float:
-        return self.seconds / self.repeats
+        """The median repeat, so one slow repeat does not move it."""
+        return statistics.median(self.samples or [self.seconds / self.repeats])
 
     def __repr__(self) -> str:
         return f"<{self.label}: {self.per_call * 1e3:.3f} ms/call x{self.repeats}>"
@@ -37,16 +40,18 @@ def measure(
     repeats: int = 3,
     warmup: int = 1,
 ) -> Measurement:
-    """Time *fn* with warmup; keeps the last result for validation."""
+    """Time each of *repeats* calls of *fn* after warmup; keeps the last
+    result for validation."""
     result = None
     for _ in range(warmup):
         result = fn()
-    start = time.perf_counter()
+    samples = []
     for _ in range(repeats):
+        start = time.perf_counter()
         result = fn()
-    elapsed = time.perf_counter() - start
-    return Measurement(label or getattr(fn, "__name__", "fn"), elapsed,
-                       repeats, result)
+        samples.append(time.perf_counter() - start)
+    return Measurement(label or getattr(fn, "__name__", "fn"), sum(samples),
+                       repeats, result, tuple(samples))
 
 
 def ratio(slow: Measurement, fast: Measurement) -> float:

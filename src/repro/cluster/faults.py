@@ -25,9 +25,9 @@ Every injected fault is appended to :attr:`FaultInjector.events`, and the
 same seed reproduces the same fault sequence byte-for-byte — the
 benchmarks rely on that to report deterministic availability numbers.
 
-**Thread-safety and keyed randomness.**  Since the parallel read path
-runs under fault drills (the serial-only special case is gone), the
-injector is mutated concurrently from scheduler workers.  All internal
+**Thread-safety and keyed randomness.**  A slow-read drill fans reads
+out over scheduler workers, and statements on several threads share a
+grid, so the injector is mutated concurrently.  All internal
 state sits behind one re-entrant lock, and Bernoulli draws no longer
 consume a single shared RNG stream (whose draw *order* would depend on
 thread interleaving): each draw is keyed — hashed from ``(seed, kind,
@@ -376,6 +376,10 @@ class FaultInjector:
         self._node(site)
         with self._lock:
             self._slow_reads[site] = penalty_ms
+
+    def slows_reads(self) -> bool:
+        with self._lock:
+            return any(self._slow_reads.values())
 
     def intercept_read(self, site: int, partition: int, attempt: int) -> float:
         """Gate one partition read from *site*: may raise, returns the

@@ -12,9 +12,12 @@ that crosses a node boundary is recorded with a reason.  The array side
 At grid scale "there will always be broken nodes":
 :meth:`Grid.rebuild_node` brings a crashed node back by replaying its
 per-node WAL and copying anything missing (metered ``"rebuild"``) from
-surviving replicas.  Fault drills and parallel fan-out compose: the
-injector is thread-safe and keyed-deterministic, so a drill runs at full
-``parallelism`` rather than forcing the grid serial.
+surviving replicas.  A statement's partition tasks run on its own
+thread; the grid's :class:`PartitionScheduler` fans them out over
+``parallelism`` workers only while its reads can wait (an injected slow
+read, a hedge's delay), the one thing threads under one interpreter
+lock overlap.  The injector is thread-safe and keyed-deterministic, so
+a drill reproduces either way.
 """
 
 from __future__ import annotations
@@ -104,13 +107,11 @@ class Grid:
         self.faults: Optional[FaultInjector] = None
         if fault_injector is not None:
             fault_injector.attach(self)
-        # Intra-query fan-out, fault drills included: the injector is
-        # thread-safe and its randomness keyed, so a drill is reproducible
-        # from (workload, seed) even when scheduler workers race.
+        # The width of a fan-out whose reads can wait (`_reads_wait`).
         if parallelism is None:
             parallelism = default_parallelism(n_nodes)
         self.parallelism = parallelism
-        self.scheduler = PartitionScheduler(parallelism)
+        self.scheduler = PartitionScheduler(parallelism, waits=self._reads_wait)
         # Writes and failover logging are cross-node critical sections.
         self._deliver_lock = threading.RLock()
         self._failover_lock = threading.Lock()
@@ -123,6 +124,12 @@ class Grid:
         self.rebuilds: list[RebuildReport] = []
         #: per node, the ``(array, coords)`` delivered while it was down
         self._missed: dict[int, set[tuple[str, Coords]]] = {}
+
+    def _reads_wait(self) -> bool:
+        """Whether a partition read can sleep: a slow-read fault or a hedge."""
+        return self.resilience.hedge.enabled or (
+            self.faults is not None and self.faults.slows_reads()
+        )
 
     # -- liveness --------------------------------------------------------------------
 

@@ -578,11 +578,11 @@ class SciDB:
         (k - 1)-site failures per replica chain; see
         :mod:`repro.cluster.replication`.  A seeded
         :class:`~repro.cluster.faults.FaultInjector` can be attached for
-        deterministic failure drills; drills run at full parallelism (the
-        injector is thread-safe with keyed randomness).
+        deterministic, thread-safe failure drills.
 
-        ``parallelism`` bounds the intra-query partition fan-out (default:
-        ``min(8, n_nodes)``).  ``chunk_cache_bytes`` sizes each node's
+        ``parallelism`` (default ``min(8, n_nodes)``) is the width of a
+        fan-out whose partition reads can wait (a slow read or a hedge);
+        other statements run their partitions on their own thread.  ``chunk_cache_bytes`` sizes each node's
         decompressed-chunk LRU cache (0 disables it).  ``resilience``
         overrides the grid's retry/breaker/hedge bundle
         (:class:`~repro.cluster.resilience.ResiliencePolicy`); its

@@ -5,7 +5,9 @@ The scheduler's contract is that a grid at ``parallelism=k`` returns
 *exactly* what the serial grid returns, for every distributed operator —
 results merged in partition order, failover and degraded behaviour
 unchanged.  These tests run each operator on two identically-loaded grids
-(parallelism 1 vs 8) and diff the answers, then stress the thread-safety
+(parallelism 1 vs 8) and diff the answers — once as built, where both run
+their partitions inline, and once with every site's reads slowed, where
+the parallel grid's go through the pool — then stress the thread-safety
 seams: concurrent queries against a shared grid, a node killed mid-query,
 and a repartition racing a scan — with zero stale chunk-cache reads.
 """
@@ -22,8 +24,11 @@ from repro.cluster import (
     FaultInjector,
     Grid,
     HashPartitioner,
+    HedgePolicy,
     QuorumError,
     RangePartitioner,
+    ResiliencePolicy,
+    readpath,
 )
 from repro.cluster.replication import DegradedResult
 from repro.storage.loader import LoadRecord
@@ -49,20 +54,6 @@ def records(n, seed=0):
     return out
 
 
-def loaded_pair(tmp_path, schema, recs, replication=2):
-    """Two identically loaded grids: serial and parallel."""
-    arrays = []
-    for tag, par in (("serial", 1), ("parallel", 8)):
-        grid = Grid(
-            N, tmp_path / tag, parallelism=par,
-            default_replication=replication,
-        )
-        arr = grid.create_array("sky", schema, HashPartitioner(N))
-        arr.load(recs)
-        arrays.append(arr)
-    return arrays
-
-
 def cells_of(arr_like):
     return {
         c: (None if cell is None else cell.values)
@@ -71,31 +62,47 @@ def cells_of(arr_like):
 
 
 class TestParallelSerialEquivalence:
+    @staticmethod
+    def grid(directory, parallelism, **kw):
+        return Grid(N, directory, parallelism=parallelism, **kw)
+
+    def loaded_pair(self, tmp_path, schema, recs, replication=2):
+        """Two identically loaded grids: serial and parallel."""
+        arrays = []
+        for tag, par in (("serial", 1), ("parallel", 8)):
+            grid = self.grid(
+                tmp_path / tag, par, default_replication=replication
+            )
+            arr = grid.create_array("sky", schema, HashPartitioner(N))
+            arr.load(recs)
+            arrays.append(arr)
+        return arrays
+
     def test_grid_default_parallelism(self, tmp_path):
         assert Grid(N, tmp_path / "a").parallelism == 8
         assert Grid(2, tmp_path / "b").parallelism == 2
         assert Grid(16, tmp_path / "c").parallelism == 8
-        # Fault-drill grids run at full parallelism too: the injector is
-        # thread-safe with keyed randomness, so the old force-serial
-        # special case is gone.
+        # Fault-drill grids keep the full width too (a slow-read drill
+        # fans out over it): the injector is thread-safe with keyed
+        # randomness.
         assert Grid(N, tmp_path / "d",
                     fault_injector=FaultInjector(seed=1)).parallelism == 8
         assert Grid(N, tmp_path / "e", parallelism=4,
                     fault_injector=FaultInjector(seed=1)).parallelism == 4
 
     def test_scan_identical(self, tmp_path, schema):
-        serial, parallel = loaded_pair(tmp_path, schema, records(200))
+        serial, parallel = self.loaded_pair(tmp_path, schema, records(200))
         assert list(serial.scan()) == list(parallel.scan())
 
     def test_subsample_identical(self, tmp_path, schema):
-        serial, parallel = loaded_pair(tmp_path, schema, records(200))
+        serial, parallel = self.loaded_pair(tmp_path, schema, records(200))
         assert cells_of(serial.subsample(WINDOW)) == cells_of(
             parallel.subsample(WINDOW)
         )
 
     @pytest.mark.parametrize("agg", ["sum", "avg", "min", "max", "count"])
     def test_aggregate_bit_identical(self, tmp_path, schema, agg):
-        serial, parallel = loaded_pair(tmp_path, schema, records(300))
+        serial, parallel = self.loaded_pair(tmp_path, schema, records(300))
         a = serial.aggregate(["x"], agg)
         b = parallel.aggregate(["x"], agg)
         # Bit-identical (no approx): the partition-ordered merge gives the
@@ -111,7 +118,7 @@ class TestParallelSerialEquivalence:
             transition=lambda s, v: s + [v],
             final=lambda s: float(np.median(s)) if s else 0.0,
         )
-        serial, parallel = loaded_pair(tmp_path, schema, records(250))
+        serial, parallel = self.loaded_pair(tmp_path, schema, records(250))
         assert cells_of(serial.aggregate(["x"], median)) == cells_of(
             parallel.aggregate(["x"], median)
         )
@@ -123,8 +130,7 @@ class TestParallelSerialEquivalence:
         ).bind([100, 100])
         results = []
         for tag, par in (("serial", 1), ("parallel", 8)):
-            grid = Grid(N, tmp_path / tag, parallelism=par,
-                        default_replication=2)
+            grid = self.grid(tmp_path / tag, par, default_replication=2)
             left = grid.create_array("sky", schema, HashPartitioner(N))
             left.load(recs)
             right = grid.create_array("cat", other_schema, HashPartitioner(N))
@@ -141,7 +147,7 @@ class TestParallelSerialEquivalence:
         ).bind([100, 100])
         results = []
         for tag, par in (("serial", 1), ("parallel", 8)):
-            grid = Grid(N, tmp_path / tag, parallelism=par)
+            grid = self.grid(tmp_path / tag, par)
             left = grid.create_array("sky", schema, HashPartitioner(N))
             left.load(recs)
             right = grid.create_array(
@@ -154,13 +160,13 @@ class TestParallelSerialEquivalence:
         assert results[0] == results[1]
 
     def test_filter_identical(self, tmp_path, schema):
-        serial, parallel = loaded_pair(tmp_path, schema, records(200))
+        serial, parallel = self.loaded_pair(tmp_path, schema, records(200))
         a = serial.filter(lambda cell: cell.flux > 0, output_name="pos")
         b = parallel.filter(lambda cell: cell.flux > 0, output_name="pos")
         assert dict(a.scan()) == dict(b.scan())
 
     def test_apply_identical(self, tmp_path, schema):
-        serial, parallel = loaded_pair(tmp_path, schema, records(200))
+        serial, parallel = self.loaded_pair(tmp_path, schema, records(200))
         a = serial.apply(lambda cell: cell.flux * 2, [("dbl", "float")],
                          output_name="dbl")
         b = parallel.apply(lambda cell: cell.flux * 2, [("dbl", "float")],
@@ -168,13 +174,13 @@ class TestParallelSerialEquivalence:
         assert dict(a.scan()) == dict(b.scan())
 
     def test_regrid_identical(self, tmp_path, schema):
-        serial, parallel = loaded_pair(tmp_path, schema, records(300))
+        serial, parallel = self.loaded_pair(tmp_path, schema, records(300))
         assert cells_of(serial.regrid([10, 10], "avg")) == cells_of(
             parallel.regrid([10, 10], "avg")
         )
 
     def test_repartition_identical(self, tmp_path, schema):
-        serial, parallel = loaded_pair(tmp_path, schema, records(200))
+        serial, parallel = self.loaded_pair(tmp_path, schema, records(200))
         new_p = RangePartitioner(
             N, dim=0, boundaries=[12, 25, 37, 50, 62, 75, 87]
         )
@@ -187,8 +193,7 @@ class TestParallelSerialEquivalence:
         reports = []
         datas = []
         for tag, par in (("serial", 1), ("parallel", 8)):
-            grid = Grid(N, tmp_path / tag, parallelism=par,
-                        default_replication=2)
+            grid = self.grid(tmp_path / tag, par, default_replication=2)
             arr = grid.create_array("sky", schema, HashPartitioner(N))
             arr.load(records(200))
             grid.nodes[2].fail()
@@ -201,6 +206,64 @@ class TestParallelSerialEquivalence:
         assert datas[0] == datas[1]
         assert (reports[0].cells_from_replicas
                 == reports[1].cells_from_replicas)
+
+
+class TestLatencyParallelSerialEquivalence(TestParallelSerialEquivalence):
+    """The same answers when every site's reads wait 1 ms, so the parallel
+    grid's partition reads go through the scheduler's pool."""
+
+    @staticmethod
+    def grid(directory, parallelism, **kw):
+        inj = FaultInjector(seed=0)
+        grid = Grid(N, directory, parallelism=parallelism,
+                    fault_injector=inj, **kw)
+        for site in range(N):
+            inj.set_slow_reads(site, 1.0)
+        return grid
+
+
+class TestLatencyDecidesThePool:
+    """A statement's partition reads run on its own thread unless the
+    grid's reads can wait (a slow-read fault or a hedge)."""
+
+    @staticmethod
+    def reading_threads(grid, schema, monkeypatch):
+        seen = set()
+        real = readpath.partition_blocks
+
+        def spy(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(readpath, "partition_blocks", spy)
+        arr = grid.create_array("sky", schema, HashPartitioner(N))
+        arr.load(records(200))
+        list(arr.scan())
+        cells_of(arr.subsample(WINDOW))
+        cells_of(arr.aggregate(["x"], "sum"))
+        cells_of(arr.sjoin(arr))
+        return seen
+
+    def test_grid_without_waits_reads_on_the_calling_thread(
+        self, tmp_path, schema, monkeypatch
+    ):
+        grid = Grid(N, tmp_path, parallelism=8, default_replication=2,
+                    fault_injector=FaultInjector(seed=1))
+        seen = self.reading_threads(grid, schema, monkeypatch)
+        assert seen == {threading.get_ident()}
+
+    @pytest.mark.parametrize("waits", ["slow_reads", "hedge"])
+    def test_waiting_grid_reads_on_worker_threads(
+        self, tmp_path, schema, monkeypatch, waits
+    ):
+        inj = FaultInjector(seed=1)
+        hedge = HedgePolicy(delay_ms=50.0 if waits == "hedge" else None)
+        grid = Grid(N, tmp_path, parallelism=8, default_replication=2,
+                    fault_injector=inj, resilience=ResiliencePolicy(hedge=hedge))
+        if waits == "slow_reads":
+            inj.set_slow_reads(3, 1.0)
+        seen = self.reading_threads(grid, schema, monkeypatch)
+        assert seen and threading.get_ident() not in seen
 
 
 class TestParallelFailover:

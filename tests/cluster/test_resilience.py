@@ -187,6 +187,17 @@ class TestDeadline:
             ])
         assert all(got is d for got in seen)
 
+    def test_waiting_scheduler_hands_workers_the_deadline(self):
+        sched = PartitionScheduler(4, waits=lambda: True)
+        barrier = threading.Barrier(4, timeout=5)
+        d = Deadline.after_ms(60_000)
+        with deadline_scope(d):
+            seen = sched.map([
+                (lambda: (barrier.wait(), current_deadline())[1])
+                for _ in range(4)
+            ])
+        assert all(got is d for got in seen)
+
     def test_scheduler_without_deadline(self):
         sched = PartitionScheduler(4)
         seen = sched.map([(lambda: current_deadline()) for _ in range(8)])

@@ -25,7 +25,7 @@ class TestDefaults:
 
 class TestMap:
     def test_results_in_task_order(self):
-        sched = PartitionScheduler(4)
+        sched = PartitionScheduler(4, waits=lambda: True)
         # Later tasks finish first (they wait on earlier tasks' events),
         # yet results must come back in submission order.
         n = 6
@@ -51,7 +51,7 @@ class TestMap:
         assert set(threads) == {threading.get_ident()}
 
     def test_parallel_uses_worker_threads(self):
-        sched = PartitionScheduler(4)
+        sched = PartitionScheduler(4, waits=lambda: True)
         barrier = threading.Barrier(4, timeout=5)
         threads = set()
 
@@ -62,6 +62,18 @@ class TestMap:
         sched.map([task] * 4)
         assert len(threads) == 4
         assert threading.get_ident() not in threads
+
+    def test_tasks_that_cannot_wait_run_inline(self):
+        waiting = []
+        sched = PartitionScheduler(4, waits=lambda: bool(waiting))
+        threads = []
+        sched.map([lambda: threads.append(threading.get_ident())] * 4)
+        assert set(threads) == {threading.get_ident()}
+        # Asked per batch: once the owner's tasks can wait, the pool runs.
+        waiting.append(True)
+        barrier = threading.Barrier(2, timeout=5)
+        sched.map([barrier.wait] * 2)
+        assert not barrier.broken
 
     def test_single_task_runs_inline_even_when_parallel(self):
         sched = PartitionScheduler(8)
@@ -94,6 +106,23 @@ class TestMap:
         # Every task still ran to completion before the raise.
         assert sorted(ran) == [0, 1, 2, 3]
 
+    def test_serial_runs_every_task_and_keeps_siblings(self):
+        """One failure policy at every parallelism: a serial batch runs
+        all its tasks, raises the lowest-index failure and carries the
+        rest as siblings, exactly as a pooled batch does."""
+        ran = []
+
+        def task(i):
+            ran.append(i)
+            if i in (1, 3):
+                raise ValueError(f"task {i}")
+            return i
+
+        with pytest.raises(ValueError, match="task 1") as ei:
+            PartitionScheduler(1).map([lambda i=i: task(i) for i in range(4)])
+        assert ran == [0, 1, 2, 3]
+        assert [str(e) for e in ei.value.sibling_failures] == ["task 3"]
+
     def test_serial_error_propagates(self):
         sched = PartitionScheduler(1)
         with pytest.raises(RuntimeError):
@@ -123,6 +152,17 @@ class TestObservability:
                 for _ in range(8)
             ])
         assert sp.counters["bytes_moved"] == 80
+
+    def test_waiting_workers_adopt_parent_span(self):
+        with tracing.root("op:gather") as sp:
+            barrier = threading.Barrier(4, timeout=5)
+
+            def task():
+                barrier.wait()  # force 4 concurrent workers
+                tracing.add_current("bytes_moved", 10)
+
+            PartitionScheduler(4, waits=lambda: True).map([task] * 4)
+        assert sp.counters["bytes_moved"] == 40
 
     def test_adopt_restores_stack(self):
         with tracing.root("outer") as outer:

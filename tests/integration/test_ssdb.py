@@ -1,6 +1,8 @@
 """Integration tests: the science benchmark's two backends must agree
 (Section 2.15)."""
 
+import time
+
 import pytest
 
 from repro.bench.harness import Measurement, ResultTable, measure, ratio
@@ -68,6 +70,12 @@ class TestHarness:
         assert len(calls) == 5
         assert m.result == 7
         assert m.per_call >= 0
+
+    def test_one_slow_repeat_does_not_move_per_call(self):
+        naps = iter([0.0, 0.0, 0.3, 0.0, 0.0])
+        m = measure(lambda: time.sleep(next(naps)), repeats=5, warmup=0)
+        assert m.seconds >= 0.3
+        assert m.per_call < 0.03  # the median repeat; the mean is >= 0.06
 
     def test_ratio(self):
         slow = Measurement("s", 1.0, 1)

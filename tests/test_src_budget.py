@@ -61,12 +61,19 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 # now).  cluster/ 5,275 -> 5,274:
 # `is_copartitioned` takes the join's `on` (a permuted join is not
 # co-partitioned), paid for inside `DistributedArray.sjoin`.
-SRC_BUDGET = 22_710
+# A grid statement runs its partitions on its own thread: cluster/ 5,274
+# -> 5,268 and src/ 22,710 -> 22,709.  Deleted: the scheduler's separate
+# inline path and its pooled collect loop (one result loop and one
+# failure policy now serve both) and the grid's fault-drill comment.
+# Paid for by that: `Grid._reads_wait` and `FaultInjector.slows_reads`
+# (the per-batch "can these reads wait" predicate), and the bench
+# harness's per-repeat samples behind a median `per_call` (+5).
+SRC_BUDGET = 22_709
 OPS_BUDGET = 1_581  # core/ops/ + core/udf.py: one aggregate protocol, one body per operator
 BLOCK_BUDGET = 4_023  # storage/ + core/array.py: where the block lives, and its cache
 PLAN_BUDGET = 4_472  # query/ + obs/: where a statement's one tree lives
 HISTORY_BUDGET = 656  # history/: one as-of rule
-CLUSTER_BUDGET = 5_274  # cluster/: the grid adds partitions, metering, coverage
+CLUSTER_BUDGET = 5_268  # cluster/: the grid adds partitions, metering, coverage
 
 
 def lines(paths) -> int:
